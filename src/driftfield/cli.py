@@ -40,6 +40,8 @@ from driftfield.kernels import (
 )
 from driftfield.simulator import (
     MissionAborted,
+    ParseError,
+    ValidationError,
     VehicleConfig,
     ingest_cycles,
     run_mission,
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as err:
+    except (ConfigError, OSError, ValueError, ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,13 +9,18 @@ approximates it). EM untangles the two:
     E-step  rebuild the trajectory from the dead-reckoned track and the
             current estimates: X[m] = dr[m] + dt * sum_{j<m} W[j].
     M-step  hold the trajectory fixed and update the currents. The GP
-            prior at the trajectory points (mean mu, covariance S) is
+            prior at the trajectory points (mean mu, covariance Sigma) is
             conditioned on the single linear measurement
-            drift = C W + gps noise, C = dt * [I2 I2 ... I2], giving
+            drift = C W + gps noise, C = dt * [I2 I2 ... I2]:
 
-                W = mu + S C^T (C S C^T + sy^2 I)^(-1) (drift - C mu)
+                S = C Sigma C^T + sy^2 I
+                W = mu + Sigma C^T S^(-1) (drift - C mu)
 
-            in closed form, with the matching conditioned covariance.
+            Only Sigma C^T (2n x 2) and the 2x2 S are needed, and both
+            come from block row sums of the GP covariance, so the
+            (2n, 2n) trajectory covariance is never formed (the
+            linear-observation case of Jidling et al. 2017,
+            "Linearly constrained Gaussian processes").
 
 Cycles are processed in order and past cycles are never revisited: the
 converged currents of each cycle become fixed pseudo-targets in the GP
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from driftfield.flowfield import Vec2, as_xy, to_vec2_list
-from driftfield.gp import DimensionMismatch, GpModel, downsample_targets
+from driftfield.gp import DimensionMismatch, FactorizationFailure, GpModel, downsample_targets
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import Cycle, MissionLog
 
@@ -124,31 +129,28 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     """
     Closed-form current update given a fixed trajectory.
 
-    Conditions the GP predictive distribution at the trajectory's left
-    endpoints on the drift measurement. Returns (W, cov): the updated
-    currents as an (n, 2) array and the conditioned (2n, 2n) covariance.
+    Conditions the GP prior at the trajectory's left endpoints on the
+    drift measurement. Returns (W, S): the updated currents as an (n, 2)
+    array and the symmetric 2x2 innovation covariance
+    C Sigma C^T + sy^2 I, in m^2.
     """
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
     n = x.shape[0] - 1
-    pred = model.predict(x[:n])
-    mu = pred.mean.reshape(-1)
-    sigma = pred.covariance
-    c = dt * np.tile(np.eye(2), n)  # (2, 2n)
-    s_mat = c @ sigma @ c.T + model.hp.gps_noise_std**2 * np.eye(2)
-    innov = drift.as_array() - c @ mu
+    mean, cross = model.predict_sum(x[:n])
+    sigma_ct = dt * cross  # Sigma C^T, (2n, 2)
+    c_sigma_ct = dt * sigma_ct.reshape(n, 2, 2).sum(axis=0)
+    s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + model.hp.gps_noise_std**2 * np.eye(2)
+    innov = drift.as_array() - dt * mean.sum(axis=0)
     try:
-        gain = sigma @ c.T @ np.linalg.inv(s_mat)  # (2n, 2)
+        w = mean.reshape(-1) + sigma_ct @ np.linalg.solve(s_mat, innov)
     except np.linalg.LinAlgError as err:
         raise SingularInnovation(
             "innovation covariance is singular; zero GPS noise with a "
             "degenerate predictive covariance"
         ) from err
-    w = mu + gain @ innov
-    cov = sigma - gain @ c @ sigma
-    cov = 0.5 * (cov + cov.T)
-    return w.reshape(-1, 2), cov
+    return w.reshape(-1, 2), s_mat
 
 
 def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
@@ -179,6 +181,16 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
     )
 
 
+# Failures that stay isolated to their cycle; anything else is a bug and
+# propagates.
+_NUMERICAL_FAILURES = (
+    FactorizationFailure,
+    SingularInnovation,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+)
+
+
 def _failed_state(cycle: Cycle, err: Exception) -> EmState:
     n = cycle.num_steps
     return EmState(
@@ -202,15 +214,17 @@ def iter_process_mission(
 
     The model grows by the cycle's converged currents, placed at the
     reconstructed trajectory points and thinned to the configured
-    spacing. A cycle that fails numerically yields an error state and
-    leaves the model unchanged; later cycles still run.
+    spacing. A cycle that fails numerically (a failed factorisation, a
+    singular innovation, a linear-algebra or floating-point error)
+    yields an error state and leaves the model unchanged; later cycles
+    still run. Any other exception propagates.
     """
     model = GpModel(hp, kind)
     spacing = cfg.spacing_for(hp)
     for cycle in log.cycles:
         try:
             state = run_em_cycle(model, cycle, cfg)
-        except Exception as err:  # noqa: BLE001 - cycle isolation is the contract
+        except _NUMERICAL_FAILURES as err:
             yield model, _failed_state(cycle, err)
             continue
         positions = as_xy(state.trajectory)[:-1]

@@ -17,8 +17,8 @@ import json
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from driftfield.flowfield import Vec2, as_xy, to_vec2_list
-from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
+from driftfield.flowfield import as_xy
+from driftfield.kernels import HyperParams, KernelKind, block_row_sums, build_block_matrix
 
 __all__ = [
     "GpModel",
@@ -60,9 +60,6 @@ class Prediction:
             raise DimensionMismatch(
                 f"covariance shape {self.covariance.shape} does not match {self.mean.shape[0]} query points"
             )
-
-    def mean_vectors(self) -> list[Vec2]:
-        return to_vec2_list(self.mean)
 
     def marginal_std(self) -> np.ndarray:
         """Per-component posterior standard deviations, shape (M, 2)."""
@@ -146,6 +143,26 @@ class GpModel:
         cov = k_qq - v.T @ v
         cov = 0.5 * (cov + cov.T)
         return Prediction(mean.reshape(-1, 2), cov)
+
+    def predict_sum(self, query_points):
+        """
+        Posterior mean at the query points and the posterior covariance
+        of each query current with the sum of all of them.
+
+        Returns (mean, cross) with shapes (M, 2) and (2M, 2); `cross`
+        equals `predict(q).covariance @ np.tile(np.eye(2), (M, 1))`, but
+        no (2M, 2M) matrix is formed and the training factor is solved
+        against 2 right-hand sides instead of 2M.
+        """
+        q = as_xy(query_points)
+        prior = block_row_sums(self.hp, self.kind, q, q)
+        if self.num_targets == 0:
+            return np.zeros_like(q), prior
+        k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
+        mean = k_dq.T @ self._alpha
+        k_dsum = k_dq.reshape(k_dq.shape[0], -1, 2).sum(axis=1)  # (2N, 2)
+        cross = prior - k_dq.T @ cho_solve(self._factor, k_dsum)
+        return mean.reshape(-1, 2), cross
 
     def predict_mean(self, query_points) -> np.ndarray:
         """Posterior mean only, skipping the query covariance. Shape (M, 2)."""

@@ -34,6 +34,7 @@ __all__ = [
     "eval_scalar_kernel",
     "eval_kernel",
     "build_block_matrix",
+    "block_row_sums",
     "fd_consistency_report",
 ]
 
@@ -82,17 +83,23 @@ def eval_scalar_kernel(hp: HyperParams, p: Vec2, q: Vec2) -> float:
 
 def eval_kernel(hp: HyperParams, kind: KernelKind, p: Vec2, q: Vec2) -> np.ndarray:
     """2x2 cross-covariance of the currents at p and q."""
-    dx = p.x - q.x
-    dy = p.y - q.y
+    return build_block_matrix(hp, kind, [p], [q])
+
+
+def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarray):
+    """(k11, k12, k22) covariance blocks between (A, 2) and (B, 2) points, each (A, B)."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
     l2 = hp.lengthscale**2
-    e = math.exp(-(dx * dx + dy * dy) / (2.0 * l2))
+    e = np.exp(-(dx * dx + dy * dy) / (2.0 * l2))
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
-        return np.array([[s * e, 0.0], [0.0, s * e]])
+        diag = s * e
+        return diag, np.zeros_like(diag), diag
     k11 = s * (1.0 - dy * dy / l2) * e
     k22 = s * (1.0 - dx * dx / l2) * e
     k12 = s * (dx * dy / l2) * e
-    return np.array([[k11, k12], [k12, k22]])
+    return k11, k12, k22
 
 
 def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarray:
@@ -104,22 +111,32 @@ def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.nd
     """
     a = as_xy(pts_a)
     b = as_xy(pts_b)
-    na, nb = a.shape[0], b.shape[0]
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
-    l2 = hp.lengthscale**2
-    e = np.exp(-(dx * dx + dy * dy) / (2.0 * l2))
-    s = hp.current_variance
-    out = np.zeros((2 * na, 2 * nb))
-    if kind is KernelKind.STANDARD_DIAGONAL:
-        out[0::2, 0::2] = s * e
-        out[1::2, 1::2] = s * e
-        return out
-    out[0::2, 0::2] = s * (1.0 - dy * dy / l2) * e
-    out[1::2, 1::2] = s * (1.0 - dx * dx / l2) * e
-    cross = s * (dx * dy / l2) * e
-    out[0::2, 1::2] = cross
-    out[1::2, 0::2] = cross
+    k11, k12, k22 = _kernel_blocks(hp, kind, a, b)
+    out = np.empty((2 * a.shape[0], 2 * b.shape[0]))
+    out[0::2, 0::2] = k11
+    out[0::2, 1::2] = k12
+    out[1::2, 0::2] = k12
+    out[1::2, 1::2] = k22
+    return out
+
+
+def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarray:
+    """
+    Sum of the 2x2 blocks along each block row of the covariance.
+
+    Returns a (2A, 2) array equal to
+    `build_block_matrix(hp, kind, pts_a, pts_b) @ np.tile(np.eye(2), (B, 1))`,
+    the covariance of each current in `pts_a` with the sum of the
+    currents in `pts_b`, without forming the (2A, 2B) matrix.
+    """
+    a = as_xy(pts_a)
+    b = as_xy(pts_b)
+    k11, k12, k22 = (k.sum(axis=1) for k in _kernel_blocks(hp, kind, a, b))
+    out = np.empty((2 * a.shape[0], 2))
+    out[0::2, 0] = k11
+    out[0::2, 1] = k12
+    out[1::2, 0] = k12
+    out[1::2, 1] = k22
     return out
 
 

@@ -249,33 +249,38 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
     if metric and geographic:
         raise ParseError(f"line {lineno}: mixed metric and lat/long keys")
     if metric:
-        if "dead_reckoned_m" not in rec or "gps_fix_m" not in rec:
-            raise ParseError(f"line {lineno}: need both 'dead_reckoned_m' and 'gps_fix_m'")
-        dr = [Vec2(float(x), float(y)) for x, y in rec["dead_reckoned_m"]]
-        fix = Vec2(float(rec["gps_fix_m"][0]), float(rec["gps_fix_m"][1]))
+        track_key, fix_key = "dead_reckoned_m", "gps_fix_m"
     elif geographic:
-        if "dead_reckoned_latlon" not in rec or "gps_fix_latlon" not in rec:
-            raise ParseError(
-                f"line {lineno}: need both 'dead_reckoned_latlon' and 'gps_fix_latlon'"
-            )
-        if origin is None:
-            # project about the first fix when no header named an origin
-            origin = tuple(rec["dead_reckoned_latlon"][0])
-        dr = [latlon_to_local(lat, lon, origin[0], origin[1]) for lat, lon in rec["dead_reckoned_latlon"]]
-        fix = latlon_to_local(rec["gps_fix_latlon"][0], rec["gps_fix_latlon"][1], origin[0], origin[1])
+        track_key, fix_key = "dead_reckoned_latlon", "gps_fix_latlon"
     else:
         raise ParseError(f"line {lineno}: no position keys found")
+    if track_key not in rec or fix_key not in rec:
+        raise ParseError(f"line {lineno}: need both '{track_key}' and '{fix_key}'")
+    try:
+        if metric:
+            dr = [Vec2(float(x), float(y)) for x, y in rec[track_key]]
+            fix = Vec2(float(rec[fix_key][0]), float(rec[fix_key][1]))
+        else:
+            if origin is None:
+                # project about the first fix when no header named an origin
+                origin = tuple(rec[track_key][0])
+            dr = [latlon_to_local(lat, lon, origin[0], origin[1]) for lat, lon in rec[track_key]]
+            fix = latlon_to_local(rec[fix_key][0], rec[fix_key][1], origin[0], origin[1])
+        stated = Vec2(float(rec["drift_m"][0]), float(rec["drift_m"][1])) if "drift_m" in rec else None
+    except (TypeError, ValueError, LookupError) as err:
+        raise ParseError(
+            f"line {lineno}: '{track_key}' must be a list of coordinate pairs and "
+            f"'{fix_key}' and 'drift_m' one pair each ({type(err).__name__}: {err})"
+        ) from err
     try:
         cycle = Cycle(float(rec["dt_s"]), dr, fix)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ValidationError(f"line {lineno}: {err}") from err
-    if "drift_m" in rec:
-        stated = Vec2(float(rec["drift_m"][0]), float(rec["drift_m"][1]))
-        if (stated - cycle.drift).norm() > 1e-6:
-            raise ValidationError(
-                f"line {lineno}: stated drift {stated} disagrees with "
-                f"fix minus last dead-reckoned point {cycle.drift}"
-            )
+    if stated is not None and (stated - cycle.drift).norm() > 1e-6:
+        raise ValidationError(
+            f"line {lineno}: stated drift {stated} disagrees with "
+            f"fix minus last dead-reckoned point {cycle.drift}"
+        )
     return cycle, origin
 
 
@@ -300,7 +305,13 @@ def ingest_cycles(path) -> MissionLog:
             if not isinstance(rec, dict):
                 raise ParseError(f"line {lineno}: expected a JSON object")
             if "origin_latlon" in rec and "dt_s" not in rec:
-                origin = tuple(rec["origin_latlon"])
+                try:
+                    lat0, lon0 = (float(v) for v in rec["origin_latlon"])
+                except (TypeError, ValueError) as err:
+                    raise ParseError(
+                        f"line {lineno}: 'origin_latlon' must be a [lat, lon] pair ({err})"
+                    ) from err
+                origin = (lat0, lon0)
                 continue
             cycle, origin = _cycle_from_record(rec, lineno, origin)
             cycles.append(cycle)

@@ -145,6 +145,30 @@ class TestEstimate:
         assert "empty" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"gps_fix_m": [1]}, "line 1"),
+            ({"dead_reckoned_m": 5}, "line 1"),
+            ({"dt_s": -1e-300}, "dt must be positive"),
+        ],
+    )
+    def test_malformed_log_exits_2_with_one_line(self, tmp_path, hyper_conf, capsys,
+                                                 overrides, expected):
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0.0, 0.0], [21.0, 0.0]], "gps_fix_m": [22.0, 1.0]}
+        rec.update(overrides)
+        log = tmp_path / "bad.jsonl"
+        log.write_text(json.dumps(rec) + "\n")
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper_conf),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ")
+        assert expected in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestMonteCarlo:
     def test_writes_report(self, tmp_path, capsys):
         conf = tmp_path / "mc.conf"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftfield.flowfield import AnalyticField, Vec2, eval_field, random_gyre
-from driftfield.gp import DimensionMismatch, GpModel, Prediction
+from driftfield.gp import DimensionMismatch, GpModel
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import Cycle, MissionLog, VehicleConfig, run_mission
 from driftfield.estimator import (
@@ -65,9 +65,9 @@ class _DegenerateModel:
     # innovation covariance cannot be inverted
     hp = HyperParams(35000.0, 0.5, 0.0)
 
-    def predict(self, pts):
+    def predict_sum(self, pts):
         n = np.asarray(pts, dtype=float).shape[0]
-        return Prediction(np.zeros((n, 2)), np.zeros((2 * n, 2 * n)))
+        return np.zeros((n, 2)), np.zeros((2 * n, 2))
 
 
 class TestMStep:
@@ -127,12 +127,45 @@ class TestMStep:
             assert objective(w_flat + step) < best
 
     def test_posterior_covariance_symmetric_psd(self):
+        # S must be C Sigma C^T + sy^2 I for the full predictive covariance
+        # Sigma at the trajectory points, symmetric and positive definite
         cycle = uniform_cycle()
         traj = np.array([[p.x, p.y] for p in cycle.dead_reckoned])
-        _, cov = m_step(GpModel(HP), traj, cycle.drift, cycle.dt)
-        np.testing.assert_allclose(cov, cov.T, atol=0)
-        eigs = np.linalg.eigvalsh(cov)
-        assert eigs.min() >= -1e-8 * HP.current_variance
+        model = GpModel(HP).add_targets([[0.0, 0.0], [3000.0, 1000.0]], [[0.2, 0.1], [0.15, 0.12]])
+        _, s_mat = m_step(model, traj, cycle.drift, cycle.dt)
+        assert s_mat.shape == (2, 2)
+        np.testing.assert_array_equal(s_mat, s_mat.T)
+        n = cycle.num_steps
+        sigma = model.predict(traj[:n]).covariance
+        c = steps_matrix(n, cycle.dt)
+        dense = c @ sigma @ c.T + HP.gps_noise_std**2 * np.eye(2)
+        np.testing.assert_allclose(s_mat, dense, rtol=1e-10)
+        # the GP term dominates the noise floor, so positive definiteness
+        # is not inherited from sy^2 I alone
+        assert np.linalg.eigvalsh(s_mat - HP.gps_noise_std**2 * np.eye(2)).min() > 1e3
+        assert np.linalg.eigvalsh(s_mat).min() > 0
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_matches_dense_update(self, kind):
+        # oracle: the dense Kalman update over the full (2n, 2n) predictive
+        # covariance, on a gyre cycle with a trained model
+        fld = random_gyre(5)
+        cfg = VehicleConfig(waypoints=(Vec2(5000.0, 0.0), Vec2(5000.0, 5000.0)), gps_noise_std=3.0)
+        log = run_mission(cfg, fld, seed=4)
+        model, _ = process_mission(MissionLog(log.cycles[:1]), HP, kind)
+        assert model.num_targets > 0
+        cycle = log.cycles[1]
+        traj = np.array([[p.x, p.y] for p in cycle.dead_reckoned])
+        n = cycle.num_steps
+        pred = model.predict(traj[:n])
+        mu = pred.mean.reshape(-1)
+        sigma = pred.covariance
+        c = steps_matrix(n, cycle.dt)
+        s_mat = c @ sigma @ c.T + HP.gps_noise_std**2 * np.eye(2)
+        gain = sigma @ c.T @ np.linalg.inv(s_mat)
+        w_dense = (mu + gain @ (cycle.drift.as_array() - c @ mu)).reshape(-1, 2)
+        w, _ = m_step(model, traj, cycle.drift, cycle.dt)
+        np.testing.assert_allclose(w, w_dense, rtol=1e-10, atol=1e-10 * np.abs(w_dense).max())
 
     def test_singular_innovation(self):
         with pytest.raises(SingularInnovation):
@@ -289,6 +322,20 @@ class TestProcessMission:
         assert not states[0].converged
         assert states[1].error is None
         assert model.num_targets > 0  # second cycle still contributed
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only numerical failures are isolated to their cycle; a bug must
+        # not turn into an error state
+        import driftfield.estimator as est_mod
+
+        def broken(model, cycle, emcfg):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(est_mod, "run_em_cycle", broken)
+        cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        with pytest.raises(RuntimeError, match="bug"):
+            process_mission(log, HP_EXACT)
 
     def test_iter_yields_growing_models(self):
         fld = random_gyre(31)

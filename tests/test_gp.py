@@ -110,6 +110,23 @@ class TestPosterior:
         )
 
 
+class TestPredictSum:
+    # cross-covariance of each query current with the sum of all of them
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("num_targets", [0, 15])
+    def test_matches_full_predict(self, kind, num_targets):
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(-4e4, 4e4, size=(num_targets, 2))
+        model = GpModel(HP, kind, pts, eval_field_many(random_gyre(3), pts))
+        query = rng.uniform(-5e4, 5e4, size=(9, 2))
+        mean, cross = model.predict_sum(query)
+        full = model.predict(query)
+        assert mean.shape == (9, 2) and cross.shape == (18, 2)
+        np.testing.assert_allclose(mean, full.mean, rtol=1e-12, atol=1e-15)
+        dense = full.covariance @ np.tile(np.eye(2), (9, 1))
+        np.testing.assert_allclose(cross, dense, rtol=1e-9, atol=1e-12 * HP.current_variance)
+
+
 class TestModelGrowth:
     def test_add_targets_returns_new_model(self):
         m0 = GpModel(HP)

@@ -9,6 +9,7 @@ from driftfield.flowfield import Vec2
 from driftfield.kernels import (
     HyperParams,
     KernelKind,
+    block_row_sums,
     build_block_matrix,
     eval_kernel,
     eval_scalar_kernel,
@@ -132,6 +133,22 @@ class TestBlockMatrix:
     def test_empty_inputs(self):
         m = build_block_matrix(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)), np.zeros((2, 2)))
         assert m.shape == (0, 4)
+
+
+class TestBlockRowSums:
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_matches_dense_block_sum(self, kind):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-5e4, 5e4, size=(7, 2))
+        b = rng.uniform(-5e4, 5e4, size=(4, 2))
+        sums = block_row_sums(HP, kind, a, b)
+        dense = build_block_matrix(HP, kind, a, b) @ np.tile(np.eye(2), (4, 1))
+        assert sums.shape == (14, 2)
+        np.testing.assert_allclose(sums, dense, rtol=1e-12)
+
+    def test_empty_inputs(self):
+        sums = block_row_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((3, 2)), np.zeros((0, 2)))
+        np.testing.assert_array_equal(sums, np.zeros((6, 2)))
 
 
 class TestFdConsistencyReport:

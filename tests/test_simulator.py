@@ -228,6 +228,38 @@ class TestCycleLogIO:
         with pytest.raises(ParseError, match="line 1"):
             ingest_cycles(path)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gps_fix_m": [1]},
+            {"gps_fix_m": 5},
+            {"gps_fix_m": {"x": 1}},
+            {"dead_reckoned_m": 5},
+            {"dead_reckoned_m": [[0, 0, 0], [21, 0, 0]]},
+            {"dead_reckoned_m": [[0, 0], ["a", 0]]},
+            {"drift_m": [1]},
+            {"dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [1]},
+            {"dead_reckoned_latlon": 7, "gps_fix_latlon": [0, 0]},
+        ],
+    )
+    def test_malformed_positions_raise_parse_error(self, tmp_path, overrides):
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22, 1]}
+        if "dead_reckoned_latlon" in overrides:
+            del rec["dead_reckoned_m"], rec["gps_fix_m"]
+        rec.update(overrides)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match="line 1"):
+            ingest_cycles(path)
+
+    @pytest.mark.parametrize("origin", [5, [1], [1, 2, 3], ["a", 0]])
+    def test_malformed_origin_header_raises_parse_error(self, tmp_path, origin):
+        rec = {"dt_s": 60.0, "dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [0, 1e-3]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"origin_latlon": origin}) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match="line 1"):
+            ingest_cycles(path)
+
     def test_drift_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = {
