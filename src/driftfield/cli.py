@@ -60,8 +60,11 @@ VEHICLE_KEYS = {"speed_mps", "dt_s", "surface_tolerance_m", "waypoints_m", "max_
 EM_KEYS = {"em_max_iters", "em_tol_m", "pseudo_target_spacing_m"}
 GRID_KEYS = {"grid_origin_m", "grid_spacing_m", "grid_nx", "grid_ny"}
 FIELD_KEYS = {"field", "field_seed", "field_amplitude", "field_extent_m", "field_phase_rad", "field_current_mps"}
-RUN_KEYS = {"kernel", "trials", "base_seed"}
+RUN_KEYS = {"trials", "base_seed"}
 ALL_KEYS = HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | FIELD_KEYS | RUN_KEYS
+
+# `estimate --kernel` values
+KERNELS = {"incompressible": KernelKind.INCOMPRESSIBLE, "standard": KernelKind.STANDARD_DIAGONAL}
 
 
 def parse_config(path) -> dict:
@@ -136,17 +139,6 @@ def grid_from_config(cfg: dict) -> Grid | None:
     return Grid(Vec2(ox, oy), float(cfg["grid_spacing_m"]), int(cfg["grid_nx"]), int(cfg["grid_ny"]))
 
 
-def kernel_from_config(value: str) -> KernelKind:
-    aliases = {
-        "incompressible": KernelKind.INCOMPRESSIBLE,
-        "standard": KernelKind.STANDARD_DIAGONAL,
-        "standard_diagonal": KernelKind.STANDARD_DIAGONAL,
-    }
-    if value not in aliases:
-        raise ConfigError(f"unknown kernel {value!r}; pick incompressible or standard")
-    return aliases[value]
-
-
 def field_from_config(cfg: dict) -> AnalyticField:
     kind = cfg.get("field", "random_gyre")
     if kind == "random_gyre":
@@ -186,14 +178,14 @@ def _cmd_simulate(args) -> int:
 
 def _grid_for_log(log, hp: HyperParams) -> Grid:
     # same 20 x 20 rule as missions, over everywhere the vehicle reported
-    pts = [p for c in log.cycles for p in c.dead_reckoned]
+    pts = np.vstack([c.dead_reckoned for c in log.cycles])
     return default_grid(pts, hp.lengthscale, include_origin=False)
 
 
 def _cmd_estimate(args) -> int:
     cfg = parse_config(args.hyper)
     hp = hyper_from_config(cfg)
-    kind = kernel_from_config(args.kernel)
+    kind = KERNELS[args.kernel]
     emcfg = em_from_config(cfg)
     log = ingest_cycles(args.cycles)
     if not log.cycles:
@@ -214,6 +206,10 @@ def _cmd_estimate(args) -> int:
         for i, s in enumerate(states)
     ]
     (out / "em_states.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
+    if all(s.error is not None for s in states):
+        print(f"error: all {len(states)} cycles failed, the first with {states[0].error}; "
+              f"see {out / 'em_states.json'}", file=sys.stderr)
+        return 2
     (out / "model.json").write_text(model.to_json() + "\n")
 
     grid = grid_from_config(cfg) or _grid_for_log(log, hp)
@@ -231,7 +227,6 @@ def _cmd_montecarlo(args) -> int:
         hp=hp,
         vehicle=vehicle,
         em=em_from_config(cfg),
-        kernel=kernel_from_config(cfg.get("kernel", "incompressible")),
         grid=grid,
         trials=int(cfg.get("trials", 20)),
         base_seed=int(cfg.get("base_seed", 0)),
@@ -275,8 +270,7 @@ def main(argv=None) -> int:
     p_est = sub.add_parser("estimate", help="fit the current field to a cycle log")
     p_est.add_argument("--cycles", required=True, help="cycle log (JSON Lines)")
     p_est.add_argument("--hyper", required=True, help="hyperparameter config file")
-    p_est.add_argument("--kernel", default="incompressible",
-                       choices=["incompressible", "standard"])
+    p_est.add_argument("--kernel", default="incompressible", choices=KERNELS)
     p_est.add_argument("--out", required=True, help="output directory")
     p_est.set_defaults(func=_cmd_estimate)
 

@@ -35,7 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from driftfield.flowfield import Vec2, as_xy, to_vec2_list
+from driftfield.flowfield import Vec2, as_xy, frozen_xy
+
+# Unused, but perfbench/tracing.py wraps this name and fails without it;
+# drop the import together with that trace point.
+from driftfield.flowfield import to_vec2_list  # noqa: F401
 from driftfield.gp import DimensionMismatch, FactorizationFailure, GpModel, downsample_targets
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import Cycle, MissionLog
@@ -89,22 +93,25 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class EmState:
-    """Result of running EM on one cycle. `error` is set when the cycle failed."""
+    """
+    Result of running EM on one cycle: read-only (n + 1, 2) trajectory (m)
+    and (n, 2) currents (m/s). `error` is set when the cycle failed.
+    """
 
     iteration: int
-    trajectory: tuple
-    currents: tuple
+    trajectory: np.ndarray
+    currents: np.ndarray
     converged: bool
     delta: float
     error: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "trajectory", frozen_xy(self.trajectory))
+        object.__setattr__(self, "currents", frozen_xy(self.currents))
         if len(self.trajectory) != len(self.currents) + 1:
             raise ValueError("trajectory must have one more point than currents")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-        object.__setattr__(self, "trajectory", tuple(self.trajectory))
-        object.__setattr__(self, "currents", tuple(self.currents))
 
 
 def e_step(dead_reckoned, currents, dt: float) -> np.ndarray:
@@ -158,7 +165,7 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
     Alternate M and E steps on one cycle, starting from the dead-reckoned
     track, until the trajectory stops moving or the iteration cap hits.
     """
-    dr = as_xy(cycle.dead_reckoned)
+    dr = cycle.dead_reckoned
     x = dr.copy()
     w = np.zeros((dr.shape[0] - 1, 2))
     converged = False
@@ -172,10 +179,12 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
         if delta < cfg.convergence_tol:
             converged = True
             break
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise FloatingPointError("EM produced non-finite currents or trajectory")
     return EmState(
         iteration=iteration,
-        trajectory=tuple(to_vec2_list(x)),
-        currents=tuple(to_vec2_list(w)),
+        trajectory=x,
+        currents=w,
         converged=converged,
         delta=delta,
     )
@@ -192,11 +201,10 @@ _NUMERICAL_FAILURES = (
 
 
 def _failed_state(cycle: Cycle, err: Exception) -> EmState:
-    n = cycle.num_steps
     return EmState(
         iteration=0,
-        trajectory=tuple(cycle.dead_reckoned),
-        currents=tuple(Vec2(0.0, 0.0) for _ in range(n)),
+        trajectory=cycle.dead_reckoned,
+        currents=np.zeros((cycle.num_steps, 2)),
         converged=False,
         delta=0.0,
         error=f"{type(err).__name__}: {err}",
@@ -227,9 +235,7 @@ def iter_process_mission(
         except _NUMERICAL_FAILURES as err:
             yield model, _failed_state(cycle, err)
             continue
-        positions = as_xy(state.trajectory)[:-1]
-        currents = as_xy(state.currents)
-        kept_p, kept_w = downsample_targets(positions, currents, spacing)
+        kept_p, kept_w = downsample_targets(state.trajectory[:-1], state.currents, spacing)
         model = model.add_targets(kept_p, kept_w)
         yield model, state
 

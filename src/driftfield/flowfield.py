@@ -93,6 +93,13 @@ def to_vec2_list(xy: np.ndarray) -> list[Vec2]:
     return [Vec2(float(x), float(y)) for x, y in np.asarray(xy, dtype=float).reshape(-1, 2)]
 
 
+def frozen_xy(points) -> np.ndarray:
+    """Read-only (N, 2) float64 copy of an (N, 2) array-like: how tracks are stored."""
+    out = as_xy(np.array(points, dtype=float))
+    out.flags.writeable = False
+    return out
+
+
 class FieldKind(Enum):
     DOUBLE_GYRE = "double_gyre"
     UNIFORM = "uniform"

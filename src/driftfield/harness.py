@@ -30,14 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from driftfield.estimator import EmConfig, iter_process_mission
-from driftfield.flowfield import (
-    AnalyticField,
-    Grid,
-    Vec2,
-    eval_field_many,
-    random_gyre,
-    write_field_csv,
-)
+from driftfield.flowfield import Grid, Vec2, as_xy, eval_field_many, random_gyre, write_field_csv
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import MissionAborted, VehicleConfig, run_mission
 
@@ -69,7 +62,6 @@ class RunConfig:
     hp: HyperParams
     vehicle: VehicleConfig
     em: EmConfig
-    kernel: KernelKind
     grid: Grid
     trials: int
     base_seed: int
@@ -79,26 +71,32 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
 
 
-def default_grid(waypoints, lengthscale: float, n: int = 20, include_origin: bool = True) -> Grid:
+def default_grid(points, lengthscale: float, n: int = 20, include_origin: bool = True) -> Grid:
     """
-    Square n x n grid over the mission bounding box (waypoints plus, by
-    default, the start at the origin), padded by half a lengthscale on
-    every side.
+    Square n x n grid over the bounding box of the (N, 2) `points` (plus,
+    by default, the mission start at the origin), padded by half a
+    lengthscale on every side.
     """
-    xs = [p.x for p in waypoints]
-    ys = [p.y for p in waypoints]
+    xy = as_xy(points)
     if include_origin:
-        xs.append(0.0)
-        ys.append(0.0)
+        xy = np.vstack([xy, np.zeros((1, 2))])
+    lo = xy.min(axis=0)
+    hi = xy.max(axis=0)
     pad = 0.5 * lengthscale
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) + 2.0 * pad
+    span = max(hi[0] - lo[0], hi[1] - lo[1]) + 2.0 * pad
     spacing = span / (n - 1)
-    cx = 0.5 * (max(xs) + min(xs))
-    cy = 0.5 * (max(ys) + min(ys))
+    cx, cy = 0.5 * (hi + lo)
     return Grid(Vec2(cx - span / 2.0, cy - span / 2.0), spacing, n, n)
 
 
-def _masked_error(est_uv: np.ndarray, truth_uv: np.ndarray) -> float:
+def normalized_error(est_uv: np.ndarray, truth_uv: np.ndarray) -> float:
+    """
+    Field error of the estimated currents `est_uv` against the true
+    currents `truth_uv`, both (G, 2) on the same grid points: the misfit
+    speed summed over the grid, normalised by the total true speed.
+    Points where the true speed is below SPEED_MASK_EPS leave both sums.
+    Raises DegenerateTruth when the truth is effectively still.
+    """
     speeds = np.linalg.norm(truth_uv, axis=1)
     mask = speeds > SPEED_MASK_EPS
     if not mask.any():
@@ -107,17 +105,6 @@ def _masked_error(est_uv: np.ndarray, truth_uv: np.ndarray) -> float:
         )
     misfit = np.linalg.norm(est_uv[mask] - truth_uv[mask], axis=1)
     return float(misfit.sum() / speeds[mask].sum())
-
-
-def normalized_error(est, truth: AnalyticField, grid: Grid) -> float:
-    """
-    Field error of the estimate `est` (callable Vec2 -> Vec2) against the
-    true field, summed over the grid and normalised by the total true
-    speed. Raises DegenerateTruth when the truth is effectively still.
-    """
-    pts = grid.points()
-    est_uv = np.array([[w.x, w.y] for w in (est(Vec2(x, y)) for x, y in pts)])
-    return _masked_error(est_uv, eval_field_many(truth, pts))
 
 
 @dataclass(frozen=True)
@@ -147,7 +134,7 @@ def _run_trial(cfg: RunConfig, field_factory, t: int) -> TrialResult:
             est_uv = np.zeros_like(pts)
             for model, _state in iter_process_mission(log, cfg.hp, kind, cfg.em):
                 est_uv = model.predict_mean(pts)
-                per_cycle.append(_masked_error(est_uv, truth_uv))
+                per_cycle.append(normalized_error(est_uv, truth_uv))
             errors[kind.value] = per_cycle
             finals[kind.value] = est_uv
     except DegenerateTruth as err:

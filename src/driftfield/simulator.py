@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from driftfield.flowfield import AnalyticField, Vec2, eval_field
+from driftfield.flowfield import AnalyticField, Vec2, eval_field, frozen_xy
 
 __all__ = [
     "VehicleConfig",
@@ -47,8 +47,6 @@ __all__ = [
     "MissionAborted",
     "ParseError",
     "ValidationError",
-    "step_truth",
-    "step_dead_reckoned",
     "run_mission",
     "write_cycles",
     "ingest_cycles",
@@ -106,24 +104,27 @@ class VehicleConfig:
 @dataclass(frozen=True)
 class Cycle:
     """
-    One dive: dead-reckoned track (index 0 is the dive-in fix, n further
-    steps) plus the surfacing GPS fix. `drift` is derived, never stored
-    independently: fix minus last dead-reckoned point.
+    One dive: dead-reckoned track, a read-only (n + 1, 2) array in metres
+    (row 0 is the dive-in fix, n further steps), plus the surfacing GPS
+    fix. `drift` is derived, never stored independently: fix minus last
+    dead-reckoned point.
     """
 
     dt: float
-    dead_reckoned: tuple
+    dead_reckoned: np.ndarray
     gps_fix: Vec2
     drift: Vec2 = field(init=False)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        dr = tuple(self.dead_reckoned)
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        dr = frozen_xy(self.dead_reckoned)
         if len(dr) < 2:
             raise ValueError("a cycle needs the dive-in fix plus at least one step")
+        if not np.isfinite(dr).all():
+            raise ValueError("dead-reckoned positions must be finite")
         object.__setattr__(self, "dead_reckoned", dr)
-        object.__setattr__(self, "drift", self.gps_fix - dr[-1])
+        object.__setattr__(self, "drift", self.gps_fix - Vec2.from_array(dr[-1]))
 
     @property
     def num_steps(self) -> int:
@@ -134,33 +135,10 @@ class Cycle:
 class MissionLog:
     cycles: list
     truth_trajectories: list | None = None
-    field_ref: AnalyticField | None = None
 
     def __post_init__(self):
         if self.truth_trajectories is not None and len(self.truth_trajectories) != len(self.cycles):
             raise ValueError("one truth trajectory per cycle")
-
-
-def step_truth(p: Vec2, v: Vec2, w: Vec2, dt: float) -> Vec2:
-    """Advance the true position one step under command v and current w."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return Vec2(p.x + (v.x + w.x) * dt, p.y + (v.y + w.y) * dt)
-
-
-def step_dead_reckoned(p: Vec2, v: Vec2, dt: float) -> Vec2:
-    """Advance the onboard estimate, which assumes still water."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return Vec2(p.x + v.x * dt, p.y + v.y * dt)
-
-
-def _heading(frm: Vec2, to: Vec2) -> Vec2:
-    d = to - frm
-    n = d.norm()
-    if n == 0.0:
-        return Vec2(0.0, 0.0)
-    return Vec2(d.x / n, d.y / n)
 
 
 def run_mission(cfg: VehicleConfig, fld: AnalyticField, seed: int) -> MissionLog:
@@ -175,34 +153,43 @@ def run_mission(cfg: VehicleConfig, fld: AnalyticField, seed: int) -> MissionLog
     point onward, MissionAborted is raised with the partial log attached.
     """
     rng = np.random.default_rng(seed)
+    speed, dt = cfg.speed_through_water, cfg.dt
 
-    def gps(p: Vec2) -> Vec2:
+    def gps(x: float, y: float) -> tuple:
         noise = rng.normal(0.0, cfg.gps_noise_std, size=2)
-        return Vec2(p.x + noise[0], p.y + noise[1])
+        return x + noise[0], y + noise[1]
 
-    truth = Vec2(0.0, 0.0)
-    fix = gps(truth)
+    # Plain floats in the step loop. The order of the operations fixes the
+    # rounding and so the bytes of every log; keep it when editing.
+    tx, ty = 0.0, 0.0
+    fx, fy = gps(tx, ty)
     cycles = []
     truths = []
     reached_flags = []
     for wp in cfg.waypoints:
-        dr = [fix]
-        truth_path = [truth]
+        ex, ey = fx, fy
+        dr = [(ex, ey)]
+        truth_path = [(tx, ty)]
         reached = False
         for _ in range(cfg.max_steps_per_cycle):
-            v = cfg.speed_through_water * _heading(dr[-1], wp)
-            truth = step_truth(truth, v, eval_field(fld, truth), cfg.dt)
-            dr.append(step_dead_reckoned(dr[-1], v, cfg.dt))
-            truth_path.append(truth)
-            if (wp - dr[-1]).norm() <= cfg.surface_tolerance:
+            # command: constant speed along the dead-reckoned bearing
+            dx, dy = wp.x - ex, wp.y - ey
+            dist = math.hypot(dx, dy)
+            vx, vy = (0.0, 0.0) if dist == 0.0 else (dx / dist * speed, dy / dist * speed)
+            w = eval_field(fld, Vec2(tx, ty))
+            tx, ty = tx + (vx + w.x) * dt, ty + (vy + w.y) * dt
+            ex, ey = ex + vx * dt, ey + vy * dt
+            dr.append((ex, ey))
+            truth_path.append((tx, ty))
+            if math.hypot(wp.x - ex, wp.y - ey) <= cfg.surface_tolerance:
                 reached = True
                 break
-        fix = gps(truth)
-        cycles.append(Cycle(cfg.dt, dr, fix))
-        truths.append(truth_path)
+        fx, fy = gps(tx, ty)
+        cycles.append(Cycle(dt, dr, Vec2(fx, fy)))
+        truths.append(frozen_xy(truth_path))
         reached_flags.append(reached)
 
-    log = MissionLog(cycles, truth_trajectories=truths, field_ref=fld)
+    log = MissionLog(cycles, truth_trajectories=truths)
     if not all(reached_flags):
         first_bad = reached_flags.index(False)
         if not any(reached_flags[first_bad:]):
@@ -220,7 +207,7 @@ def write_cycles(log: MissionLog, path) -> None:
                 json.dumps(
                     {
                         "dt_s": c.dt,
-                        "dead_reckoned_m": [[p.x, p.y] for p in c.dead_reckoned],
+                        "dead_reckoned_m": c.dead_reckoned.tolist(),
                         "gps_fix_m": [c.gps_fix.x, c.gps_fix.y],
                         "drift_m": [c.drift.x, c.drift.y],
                     }
@@ -236,9 +223,23 @@ def latlon_to_local(lat: float, lon: float, origin_lat: float, origin_lon: float
     x is east, y is north; accurate to first order near the origin,
     which is all short-range surfacing tracks need.
     """
-    x = EARTH_RADIUS_M * math.radians(lon - origin_lon) * math.cos(math.radians(origin_lat))
-    y = EARTH_RADIUS_M * math.radians(lat - origin_lat)
-    return Vec2(x, y)
+    return Vec2.from_array(_project(np.array([[lat, lon]], dtype=float), origin_lat, origin_lon)[0])
+
+
+def _project(latlon: np.ndarray, origin_lat: float, origin_lon: float) -> np.ndarray:
+    """`latlon_to_local` over the [lat, lon] rows of an (N, 2) array."""
+    x = EARTH_RADIUS_M * np.radians(latlon[:, 1] - origin_lon) * math.cos(math.radians(origin_lat))
+    y = EARTH_RADIUS_M * np.radians(latlon[:, 0] - origin_lat)
+    return np.column_stack([x, y])
+
+
+def _pair(value) -> np.ndarray:
+    """One [x, y] pair as a float array of shape (2,); raises as `frozen_xy` does."""
+    return frozen_xy([value])[0]
+
+
+# Wrong types, shapes or lengths, and integers too large for a float.
+_CONVERSION_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
 
 
 def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
@@ -257,24 +258,24 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
     if track_key not in rec or fix_key not in rec:
         raise ParseError(f"line {lineno}: need both '{track_key}' and '{fix_key}'")
     try:
-        if metric:
-            dr = [Vec2(float(x), float(y)) for x, y in rec[track_key]]
-            fix = Vec2(float(rec[fix_key][0]), float(rec[fix_key][1]))
-        else:
+        dr = frozen_xy(rec[track_key])
+        fix = _pair(rec[fix_key])
+        if geographic:
             if origin is None:
                 # project about the first fix when no header named an origin
-                origin = tuple(rec[track_key][0])
-            dr = [latlon_to_local(lat, lon, origin[0], origin[1]) for lat, lon in rec[track_key]]
-            fix = latlon_to_local(rec[fix_key][0], rec[fix_key][1], origin[0], origin[1])
-        stated = Vec2(float(rec["drift_m"][0]), float(rec["drift_m"][1])) if "drift_m" in rec else None
-    except (TypeError, ValueError, LookupError) as err:
+                origin = (float(dr[0, 0]), float(dr[0, 1]))
+            dr = _project(dr, *origin)
+            fix = _project(fix[None], *origin)[0]
+        fix = Vec2.from_array(fix)
+        stated = Vec2.from_array(_pair(rec["drift_m"])) if "drift_m" in rec else None
+    except _CONVERSION_ERRORS as err:
         raise ParseError(
             f"line {lineno}: '{track_key}' must be a list of coordinate pairs and "
             f"'{fix_key}' and 'drift_m' one pair each ({type(err).__name__}: {err})"
         ) from err
     try:
         cycle = Cycle(float(rec["dt_s"]), dr, fix)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"line {lineno}: {err}") from err
     if stated is not None and (stated - cycle.drift).norm() > 1e-6:
         raise ValidationError(
@@ -306,17 +307,17 @@ def ingest_cycles(path) -> MissionLog:
                 raise ParseError(f"line {lineno}: expected a JSON object")
             if "origin_latlon" in rec and "dt_s" not in rec:
                 try:
-                    lat0, lon0 = (float(v) for v in rec["origin_latlon"])
-                except (TypeError, ValueError) as err:
+                    lat0, lon0 = _pair(rec["origin_latlon"])
+                except _CONVERSION_ERRORS as err:
                     raise ParseError(
                         f"line {lineno}: 'origin_latlon' must be a [lat, lon] pair ({err})"
                     ) from err
-                origin = (lat0, lon0)
+                origin = (float(lat0), float(lon0))
                 continue
             cycle, origin = _cycle_from_record(rec, lineno, origin)
             cycles.append(cycle)
     for prev, nxt in zip(cycles, cycles[1:]):
-        if (nxt.dead_reckoned[0] - prev.gps_fix).norm() > 1e-6:
+        if (Vec2.from_array(nxt.dead_reckoned[0]) - prev.gps_fix).norm() > 1e-6:
             logger.warning(
                 "cycles do not chain: dive-in %s vs previous fix %s",
                 nxt.dead_reckoned[0],

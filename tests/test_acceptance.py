@@ -41,7 +41,6 @@ STUDY = RunConfig(
     hp=HP,
     vehicle=VehicleConfig(waypoints=TOUR, gps_noise_std=3.0),
     em=EmConfig(),
-    kernel=KernelKind.INCOMPRESSIBLE,
     grid=Grid(Vec2(-1000.0, -1000.0), 22000.0 / 19.0, 20, 20),
     trials=20,
     base_seed=1000,
@@ -189,7 +188,7 @@ def test_6_em_drift_consistency_over_20_cycles():
     worst = 0.0
     for cycle, state in zip(log.cycles, states):
         assert state.error is None
-        w = np.array([[p.x, p.y] for p in state.currents])
+        w = state.currents
         resid = np.linalg.norm(cycle.dt * w.sum(axis=0) - cycle.drift.as_array())
         worst = max(worst, resid)
     _report(
@@ -233,7 +232,6 @@ def test_8_convergence_csv_byte_identical(tmp_path):
         hp=HP,
         vehicle=VehicleConfig(waypoints=TOUR[:4], gps_noise_std=3.0),
         em=EmConfig(),
-        kernel=KernelKind.INCOMPRESSIBLE,
         grid=STUDY.grid,
         trials=5,
         base_seed=800,
@@ -264,8 +262,8 @@ def test_9_ingestion_round_trip(tmp_path):
 
     worst = 0.0
     for sm, si in zip(states_mem, states_ing):
-        wm = np.array([[p.x, p.y] for p in sm.currents])
-        wi = np.array([[p.x, p.y] for p in si.currents])
+        wm = sm.currents
+        wi = si.currents
         worst = max(worst, np.linalg.norm(wm - wi) / max(np.linalg.norm(wm), 1e-12))
     probes = np.array([[2000.0, 1000.0], [8000.0, 4000.0], [5000.0, 12000.0]])
     pm = model_mem.predict_mean(probes)

@@ -54,9 +54,9 @@ def hyper_conf(tmp_path):
 class TestConfigParsing:
     def test_values_comments_blanks(self, tmp_path):
         p = tmp_path / "c.conf"
-        p.write_text("# comment\n\nlengthscale_m = 1000\nkernel=standard\n")
+        p.write_text("# comment\n\nlengthscale_m = 1000\ntrials=3\n")
         cfg = parse_config(p)
-        assert cfg == {"lengthscale_m": "1000", "kernel": "standard"}
+        assert cfg == {"lengthscale_m": "1000", "trials": "3"}
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         p = tmp_path / "c.conf"
@@ -151,6 +151,10 @@ class TestEstimate:
             ({"gps_fix_m": [1]}, "line 1"),
             ({"dead_reckoned_m": 5}, "line 1"),
             ({"dt_s": -1e-300}, "dt must be positive"),
+            ({"dt_s": float("nan")}, "dt must be positive"),
+            ({"dt_s": float("inf")}, "dt must be positive"),
+            ({"dt_s": 10**400}, "line 1"),
+            ({"dead_reckoned_m": [[0.0, 0.0], [10**400, 0.0]]}, "line 1"),
         ],
     )
     def test_malformed_log_exits_2_with_one_line(self, tmp_path, hyper_conf, capsys,
@@ -168,6 +172,26 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_all_cycles_failed_exits_2(self, tmp_path, capsys):
+        # zero GPS noise and a vanishing dt: the innovation covariance of the
+        # only cycle is singular
+        hyper = tmp_path / "exact.conf"
+        hyper.write_text("gps_noise_std_m = 0\n")
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 1e-300, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        assert captured.err.startswith("error: all 1 cycles failed")
+        assert "SingularInnovation" in captured.err
+        assert captured.err.count("\n") == 1
+        states = json.loads((out / "em_states.json").read_text())
+        assert states[0]["error"].startswith("SingularInnovation")
+        assert not (out / "model.json").exists()
+
 
 class TestMonteCarlo:
     def test_writes_report(self, tmp_path, capsys):
@@ -181,6 +205,14 @@ class TestMonteCarlo:
         assert set(parsed) == {"incompressible", "standard_diagonal"}
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kept_trials"] == 2
+
+    def test_kernel_key_rejected(self, tmp_path, capsys):
+        # the study always runs both kernels, so a kernel key is unknown
+        conf = tmp_path / "mc.conf"
+        conf.write_text(MC_CONF + "kernel = standard\n")
+        rc = main(["montecarlo", "--config", str(conf), "--out", str(tmp_path / "report")])
+        assert rc == 2
+        assert "unknown key 'kernel'" in capsys.readouterr().err
 
     def test_fields_flag(self, tmp_path):
         conf = tmp_path / "mc.conf"

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from driftfield.flowfield import AnalyticField, Grid, Vec2, eval_field, random_gyre
-from driftfield.kernels import HyperParams, KernelKind
+from driftfield.flowfield import AnalyticField, Grid, Vec2, eval_field, eval_field_many, random_gyre
+from driftfield.kernels import HyperParams
 from driftfield.simulator import VehicleConfig
 from driftfield.estimator import EmConfig
 from driftfield.harness import (
@@ -28,7 +28,6 @@ def small_config(trials=2, base_seed=500):
         hp=HP,
         vehicle=VehicleConfig(waypoints=waypoints, gps_noise_std=3.0),
         em=EmConfig(),
-        kernel=KernelKind.INCOMPRESSIBLE,
         grid=Grid(Vec2(-500.0, -500.0), 300.0, 10, 10),
         trials=trials,
         base_seed=base_seed,
@@ -37,22 +36,23 @@ def small_config(trials=2, base_seed=500):
 
 class TestNormalizedError:
     def test_perfect_estimate_scores_zero(self):
-        truth = random_gyre(1)
-        assert normalized_error(lambda p: eval_field(truth, p), truth, GRID) == 0.0
+        truth = eval_field_many(random_gyre(1), GRID.points())
+        assert normalized_error(truth.copy(), truth) == 0.0
 
     def test_zero_estimate_scores_one(self):
-        truth = random_gyre(1)
-        err = normalized_error(lambda p: Vec2(0.0, 0.0), truth, GRID)
+        truth = eval_field_many(random_gyre(1), GRID.points())
+        err = normalized_error(np.zeros_like(truth), truth)
         assert err == pytest.approx(1.0)
 
     def test_doubled_estimate_scores_one(self):
-        truth = random_gyre(1)
-        err = normalized_error(lambda p: 2.0 * eval_field(truth, p), truth, GRID)
+        truth = eval_field_many(random_gyre(1), GRID.points())
+        err = normalized_error(2.0 * truth, truth)
         assert err == pytest.approx(1.0)
 
     def test_degenerate_truth(self):
+        truth = eval_field_many(AnalyticField.zero(), GRID.points())
         with pytest.raises(DegenerateTruth):
-            normalized_error(lambda p: Vec2(1.0, 0.0), AnalyticField.zero(), GRID)
+            normalized_error(np.tile([1.0, 0.0], (len(truth), 1)), truth)
 
     def test_stagnation_points_masked(self):
         # the cell-corner stagnation point at the origin is excluded, so a
@@ -66,12 +66,13 @@ class TestNormalizedError:
                 return Vec2(1e6, 1e6)
             return eval_field(truth, p)
 
-        assert normalized_error(est, truth, grid) == 0.0
+        est_uv = np.array([est(Vec2(x, y)).as_array() for x, y in grid.points()])
+        assert normalized_error(est_uv, eval_field_many(truth, grid.points())) == 0.0
 
 
 class TestDefaultGrid:
     def test_covers_padded_mission_box(self):
-        wps = (Vec2(5000.0, 0.0), Vec2(10000.0, 20000.0))
+        wps = np.array([[5000.0, 0.0], [10000.0, 20000.0]])
         g = default_grid(wps, lengthscale=35000.0)
         pts = g.points()
         assert g.nx == 20 and g.ny == 20
@@ -82,7 +83,7 @@ class TestDefaultGrid:
         assert pts[:, 1].max() >= 20000.0 + pad - g.spacing
 
     def test_square_cells(self):
-        g = default_grid((Vec2(1000.0, 0.0),), lengthscale=10000.0, n=5)
+        g = default_grid([[1000.0, 0.0]], lengthscale=10000.0, n=5)
         pts = g.points()
         assert pts.shape == (25, 2)
         xs = np.unique(pts[:, 0])
@@ -127,7 +128,6 @@ class TestMonteCarlo:
             hp=cfg.hp,
             vehicle=VehicleConfig(waypoints=(Vec2(5e4, 0.0),), max_steps_per_cycle=5),
             em=cfg.em,
-            kernel=cfg.kernel,
             grid=cfg.grid,
             trials=2,
             base_seed=cfg.base_seed,
@@ -147,7 +147,7 @@ class TestMonteCarlo:
         cfg = small_config()
         with pytest.raises(ValueError):
             RunConfig(
-                hp=cfg.hp, vehicle=cfg.vehicle, em=cfg.em, kernel=cfg.kernel,
+                hp=cfg.hp, vehicle=cfg.vehicle, em=cfg.em,
                 grid=cfg.grid, trials=0, base_seed=0,
             )
 

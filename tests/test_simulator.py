@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from driftfield.flowfield import AnalyticField, Vec2, eval_field, random_gyre
+from driftfield.flowfield import AnalyticField, Vec2, eval_field, eval_field_many, random_gyre
 from driftfield.simulator import (
     EARTH_RADIUS_M,
     Cycle,
@@ -17,8 +19,6 @@ from driftfield.simulator import (
     ingest_cycles,
     latlon_to_local,
     run_mission,
-    step_dead_reckoned,
-    step_truth,
     write_cycles,
 )
 
@@ -31,64 +31,89 @@ def quiet_config(**overrides):
     return VehicleConfig(**kw)
 
 
-def rk4_endpoint(fld: AnalyticField, p0: Vec2, total_t: float, dt: float) -> Vec2:
-    # independent oracle: classical RK4 on the drifting-particle ODE dp/dt = w(p)
-    def f(q):
+def rk4_endpoint(fld: AnalyticField, p0, commands, dt: float, substeps: int = 10) -> np.ndarray:
+    # independent oracle: classical RK4 on dp/dt = v + w(p), the command v
+    # held over each step, at `substeps` RK4 steps per simulator step
+    def f(q, v):
         w = eval_field(fld, Vec2(q[0], q[1]))
-        return np.array([w.x, w.y])
+        return v + np.array([w.x, w.y])
 
-    p = np.array([p0.x, p0.y])
-    for _ in range(int(round(total_t / dt))):
-        k1 = f(p)
-        k2 = f(p + 0.5 * dt * k1)
-        k3 = f(p + 0.5 * dt * k2)
-        k4 = f(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Vec2(p[0], p[1])
+    h = dt / substeps
+    p = np.array(p0, dtype=float)
+    for v in commands:
+        for _ in range(substeps):
+            k1 = f(p, v)
+            k2 = f(p + 0.5 * h * k1, v)
+            k3 = f(p + 0.5 * h * k2, v)
+            k4 = f(p + h * k3, v)
+            p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return p
 
 
 class TestSteppers:
+    # the step equations of run_mission, read off its truth path and its
+    # dead-reckoned track
     def test_truth_step(self):
-        assert step_truth(Vec2(0, 0), Vec2(1.0, 0.0), Vec2(0.0, 0.0), 60.0) == Vec2(60.0, 0.0)
+        # p_1 = p_0 + (v + w) dt with v = 1 m/s east and a uniform current w
+        current = Vec2(0.25, -0.5)
+        cfg = quiet_config(waypoints=(Vec2(60.0, 0.0),), speed_through_water=1.0)
+        path = run_mission(cfg, AnalyticField.uniform(current), seed=0).truth_trajectories[0]
+        np.testing.assert_array_equal(path[0], [0.0, 0.0])
+        np.testing.assert_allclose(path[1], [(1.0 + 0.25) * 60.0, -0.5 * 60.0], rtol=1e-12)
 
     def test_command_cancels_current(self):
-        p = Vec2(10.0, -20.0)
-        assert step_truth(p, Vec2(0.2, -0.1), Vec2(-0.2, 0.1), 60.0) == p
+        # a current straight against the command at the same speed holds
+        # the vehicle in place while dead reckoning believes it moves
+        cfg = quiet_config(waypoints=(Vec2(500.0, 0.0),))
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(-0.35, 0.0)), seed=0)
+        np.testing.assert_array_equal(log.truth_trajectories[0], 0.0)
+        assert log.cycles[0].num_steps > 1
 
     def test_dead_reckoned_step(self):
-        assert step_dead_reckoned(Vec2(0, 0), Vec2(0.3, 0.4), 10.0) == Vec2(3.0, 4.0)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            step_truth(Vec2(0, 0), Vec2(0, 0), Vec2(0, 0), 0.0)
-        with pytest.raises(ValueError):
-            step_dead_reckoned(Vec2(0, 0), Vec2(0, 0), -1.0)
+        # e_1 = e_0 + v dt, blind to the current: 0.5 m/s toward (3, 4) km
+        cfg = quiet_config(waypoints=(Vec2(3000.0, 4000.0),), speed_through_water=0.5, dt=10.0)
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.2, -0.1)), seed=0)
+        np.testing.assert_allclose(log.cycles[0].dead_reckoned[1], [3.0, 4.0], rtol=1e-12)
 
     def test_euler_close_to_rk4_for_drifting_particle(self):
-        # 500 steps at dt = 60 with peak speed 0.45 m/s: explicit Euler
-        # endpoint within 1% of a tenth-step RK4 integration
+        # 637 steps at dt = 60 with peak current 0.45 m/s: the explicit
+        # Euler truth path ends within 1% of a tenth-step RK4 integration
+        # under the same command, read off the dead-reckoned track
         fld = AnalyticField.double_gyre(0.45 * 5e4 / math.pi, extent=(5e4, 5e4))
-        p = Vec2(12500.0, 5000.0)
-        start = p
-        for _ in range(500):
-            p = step_truth(p, Vec2(0.0, 0.0), eval_field(fld, p), 60.0)
-        oracle = rk4_endpoint(fld, start, 500 * 60.0, 6.0)
-        assert (p - oracle).norm() <= 0.01 * (oracle - start).norm()
+        log = run_mission(quiet_config(waypoints=(Vec2(12500.0, 5000.0),)), fld, seed=0)
+        cycle, path = log.cycles[0], log.truth_trajectories[0]
+        commands = np.diff(cycle.dead_reckoned, axis=0) / cycle.dt
+        oracle = rk4_endpoint(fld, path[0], commands, cycle.dt)
+        assert np.linalg.norm(path[-1] - oracle) <= 0.01 * np.linalg.norm(oracle - path[0])
 
 
 class TestCycle:
     def test_drift_is_fix_minus_last_point(self):
-        c = Cycle(60.0, [Vec2(0, 0), Vec2(21, 0)], Vec2(25.0, -4.0))
+        c = Cycle(60.0, [[0, 0], [21, 0]], Vec2(25.0, -4.0))
         assert c.drift == Vec2(4.0, -4.0)
         assert c.num_steps == 1
 
     def test_requires_at_least_one_step(self):
         with pytest.raises(ValueError):
-            Cycle(60.0, [Vec2(0, 0)], Vec2(0, 0))
+            Cycle(60.0, [[0, 0]], Vec2(0, 0))
 
     def test_requires_positive_dt(self):
+        for dt in (0.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                Cycle(dt, [[0, 0], [1, 0]], Vec2(1, 0))
+
+    def test_track_is_a_finite_read_only_copy(self):
+        track = np.array([[0.0, 0.0], [21.0, 0.0]])
+        c = Cycle(60.0, track, Vec2(25.0, -4.0))
+        track[1, 0] = 99.0
+        assert c.dead_reckoned[1, 0] == 21.0
         with pytest.raises(ValueError):
-            Cycle(0.0, [Vec2(0, 0), Vec2(1, 0)], Vec2(1, 0))
+            c.dead_reckoned[0, 0] = 1.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Cycle(60.0, [[0, 0], [bad, 0]], Vec2(1, 0))
+        with pytest.raises(ValueError):
+            Cycle(60.0, [[0, 0, 0], [21, 0, 0]], Vec2(1, 0))
 
 
 class TestVehicleConfig:
@@ -99,6 +124,9 @@ class TestVehicleConfig:
             VehicleConfig(waypoints=())
         with pytest.raises(ValueError):
             VehicleConfig(waypoints=WAYPOINTS, max_steps_per_cycle=0)
+        for dt in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                VehicleConfig(waypoints=WAYPOINTS, dt=dt)
 
     def test_defaults(self):
         cfg = VehicleConfig(waypoints=WAYPOINTS)
@@ -118,14 +146,14 @@ class TestRunMission:
     def test_zero_current_dead_reckoning_equals_truth(self):
         log = run_mission(quiet_config(), AnalyticField.zero(), seed=0)
         for c, path in zip(log.cycles, log.truth_trajectories):
-            for est, tru in zip(c.dead_reckoned, path):
-                assert est == tru
+            np.testing.assert_array_equal(c.dead_reckoned, path)
+            assert not path.flags.writeable
 
     def test_zero_current_reaches_every_waypoint(self):
         cfg = quiet_config()
         log = run_mission(cfg, AnalyticField.zero(), seed=0)
         for c, wp in zip(log.cycles, cfg.waypoints):
-            assert (c.dead_reckoned[-1] - wp).norm() <= cfg.surface_tolerance
+            assert np.linalg.norm(c.dead_reckoned[-1] - wp.as_array()) <= cfg.surface_tolerance
 
     def test_uniform_current_drift_telescopes(self):
         current = Vec2(0.08, -0.05)
@@ -142,9 +170,7 @@ class TestRunMission:
         fld = random_gyre(21)
         log = run_mission(quiet_config(), fld, seed=5)
         for c, path in zip(log.cycles, log.truth_trajectories):
-            w_sum = np.sum(
-                [eval_field(fld, p).as_array() for p in path[:-1]], axis=0
-            )
+            w_sum = eval_field_many(fld, path[:-1]).sum(axis=0)
             expected = c.dt * w_sum
             assert abs(c.drift.x - expected[0]) < 1e-6
             assert abs(c.drift.y - expected[1]) < 1e-6
@@ -154,7 +180,7 @@ class TestRunMission:
             VehicleConfig(waypoints=WAYPOINTS, gps_noise_std=3.0), random_gyre(2), seed=9
         )
         for prev, nxt in zip(log.cycles, log.cycles[1:]):
-            assert nxt.dead_reckoned[0] == prev.gps_fix
+            np.testing.assert_array_equal(nxt.dead_reckoned[0], prev.gps_fix.as_array())
 
     def test_deterministic(self):
         cfg = VehicleConfig(waypoints=WAYPOINTS, gps_noise_std=3.0)
@@ -163,7 +189,7 @@ class TestRunMission:
         assert len(a.cycles) == len(b.cycles)
         for ca, cb in zip(a.cycles, b.cycles):
             assert ca.gps_fix == cb.gps_fix
-            assert ca.dead_reckoned == cb.dead_reckoned
+            np.testing.assert_array_equal(ca.dead_reckoned, cb.dead_reckoned)
         c = run_mission(cfg, random_gyre(4), seed=78)
         assert any(ca.gps_fix != cc.gps_fix for ca, cc in zip(a.cycles, c.cycles))
 
@@ -194,7 +220,7 @@ class TestRunMission:
 
 class TestMissionLog:
     def test_truth_length_checked(self):
-        c = Cycle(60.0, [Vec2(0, 0), Vec2(21, 0)], Vec2(21, 0))
+        c = Cycle(60.0, [[0, 0], [21, 0]], Vec2(21, 0))
         with pytest.raises(ValueError):
             MissionLog([c], truth_trajectories=[])
 
@@ -211,7 +237,7 @@ class TestCycleLogIO:
         assert len(back.cycles) == len(log.cycles)
         for ca, cb in zip(log.cycles, back.cycles):
             assert ca.dt == cb.dt
-            assert ca.dead_reckoned == cb.dead_reckoned
+            np.testing.assert_array_equal(ca.dead_reckoned, cb.dead_reckoned)
             assert ca.gps_fix == cb.gps_fix
             assert ca.drift == cb.drift
 
@@ -240,6 +266,10 @@ class TestCycleLogIO:
             {"drift_m": [1]},
             {"dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [1]},
             {"dead_reckoned_latlon": 7, "gps_fix_latlon": [0, 0]},
+            {"dead_reckoned_m": [[0, 0], [10**400, 0]]},
+            {"gps_fix_m": [22, 10**400]},
+            {"drift_m": [10**400, 1]},
+            {"dead_reckoned_latlon": [[0, 0], [10**400, 1e-3]], "gps_fix_latlon": [0, 1e-3]},
         ],
     )
     def test_malformed_positions_raise_parse_error(self, tmp_path, overrides):
@@ -252,7 +282,7 @@ class TestCycleLogIO:
         with pytest.raises(ParseError, match="line 1"):
             ingest_cycles(path)
 
-    @pytest.mark.parametrize("origin", [5, [1], [1, 2, 3], ["a", 0]])
+    @pytest.mark.parametrize("origin", [5, [1], [1, 2, 3], ["a", 0], [10**400, 0]])
     def test_malformed_origin_header_raises_parse_error(self, tmp_path, origin):
         rec = {"dt_s": 60.0, "dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [0, 1e-3]}
         path = tmp_path / "bad.jsonl"
@@ -311,9 +341,9 @@ class TestLatLonIngestion:
     def test_geographic_log_matches_metric_log(self, tmp_path):
         lat0, lon0 = 41.0, -70.5
 
-        def inverse(p: Vec2):
-            lat = lat0 + math.degrees(p.y / EARTH_RADIUS_M)
-            lon = lon0 + math.degrees(p.x / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
+        def inverse(x, y):
+            lat = lat0 + math.degrees(y / EARTH_RADIUS_M)
+            lon = lon0 + math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
             return [lat, lon]
 
         log = run_mission(quiet_config(waypoints=WAYPOINTS[:2]), random_gyre(8), seed=1)
@@ -325,8 +355,8 @@ class TestLatLonIngestion:
                     json.dumps(
                         {
                             "dt_s": c.dt,
-                            "dead_reckoned_latlon": [inverse(p) for p in c.dead_reckoned],
-                            "gps_fix_latlon": inverse(c.gps_fix),
+                            "dead_reckoned_latlon": [inverse(x, y) for x, y in c.dead_reckoned],
+                            "gps_fix_latlon": inverse(c.gps_fix.x, c.gps_fix.y),
                         }
                     )
                     + "\n"
@@ -334,5 +364,55 @@ class TestLatLonIngestion:
         back = ingest_cycles(path)
         for ca, cb in zip(log.cycles, back.cycles):
             assert (ca.gps_fix - cb.gps_fix).norm() < 1e-6
-            for pa, pb in zip(ca.dead_reckoned, cb.dead_reckoned):
-                assert (pa - pb).norm() < 1e-6
+            assert np.linalg.norm(ca.dead_reckoned - cb.dead_reckoned, axis=1).max() < 1e-6
+
+
+# Any JSON value, NaN, the infinities and integers too large for a float
+# included (Python's json reads and writes all of them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=8,
+)
+NUMBERS = st.floats() | st.integers() | st.just(10**400)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+TRACKS = st.lists(PAIRS, min_size=0, max_size=4)
+GOOD = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22, 1]}
+
+
+class TestIngestFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.none() | JSON_VALUES | PAIRS,
+        rec=st.fixed_dictionaries(
+            {"dt_s": NUMBERS | JSON_VALUES},
+            optional={
+                "dead_reckoned_m": TRACKS | JSON_VALUES,
+                "gps_fix_m": PAIRS | JSON_VALUES,
+                "drift_m": PAIRS | JSON_VALUES,
+                "dead_reckoned_latlon": TRACKS | JSON_VALUES,
+                "gps_fix_latlon": PAIRS | JSON_VALUES,
+            },
+        ),
+    )
+    @example(header=None, rec={**GOOD, "dt_s": math.nan})
+    @example(header=None, rec={**GOOD, "dt_s": math.inf})
+    @example(header=None, rec={**GOOD, "dt_s": 10**400})
+    @example(header=None, rec={**GOOD, "dead_reckoned_m": [[0, 0], [10**400, 0]]})
+    @example(header=None, rec={**GOOD, "dead_reckoned_m": [[0, 0], [math.nan, 0]]})
+    @example(header=[10**400, 0], rec={"dt_s": 60.0, "dead_reckoned_latlon": [[0, 0], [0, 1e-3]],
+                                       "gps_fix_latlon": [0, 1e-3]})
+    def test_only_ingestion_errors_escape(self, tmp_path, header, rec):
+        # a log either loads into finite cycles or fails with an error
+        # naming the line; nothing else escapes
+        path = tmp_path / "fuzz.jsonl"
+        lines = [] if header is None else [json.dumps({"origin_latlon": header})]
+        path.write_text("\n".join(lines + [json.dumps(rec)]) + "\n")
+        try:
+            log = ingest_cycles(path)
+        except (ParseError, ValidationError) as err:
+            assert "line " in str(err)
+            return
+        for c in log.cycles:
+            assert 0 < c.dt < math.inf
+            assert np.isfinite(c.dead_reckoned).all()
