@@ -2,7 +2,7 @@
 
 from driftfield.flowfield import AnalyticField, FieldKind, Grid, Vec2, random_gyre
 from driftfield.kernels import HyperParams, KernelKind
-from driftfield.gp import GpModel, Prediction
+from driftfield.gp import GpModel
 
 __all__ = [
     "AnalyticField",
@@ -13,5 +13,4 @@ __all__ = [
     "HyperParams",
     "KernelKind",
     "GpModel",
-    "Prediction",
 ]

@@ -26,7 +26,6 @@ from driftfield.flowfield import (
     AnalyticField,
     Grid,
     Vec2,
-    eval_field_many,
     random_gyre,
     write_field_csv,
 )
@@ -191,6 +190,7 @@ def _cmd_estimate(args) -> int:
     if not log.cycles:
         print("cycle log is empty", file=sys.stderr)
         return 2
+    grid = grid_from_config(cfg) or _grid_for_log(log, hp)
     model, states = process_mission(log, hp, kind, emcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,8 +211,6 @@ def _cmd_estimate(args) -> int:
               f"see {out / 'em_states.json'}", file=sys.stderr)
         return 2
     (out / "model.json").write_text(model.to_json() + "\n")
-
-    grid = grid_from_config(cfg) or _grid_for_log(log, hp)
     write_field_csv(out / "field.csv", grid, model.predict_mean(grid.points()))
     print(f"wrote em_states.json, model.json, field.csv to {out}")
     return 0

@@ -80,10 +80,13 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.pseudo_target_spacing is not None and self.pseudo_target_spacing < 0:
-            raise ValueError("pseudo_target_spacing must be >= 0")
+        if not (0 < self.convergence_tol < math.inf):
+            raise ValueError(
+                f"convergence_tol must be positive and finite, got {self.convergence_tol}"
+            )
+        spacing = self.pseudo_target_spacing
+        if spacing is not None and not (0 <= spacing < math.inf):
+            raise ValueError(f"pseudo_target_spacing must be >= 0 and finite, got {spacing}")
 
     def spacing_for(self, hp: HyperParams) -> float:
         if self.pseudo_target_spacing is None:
@@ -139,16 +142,25 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     Conditions the GP prior at the trajectory's left endpoints on the
     drift measurement. Returns (W, S): the updated currents as an (n, 2)
     array and the symmetric 2x2 innovation covariance
-    C Sigma C^T + sy^2 I, in m^2.
+    C Sigma C^T + sy^2 I, in m^2. Raises `FloatingPointError` when S is
+    not finite.
     """
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
     n = x.shape[0] - 1
     mean, cross = model.predict_sum(x[:n])
-    sigma_ct = dt * cross  # Sigma C^T, (2n, 2)
-    c_sigma_ct = dt * sigma_ct.reshape(n, 2, 2).sum(axis=0)
-    s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + model.hp.gps_noise_std**2 * np.eye(2)
+    # An overflow to inf (np.square overflows where float ** would raise)
+    # is reported as a FloatingPointError just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_ct = dt * cross  # Sigma C^T, (2n, 2)
+        c_sigma_ct = dt * sigma_ct.reshape(n, 2, 2).sum(axis=0)
+        s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + np.square(model.hp.gps_noise_std) * np.eye(2)
+    if not np.isfinite(s_mat).all():
+        raise FloatingPointError(
+            f"innovation covariance is not finite (dt = {dt} s, "
+            f"GPS noise {model.hp.gps_noise_std} m)"
+        )
     innov = drift.as_array() - dt * mean.sum(axis=0)
     try:
         w = mean.reshape(-1) + sigma_ct @ np.linalg.solve(s_mat, innov)

@@ -6,10 +6,10 @@ streamfunction phi:
 
     w(x, y) = (d(phi)/dy, -d(phi)/dx)
 
-Three field families are provided:
+Two field families are provided:
 
-    ZeroField    phi = 0, w = 0 everywhere.
-    Uniform      phi = c_x*y - c_y*x, w = (c_x, c_y) constant.
+    Uniform      phi = c_x*y - c_y*x, w = (c_x, c_y) constant; the
+                 still field is the uniform field of speed 0.
     DoubleGyre   phi = A sin(pi*x/Lx - px) sin(pi*y/Ly - py), a steady
                  checkerboard of counter-rotating cells of size Lx x Ly.
 
@@ -103,7 +103,6 @@ def frozen_xy(points) -> np.ndarray:
 class FieldKind(Enum):
     DOUBLE_GYRE = "double_gyre"
     UNIFORM = "uniform"
-    ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,20 @@ class AnalyticField:
     direction: Vec2 = field(default_factory=lambda: Vec2(1.0, 0.0))
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-        lx, ly = self.domain_extent
-        if lx <= 0 or ly <= 0:
-            raise ValueError("domain extents must be positive")
+        if not (0 <= self.amplitude < math.inf):
+            raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
+        if not all(0 < e < math.inf for e in self.domain_extent):
+            raise ValueError(
+                f"domain extents must be positive and finite, got {self.domain_extent}"
+            )
+        if not all(math.isfinite(p) for p in self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         if self.kind is FieldKind.UNIFORM and abs(self.direction.norm() - 1.0) > 1e-9:
             raise ValueError("uniform field direction must have unit norm")
 
     @staticmethod
     def zero() -> "AnalyticField":
-        return AnalyticField(kind=FieldKind.ZERO)
+        return AnalyticField(kind=FieldKind.UNIFORM)
 
     @staticmethod
     def uniform(current: Vec2) -> "AnalyticField":
@@ -164,8 +166,6 @@ class AnalyticField:
 
 def eval_streamfunction(f: AnalyticField, p: Vec2) -> float:
     """Streamfunction phi(p) in m^2/s; gauge fixed so the uniform field has phi(0, 0) = 0."""
-    if f.kind is FieldKind.ZERO:
-        return 0.0
     if f.kind is FieldKind.UNIFORM:
         cx = f.amplitude * f.direction.x
         cy = f.amplitude * f.direction.y
@@ -177,8 +177,6 @@ def eval_streamfunction(f: AnalyticField, p: Vec2) -> float:
 
 def eval_field(f: AnalyticField, p: Vec2) -> Vec2:
     """Current w(p) = (d(phi)/dy, -d(phi)/dx), evaluated analytically."""
-    if f.kind is FieldKind.ZERO:
-        return Vec2(0.0, 0.0)
     if f.kind is FieldKind.UNIFORM:
         return Vec2(f.amplitude * f.direction.x, f.amplitude * f.direction.y)
     lx, ly = f.domain_extent
@@ -193,8 +191,6 @@ def eval_field(f: AnalyticField, p: Vec2) -> Vec2:
 def eval_field_many(f: AnalyticField, points) -> np.ndarray:
     """Vectorised `eval_field` over an (N, 2) array (or sequence of Vec2)."""
     xy = as_xy(points)
-    if f.kind is FieldKind.ZERO:
-        return np.zeros_like(xy)
     if f.kind is FieldKind.UNIFORM:
         return np.broadcast_to(
             f.amplitude * np.array([f.direction.x, f.direction.y]), xy.shape
@@ -210,8 +206,6 @@ def eval_field_many(f: AnalyticField, points) -> np.ndarray:
 
 def peak_speed(f: AnalyticField) -> float:
     """Maximum of |w| over the plane, in closed form."""
-    if f.kind is FieldKind.ZERO:
-        return 0.0
     if f.kind is FieldKind.UNIFORM:
         return f.amplitude
     lx, ly = f.domain_extent
@@ -266,8 +260,8 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must contain at least one point")
 

@@ -13,6 +13,7 @@ model.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -22,7 +23,6 @@ from driftfield.kernels import HyperParams, KernelKind, block_row_sums, build_bl
 
 __all__ = [
     "GpModel",
-    "Prediction",
     "FactorizationFailure",
     "DimensionMismatch",
     "downsample_targets",
@@ -49,35 +49,14 @@ class DimensionMismatch(Exception):
     """Positions and currents arrays disagree in length or width."""
 
 
-class Prediction:
-    """Posterior over currents at query points."""
-
-    def __init__(self, mean: np.ndarray, covariance: np.ndarray):
-        self.mean = np.asarray(mean, dtype=float).reshape(-1, 2)
-        self.covariance = np.asarray(covariance, dtype=float)
-        m = 2 * self.mean.shape[0]
-        if self.covariance.shape != (m, m):
-            raise DimensionMismatch(
-                f"covariance shape {self.covariance.shape} does not match {self.mean.shape[0]} query points"
-            )
-
-    def marginal_std(self) -> np.ndarray:
-        """Per-component posterior standard deviations, shape (M, 2)."""
-        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0)).reshape(-1, 2)
-
-
-def _interleave(uv: np.ndarray) -> np.ndarray:
-    """(N, 2) rows to flat [u0, v0, u1, v1, ...]."""
-    return np.asarray(uv, dtype=float).reshape(-1)
-
-
 class GpModel:
     """
     Immutable GP over the 2D current field.
 
     Zero-mean prior; the posterior is conditioned on the stored targets.
     Construct empty via `GpModel(hp, kind)` and grow with
-    `add_targets`, which returns a new model.
+    `add_targets`, which returns a new model. An empty model factorises
+    its 0x0 Gram matrix, so it predicts the prior by the same formulas.
     """
 
     def __init__(
@@ -96,20 +75,18 @@ class GpModel:
             raise DimensionMismatch(
                 f"positions {self.positions.shape} vs currents {self.currents.shape}"
             )
-        if target_noise_var <= 0:
-            raise ValueError("target_noise_var must be positive")
+        if not (0 < target_noise_var < math.inf):
+            raise ValueError(
+                f"target_noise_var must be positive and finite, got {target_noise_var}"
+            )
         self.target_noise_var = float(target_noise_var)
-        self._factor = None
-        self._alpha = None
-        if self.num_targets > 0:
-            self._factorize()
+        self._factorize()
 
     @property
     def num_targets(self) -> int:
         return self.positions.shape[0]
 
     def _factorize(self):
-        n2 = 2 * self.num_targets
         k = build_block_matrix(self.hp, self.kind, self.positions, self.positions)
         k[np.diag_indices_from(k)] += self.target_noise_var
         jitter = JITTER_START * self.hp.current_variance
@@ -127,22 +104,18 @@ class GpModel:
                 f"Cholesky failed for {self.num_targets} targets after "
                 f"{JITTER_ATTEMPTS} jitter escalations"
             ) from last_err
-        y = _interleave(self.currents)
-        assert y.shape == (n2,)
-        self._alpha = cho_solve(self._factor, y)
+        self._alpha = cho_solve(self._factor, self.currents.reshape(-1))
 
-    def predict(self, query_points) -> Prediction:
-        """Posterior mean and full joint covariance at the query points."""
+    def predict(self, query_points):
+        """Posterior (mean (M, 2), joint covariance (2M, 2M) over [u0, v0, u1, v1, ...])."""
         q = as_xy(query_points)
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
-        if self.num_targets == 0:
-            return Prediction(np.zeros_like(q), k_qq)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
         v = solve_triangular(self._factor[0], k_dq, lower=True)
         cov = k_qq - v.T @ v
         cov = 0.5 * (cov + cov.T)
-        return Prediction(mean.reshape(-1, 2), cov)
+        return mean.reshape(-1, 2), cov
 
     def predict_sum(self, query_points):
         """
@@ -150,39 +123,31 @@ class GpModel:
         of each query current with the sum of all of them.
 
         Returns (mean, cross) with shapes (M, 2) and (2M, 2); `cross`
-        equals `predict(q).covariance @ np.tile(np.eye(2), (M, 1))`, but
+        equals `predict(q)[1] @ np.tile(np.eye(2), (M, 1))`, but
         no (2M, 2M) matrix is formed and the training factor is solved
         against 2 right-hand sides instead of 2M.
         """
         q = as_xy(query_points)
         prior = block_row_sums(self.hp, self.kind, q, q)
-        if self.num_targets == 0:
-            return np.zeros_like(q), prior
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
-        k_dsum = k_dq.reshape(k_dq.shape[0], -1, 2).sum(axis=1)  # (2N, 2)
+        k_dsum = k_dq.reshape(k_dq.shape[0], q.shape[0], 2).sum(axis=1)  # (2N, 2)
         cross = prior - k_dq.T @ cho_solve(self._factor, k_dsum)
         return mean.reshape(-1, 2), cross
 
     def predict_mean(self, query_points) -> np.ndarray:
         """Posterior mean only, skipping the query covariance. Shape (M, 2)."""
         q = as_xy(query_points)
-        if self.num_targets == 0:
-            return np.zeros_like(q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         return (k_dq.T @ self._alpha).reshape(-1, 2)
 
     def add_targets(self, positions, currents) -> "GpModel":
         """New model conditioned on the union of old and new targets."""
-        p_new = as_xy(positions)
-        c_new = as_xy(currents)
-        if p_new.shape != c_new.shape:
-            raise DimensionMismatch(f"positions {p_new.shape} vs currents {c_new.shape}")
         return GpModel(
             self.hp,
             self.kind,
-            np.vstack([self.positions, p_new]),
-            np.vstack([self.currents, c_new]),
+            np.vstack([self.positions, as_xy(positions)]),
+            np.vstack([self.currents, as_xy(currents)]),
             target_noise_var=self.target_noise_var,
         )
 

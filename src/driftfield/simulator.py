@@ -86,14 +86,18 @@ class VehicleConfig:
     max_steps_per_cycle: int = 1500
 
     def __post_init__(self):
-        if self.speed_through_water <= 0:
-            raise ValueError("speed_through_water must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.surface_tolerance <= 0:
-            raise ValueError("surface_tolerance must be positive")
-        if self.gps_noise_std < 0:
-            raise ValueError("gps_noise_std must be >= 0")
+        if not (0 < self.speed_through_water < math.inf):
+            raise ValueError(
+                f"speed_through_water must be positive and finite, got {self.speed_through_water}"
+            )
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 < self.surface_tolerance < math.inf):
+            raise ValueError(
+                f"surface_tolerance must be positive and finite, got {self.surface_tolerance}"
+            )
+        if not (0 <= self.gps_noise_std < math.inf):
+            raise ValueError(f"gps_noise_std must be >= 0 and finite, got {self.gps_noise_std}")
         if len(self.waypoints) < 1:
             raise ValueError("at least one waypoint is required")
         if self.max_steps_per_cycle < 1:

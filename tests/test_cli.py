@@ -193,6 +193,51 @@ class TestEstimate:
         assert not (out / "model.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "conf, expected",
+        [
+            ("em_tol_m = nan\n", "convergence_tol must be positive and finite"),
+            ("em_tol_m = inf\n", "convergence_tol must be positive and finite"),
+            ("grid_origin_m = 0,0\ngrid_spacing_m = nan\ngrid_nx = 3\ngrid_ny = 3\n",
+             "grid spacing must be positive and finite"),
+        ],
+        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan"],
+    )
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, conf, expected):
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text(conf)
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_innovation_exits_2(self, tmp_path, capsys):
+        # dt so large that the innovation covariance of the only cycle
+        # overflows to inf
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text("gps_noise_std_m = 3\n")
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 1e300, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        assert captured.err.startswith("error: all 1 cycles failed")
+        assert "FloatingPointError: innovation covariance is not finite" in captured.err
+        assert captured.err.count("\n") == 1
+        states = json.loads((out / "em_states.json").read_text())
+        assert states[0]["error"].startswith("FloatingPointError")
+        assert not (out / "model.json").exists()
+
+
 class TestMonteCarlo:
     def test_writes_report(self, tmp_path, capsys):
         conf = tmp_path / "mc.conf"

@@ -108,9 +108,8 @@ class TestMStep:
         model = GpModel(HP)
         w, _ = m_step(model, traj, drift, dt)
         w_flat = w.reshape(-1)
-        pred = model.predict(traj[:4])
-        mu = pred.mean.reshape(-1)
-        sigma = pred.covariance
+        mu, sigma = model.predict(traj[:4])
+        mu = mu.reshape(-1)
         c = steps_matrix(4, dt)
         sy2 = HP.gps_noise_std**2
 
@@ -135,7 +134,7 @@ class TestMStep:
         assert s_mat.shape == (2, 2)
         np.testing.assert_array_equal(s_mat, s_mat.T)
         n = cycle.num_steps
-        sigma = model.predict(traj[:n]).covariance
+        _, sigma = model.predict(traj[:n])
         c = steps_matrix(n, cycle.dt)
         dense = c @ sigma @ c.T + HP.gps_noise_std**2 * np.eye(2)
         np.testing.assert_allclose(s_mat, dense, rtol=1e-10)
@@ -156,15 +155,24 @@ class TestMStep:
         cycle = log.cycles[1]
         traj = cycle.dead_reckoned
         n = cycle.num_steps
-        pred = model.predict(traj[:n])
-        mu = pred.mean.reshape(-1)
-        sigma = pred.covariance
+        mu, sigma = model.predict(traj[:n])
+        mu = mu.reshape(-1)
         c = steps_matrix(n, cycle.dt)
         s_mat = c @ sigma @ c.T + HP.gps_noise_std**2 * np.eye(2)
         gain = sigma @ c.T @ np.linalg.inv(s_mat)
         w_dense = (mu + gain @ (cycle.drift.as_array() - c @ mu)).reshape(-1, 2)
         w, _ = m_step(model, traj, cycle.drift, cycle.dt)
         np.testing.assert_allclose(w, w_dense, rtol=1e-10, atol=1e-10 * np.abs(w_dense).max())
+
+    def test_non_finite_innovation_covariance_raises(self):
+        # dt^2 times the prior variance, or the squared GPS noise, overflows
+        # the 2x2 innovation covariance; the update must fail, not return
+        # the prior mean
+        traj = [Vec2(0, 0), Vec2(21, 0), Vec2(42, 0)]
+        huge_noise = HyperParams(35000.0, 0.5, 1e200)
+        for hp, dt in ((HP, 1e300), (huge_noise, 60.0)):
+            with pytest.raises(FloatingPointError, match="innovation covariance is not finite"):
+                m_step(GpModel(hp), traj, Vec2(2.0, 1.0), dt=dt)
 
     def test_singular_innovation(self):
         with pytest.raises(SingularInnovation):
@@ -261,6 +269,11 @@ class TestEmConfig:
             EmConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
             EmConfig(pseudo_target_spacing=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="convergence_tol must be positive and finite"):
+                EmConfig(convergence_tol=bad)
+            with pytest.raises(ValueError, match="pseudo_target_spacing must be >= 0 and finite"):
+                EmConfig(pseudo_target_spacing=bad)
 
     def test_default_spacing_tracks_lengthscale(self):
         assert EmConfig().spacing_for(HP) == pytest.approx(1750.0)

@@ -100,7 +100,18 @@ class TestUniformAndZero:
         assert w_fd.y == pytest.approx(-0.1, abs=1e-9)
 
     def test_uniform_zero_current_collapses_to_zero_field(self):
-        assert AnalyticField.uniform(Vec2(0.0, 0.0)).kind is FieldKind.ZERO
+        f = AnalyticField.uniform(Vec2(0.0, 0.0))
+        assert f.kind is FieldKind.UNIFORM and f.amplitude == 0.0
+
+    def test_rejects_bad_parameters(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="amplitude"):
+                AnalyticField.double_gyre(bad)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="domain extents"):
+                AnalyticField.double_gyre(1e4, extent=(5e4, bad))
+        with pytest.raises(ValueError, match="phase"):
+            AnalyticField.double_gyre(1e4, phase=(math.nan, 0.0))
 
     def test_zero_field(self):
         f = AnalyticField.zero()
@@ -160,6 +171,9 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(Vec2(0, 0), 0.0, 2, 2)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="grid spacing must be positive and finite"):
+                Grid(Vec2(0, 0), bad, 2, 2)
         with pytest.raises(ValueError):
             Grid(Vec2(0, 0), 1.0, 0, 2)
 

@@ -38,11 +38,11 @@ def trained_model():
 class TestEmptyModel:
     def test_prior_prediction(self):
         m = GpModel(HP)
-        pred = m.predict([[0.0, 0.0], [1e4, -2e4]])
-        np.testing.assert_array_equal(pred.mean, np.zeros((2, 2)))
+        mean, cov = m.predict([[0.0, 0.0], [1e4, -2e4]])
+        np.testing.assert_array_equal(mean, np.zeros((2, 2)))
         expected_prior = build_block_matrix(HP, KernelKind.INCOMPRESSIBLE,
                                             [[0.0, 0.0], [1e4, -2e4]], [[0.0, 0.0], [1e4, -2e4]])
-        np.testing.assert_allclose(pred.covariance, expected_prior, atol=0)
+        np.testing.assert_allclose(cov, expected_prior, atol=0)
         np.testing.assert_array_equal(m.predict_mean([[5.0, 5.0]]), np.zeros((1, 2)))
 
 
@@ -50,40 +50,40 @@ class TestPosterior:
     def test_matches_dense_solve(self, trained_model):
         rng = np.random.default_rng(12)
         query = rng.uniform(-5e4, 5e4, size=(6, 2))
-        pred = trained_model.predict(query)
+        mean, cov = trained_model.predict(query)
         mean_o, cov_o = dense_posterior(trained_model, query)
-        np.testing.assert_allclose(pred.mean, mean_o, atol=1e-8)
-        np.testing.assert_allclose(pred.covariance, cov_o, atol=1e-6)
+        np.testing.assert_allclose(mean, mean_o, atol=1e-8)
+        np.testing.assert_allclose(cov, cov_o, atol=1e-6)
 
     def test_predict_mean_matches_full_predict(self, trained_model):
         query = np.array([[100.0, 200.0], [-3e4, 2.5e4]])
         np.testing.assert_allclose(
-            trained_model.predict_mean(query), trained_model.predict(query).mean, atol=0
+            trained_model.predict_mean(query), trained_model.predict(query)[0], atol=0
         )
 
     def test_near_interpolation_at_targets(self, trained_model):
-        pred = trained_model.predict(trained_model.positions)
+        mean, _ = trained_model.predict(trained_model.positions)
         # the noise floor keeps this from being exact; relative shrinkage
         # is about target_noise_var / current_variance
-        np.testing.assert_allclose(pred.mean, trained_model.currents, atol=1e-2)
+        np.testing.assert_allclose(mean, trained_model.currents, atol=1e-2)
 
     def test_posterior_variance_shrinks_at_targets(self, trained_model):
-        pred = trained_model.predict(trained_model.positions[:3])
-        stds = pred.marginal_std()
+        _, cov = trained_model.predict(trained_model.positions[:3])
+        stds = np.sqrt(np.diag(cov)).reshape(-1, 2)
         assert stds.max() < 0.05 * np.sqrt(HP.current_variance)
-        far = trained_model.predict([[4e5, 4e5]])
+        _, far_cov = trained_model.predict([[4e5, 4e5]])
         np.testing.assert_allclose(
-            far.marginal_std(), np.sqrt(HP.current_variance), rtol=1e-6
+            np.sqrt(np.diag(far_cov)).reshape(-1, 2), np.sqrt(HP.current_variance), rtol=1e-6
         )
 
     def test_duplicate_targets_average(self):
         # four noisy repeats at one point: posterior mean is the shrunk average
         ys = np.array([[0.30, -0.10], [0.34, -0.06], [0.28, -0.14], [0.32, -0.10]])
         m = GpModel(HP, KernelKind.INCOMPRESSIBLE, np.zeros((4, 2)), ys)
-        pred = m.predict([[0.0, 0.0]])
+        mean, _ = m.predict([[0.0, 0.0]])
         s = DEFAULT_TARGET_NOISE_VAR
         shrink = HP.current_variance / (HP.current_variance + s / 4)
-        np.testing.assert_allclose(pred.mean[0], shrink * ys.mean(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(mean[0], shrink * ys.mean(axis=0), rtol=1e-9)
 
     def test_posterior_mean_is_divergence_free(self):
         # the constraint is baked into the kernel, so the trained mean
@@ -120,10 +120,10 @@ class TestPredictSum:
         model = GpModel(HP, kind, pts, eval_field_many(random_gyre(3), pts))
         query = rng.uniform(-5e4, 5e4, size=(9, 2))
         mean, cross = model.predict_sum(query)
-        full = model.predict(query)
+        full_mean, full_cov = model.predict(query)
         assert mean.shape == (9, 2) and cross.shape == (18, 2)
-        np.testing.assert_allclose(mean, full.mean, rtol=1e-12, atol=1e-15)
-        dense = full.covariance @ np.tile(np.eye(2), (9, 1))
+        np.testing.assert_allclose(mean, full_mean, rtol=1e-12, atol=1e-15)
+        dense = full_cov @ np.tile(np.eye(2), (9, 1))
         np.testing.assert_allclose(cross, dense, rtol=1e-9, atol=1e-12 * HP.current_variance)
 
 
@@ -162,9 +162,14 @@ class TestNumericalRobustness:
         pts = rng.uniform(0.0, 1e-3, size=(60, 2))
         ys = rng.normal(0.0, 0.3, size=(60, 2))
         m = GpModel(HP, KernelKind.INCOMPRESSIBLE, pts, ys)
-        pred = m.predict([[0.0, 0.0]])
-        assert np.all(np.isfinite(pred.mean))
-        assert np.all(np.isfinite(pred.covariance))
+        mean, cov = m.predict([[0.0, 0.0]])
+        assert np.all(np.isfinite(mean))
+        assert np.all(np.isfinite(cov))
+
+    def test_target_noise_var_must_be_positive_and_finite(self):
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="target_noise_var"):
+                GpModel(HP, target_noise_var=bad)
 
     def test_factorization_failure_after_jitter_attempts(self, monkeypatch):
         import driftfield.gp as gp_mod

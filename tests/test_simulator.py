@@ -127,6 +127,10 @@ class TestVehicleConfig:
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError):
                 VehicleConfig(waypoints=WAYPOINTS, dt=dt)
+        for name in ("speed_through_water", "dt", "surface_tolerance", "gps_noise_std"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+                    VehicleConfig(waypoints=WAYPOINTS, **{name: bad})
 
     def test_defaults(self):
         cfg = VehicleConfig(waypoints=WAYPOINTS)
