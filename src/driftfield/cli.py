@@ -83,26 +83,33 @@ def parse_config(path) -> dict:
     return out
 
 
-def _floats(value: str, sep: str = ",") -> list:
-    return [float(v) for v in value.split(sep)]
+def _point(value: str) -> Vec2:
+    x, y = (float(v) for v in value.split(","))
+    return Vec2(x, y)
 
 
 def _points(value: str) -> tuple:
-    pts = []
-    for chunk in value.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, y = _floats(chunk)
-        pts.append(Vec2(x, y))
-    return tuple(pts)
+    return tuple(_point(chunk) for chunk in value.split(";") if chunk.strip())
+
+
+def _value(cfg: dict, key: str, parse, default=None):
+    """
+    `parse(cfg[key])`, or `default` when the key is absent. A value that
+    does not parse raises ConfigError naming the key.
+    """
+    if key not in cfg:
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError as err:
+        raise ConfigError(f"{key} = {cfg[key]}: {err}") from err
 
 
 def hyper_from_config(cfg: dict) -> HyperParams:
     return HyperParams(
-        lengthscale=float(cfg.get("lengthscale_m", 35000.0)),
-        current_variance=float(cfg.get("current_variance_m2s2", 0.5)),
-        gps_noise_std=float(cfg.get("gps_noise_std_m", 3.0)),
+        lengthscale=_value(cfg, "lengthscale_m", float, 35000.0),
+        current_variance=_value(cfg, "current_variance_m2s2", float, 0.5),
+        gps_noise_std=_value(cfg, "gps_noise_std_m", float, 3.0),
     )
 
 
@@ -110,21 +117,20 @@ def vehicle_from_config(cfg: dict) -> VehicleConfig:
     if "waypoints_m" not in cfg:
         raise ConfigError("config needs waypoints_m (format: 'x,y; x,y; ...')")
     return VehicleConfig(
-        speed_through_water=float(cfg.get("speed_mps", 0.35)),
-        dt=float(cfg.get("dt_s", 60.0)),
-        surface_tolerance=float(cfg.get("surface_tolerance_m", 100.0)),
-        gps_noise_std=float(cfg.get("gps_noise_std_m", 3.0)),
-        waypoints=_points(cfg["waypoints_m"]),
-        max_steps_per_cycle=int(cfg.get("max_steps_per_cycle", 1500)),
+        speed_through_water=_value(cfg, "speed_mps", float, 0.35),
+        dt=_value(cfg, "dt_s", float, 60.0),
+        surface_tolerance=_value(cfg, "surface_tolerance_m", float, 100.0),
+        gps_noise_std=_value(cfg, "gps_noise_std_m", float, 3.0),
+        waypoints=_value(cfg, "waypoints_m", _points),
+        max_steps_per_cycle=_value(cfg, "max_steps_per_cycle", int, 1500),
     )
 
 
 def em_from_config(cfg: dict) -> EmConfig:
-    spacing = cfg.get("pseudo_target_spacing_m")
     return EmConfig(
-        max_iters=int(cfg.get("em_max_iters", 10)),
-        convergence_tol=float(cfg.get("em_tol_m", 1.0)),
-        pseudo_target_spacing=None if spacing is None else float(spacing),
+        max_iters=_value(cfg, "em_max_iters", int, 10),
+        convergence_tol=_value(cfg, "em_tol_m", float, 1.0),
+        pseudo_target_spacing=_value(cfg, "pseudo_target_spacing_m", float),
     )
 
 
@@ -134,28 +140,33 @@ def grid_from_config(cfg: dict) -> Grid | None:
         return None
     if present != GRID_KEYS:
         raise ConfigError(f"grid needs all of {sorted(GRID_KEYS)}, got {sorted(present)}")
-    ox, oy = _floats(cfg["grid_origin_m"])
-    return Grid(Vec2(ox, oy), float(cfg["grid_spacing_m"]), int(cfg["grid_nx"]), int(cfg["grid_ny"]))
+    return Grid(
+        _value(cfg, "grid_origin_m", _point),
+        _value(cfg, "grid_spacing_m", float),
+        _value(cfg, "grid_nx", int),
+        _value(cfg, "grid_ny", int),
+    )
 
 
 def field_from_config(cfg: dict) -> AnalyticField:
     kind = cfg.get("field", "random_gyre")
     if kind == "random_gyre":
-        return random_gyre(int(cfg.get("field_seed", 0)))
+        return random_gyre(_value(cfg, "field_seed", int, 0))
     if kind == "zero":
         return AnalyticField.zero()
     if kind == "uniform":
         if "field_current_mps" not in cfg:
             raise ConfigError("uniform field needs field_current_mps (format: 'u,v')")
-        u, v = _floats(cfg["field_current_mps"])
-        return AnalyticField.uniform(Vec2(u, v))
+        return AnalyticField.uniform(_value(cfg, "field_current_mps", _point))
     if kind == "double_gyre":
         if "field_amplitude" not in cfg:
             raise ConfigError("double_gyre field needs field_amplitude (m^2/s)")
-        extent = _floats(cfg.get("field_extent_m", "50000,50000"))
-        phase = _floats(cfg.get("field_phase_rad", "0,0"))
+        extent = _value(cfg, "field_extent_m", _point, Vec2(50000.0, 50000.0))
+        phase = _value(cfg, "field_phase_rad", _point, Vec2(0.0, 0.0))
         return AnalyticField.double_gyre(
-            float(cfg["field_amplitude"]), extent=(extent[0], extent[1]), phase=(phase[0], phase[1])
+            _value(cfg, "field_amplitude", float),
+            extent=(extent.x, extent.y),
+            phase=(phase.x, phase.y),
         )
     raise ConfigError(f"unknown field {kind!r}")
 
@@ -226,8 +237,8 @@ def _cmd_montecarlo(args) -> int:
         vehicle=vehicle,
         em=em_from_config(cfg),
         grid=grid,
-        trials=int(cfg.get("trials", 20)),
-        base_seed=int(cfg.get("base_seed", 0)),
+        trials=_value(cfg, "trials", int, 20),
+        base_seed=_value(cfg, "base_seed", int, 0),
     )
     report = monte_carlo(run, workers=args.workers)
     emit_report(report, args.out, include_fields=args.fields)

@@ -189,19 +189,8 @@ def eval_field(f: AnalyticField, p: Vec2) -> Vec2:
 
 
 def eval_field_many(f: AnalyticField, points) -> np.ndarray:
-    """Vectorised `eval_field` over an (N, 2) array (or sequence of Vec2)."""
-    xy = as_xy(points)
-    if f.kind is FieldKind.UNIFORM:
-        return np.broadcast_to(
-            f.amplitude * np.array([f.direction.x, f.direction.y]), xy.shape
-        ).copy()
-    lx, ly = f.domain_extent
-    px, py = f.phase
-    ax = np.pi * xy[:, 0] / lx - px
-    ay = np.pi * xy[:, 1] / ly - py
-    u = f.amplitude * (np.pi / ly) * np.sin(ax) * np.cos(ay)
-    v = -f.amplitude * (np.pi / lx) * np.cos(ax) * np.sin(ay)
-    return np.column_stack([u, v])
+    """`eval_field` over an (N, 2) array (or sequence of Vec2); returns (N, 2)."""
+    return as_xy([eval_field(f, Vec2(x, y)) for x, y in as_xy(points).tolist()])
 
 
 def peak_speed(f: AnalyticField) -> float:

@@ -193,15 +193,12 @@ def downsample_targets(positions, currents, min_spacing: float):
     c = as_xy(currents)
     if p.shape != c.shape:
         raise DimensionMismatch(f"positions {p.shape} vs currents {c.shape}")
-    if min_spacing <= 0 or p.shape[0] == 0:
+    if min_spacing <= 0:
         return p, c
-    kept = []
-    for i in range(p.shape[0]):
-        if not kept:
+    s2 = min_spacing**2
+    kept, kept_xy = [], []
+    for i, (x, y) in enumerate(p.tolist()):
+        if all((x - kx) * (x - kx) + (y - ky) * (y - ky) >= s2 for kx, ky in kept_xy):
             kept.append(i)
-            continue
-        d2 = np.sum((p[kept] - p[i]) ** 2, axis=1)
-        if np.min(d2) >= min_spacing**2:
-            kept.append(i)
-    idx = np.array(kept, dtype=int)
-    return p[idx], c[idx]
+            kept_xy.append((x, y))
+    return p[kept], c[kept]

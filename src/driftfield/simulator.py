@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from driftfield.flowfield import AnalyticField, Vec2, eval_field, frozen_xy
+from driftfield.flowfield import AnalyticField, Vec2, as_xy, eval_field, frozen_xy
 
 __all__ = [
     "VehicleConfig",
@@ -220,18 +220,15 @@ def write_cycles(log: MissionLog, path) -> None:
             )
 
 
-def latlon_to_local(lat: float, lon: float, origin_lat: float, origin_lon: float) -> Vec2:
+def latlon_to_local(latlon, origin_lat: float, origin_lon: float) -> np.ndarray:
     """
-    Equirectangular projection to a local tangent plane, metres.
+    Equirectangular projection of the [lat, lon] rows (degrees) of an
+    (N, 2) array to a local tangent plane: an (N, 2) array of metres.
 
     x is east, y is north; accurate to first order near the origin,
     which is all short-range surfacing tracks need.
     """
-    return Vec2.from_array(_project(np.array([[lat, lon]], dtype=float), origin_lat, origin_lon)[0])
-
-
-def _project(latlon: np.ndarray, origin_lat: float, origin_lon: float) -> np.ndarray:
-    """`latlon_to_local` over the [lat, lon] rows of an (N, 2) array."""
+    latlon = as_xy(latlon)
     x = EARTH_RADIUS_M * np.radians(latlon[:, 1] - origin_lon) * math.cos(math.radians(origin_lat))
     y = EARTH_RADIUS_M * np.radians(latlon[:, 0] - origin_lat)
     return np.column_stack([x, y])
@@ -268,8 +265,8 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
             if origin is None:
                 # project about the first fix when no header named an origin
                 origin = (float(dr[0, 0]), float(dr[0, 1]))
-            dr = _project(dr, *origin)
-            fix = _project(fix[None], *origin)[0]
+            dr = latlon_to_local(dr, *origin)
+            fix = latlon_to_local(fix[None], *origin)[0]
         fix = Vec2.from_array(fix)
         stated = Vec2.from_array(_pair(rec["drift_m"])) if "drift_m" in rec else None
     except _CONVERSION_ERRORS as err:

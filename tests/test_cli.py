@@ -103,6 +103,27 @@ class TestSimulate:
         assert rc == 2
         assert "field_current_mps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("waypoints_m", "nan,0"),
+            ("waypoints_m", "1,2,3"),
+            ("speed_mps", "abc"),
+            ("max_steps_per_cycle", "inf"),
+            ("max_steps_per_cycle", "2.5"),
+            ("field_current_mps", "nan,0"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
+        conf = tmp_path / "bad.conf"
+        lines = [line for line in MISSION_CONF.splitlines() if not line.startswith(key)]
+        conf.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
 
 class TestEstimate:
     def test_full_pipeline_recovers_uniform_current(self, tmp_path, mission_conf, hyper_conf):
@@ -200,8 +221,10 @@ class TestEstimate:
             ("em_tol_m = inf\n", "convergence_tol must be positive and finite"),
             ("grid_origin_m = 0,0\ngrid_spacing_m = nan\ngrid_nx = 3\ngrid_ny = 3\n",
              "grid spacing must be positive and finite"),
+            ("grid_origin_m = nan,0\ngrid_spacing_m = 10\ngrid_nx = 3\ngrid_ny = 3\n",
+             "grid_origin_m"),
         ],
-        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan"],
+        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan"],
     )
     def test_non_finite_config_exits_2(self, tmp_path, capsys, conf, expected):
         hyper = tmp_path / "hyper.conf"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftfield.flowfield import AnalyticField, Vec2, divergence_fd, eval_field_many, random_gyre
 from driftfield.gp import (
@@ -200,7 +202,67 @@ class TestSerialization:
         }
 
 
+def reference_downsample(positions, currents, min_spacing):
+    # The per-point numpy loop `downsample_targets` replaced, kept as the
+    # oracle: the plain-float pass must keep exactly these survivors.
+    p = np.asarray(positions, dtype=float).reshape(-1, 2)
+    c = np.asarray(currents, dtype=float).reshape(-1, 2)
+    if min_spacing <= 0 or p.shape[0] == 0:
+        return p, c
+    kept = []
+    for i in range(p.shape[0]):
+        if not kept:
+            kept.append(i)
+            continue
+        d2 = np.sum((p[kept] - p[i]) ** 2, axis=1)
+        if np.min(d2) >= min_spacing**2:
+            kept.append(i)
+    idx = np.array(kept, dtype=int)
+    return p[idx], c[idx]
+
+
+@st.composite
+def tracks(draw):
+    """A wandering track that also revisits earlier points, nearly or exactly."""
+    offset = st.floats(-300.0, 300.0)
+    pts = [(0.0, 0.0)]
+    for _ in range(draw(st.integers(0, 80))):
+        move = draw(st.sampled_from(["step", "revisit", "duplicate"]))
+        x, y = pts[-1] if move == "step" else pts[draw(st.integers(0, len(pts) - 1))]
+        if move != "duplicate":
+            x, y = x + draw(offset), y + draw(offset)
+        pts.append((x, y))
+    return np.array(pts)
+
+
 class TestDownsample:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pts=tracks(),
+        spacing=st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(50.0, 2000.0)),
+    )
+    @example(pts=np.empty((0, 2)), spacing=100.0)
+    @example(pts=np.empty((0, 2)), spacing=0.0)
+    @example(pts=np.array([[0.0, 0.0], [100.0, 0.0], [50.0, 0.0]]), spacing=100.0)
+    def test_matches_reference_loop(self, pts, spacing):
+        # currents carry the point index, so the survivors name themselves
+        ys = np.column_stack([np.arange(len(pts), dtype=float), np.zeros(len(pts))])
+        kept_p, kept_y = downsample_targets(pts, ys, spacing)
+        ref_p, ref_y = reference_downsample(pts, ys, spacing)
+        assert np.array_equal(kept_p, ref_p) and np.array_equal(kept_y, ref_y)
+
+        def d2(a, b):
+            return np.sum((a - b) ** 2, axis=-1)
+
+        s2 = spacing**2
+        pair = d2(kept_p[:, None, :], kept_p[None, :, :])
+        assert (pair[~np.eye(len(kept_p), dtype=bool)] >= s2).all()
+        kept = set(kept_y[:, 0].astype(int).tolist())
+        for i in range(len(pts)):
+            if i not in kept:
+                earlier = pts[sorted(k for k in kept if k < i)]
+                assert (d2(earlier, pts[i]) < s2).any()
+
     def test_greedy_keep_first(self):
         pts = np.array([[0.0, 0.0], [50.0, 0.0], [150.0, 0.0], [160.0, 0.0], [300.0, 0.0]])
         ys = np.arange(10.0).reshape(5, 2)

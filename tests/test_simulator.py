@@ -333,14 +333,15 @@ class TestCycleLogIO:
 
 class TestLatLonIngestion:
     def test_projection_reference_values(self):
-        # one degree of latitude is R * pi/180 metres north
-        p = latlon_to_local(1.0, 0.0, 0.0, 0.0)
-        assert p.y == pytest.approx(EARTH_RADIUS_M * math.pi / 180.0)
-        assert p.x == pytest.approx(0.0)
+        # one degree of latitude is R * pi/180 metres north; the origin maps to 0
+        p, o = latlon_to_local([[1.0, 0.0], [0.0, 0.0]], 0.0, 0.0)
+        assert p[1] == pytest.approx(EARTH_RADIUS_M * math.pi / 180.0)
+        assert p[0] == pytest.approx(0.0)
+        np.testing.assert_array_equal(o, [0.0, 0.0])
         # longitude shrinks with cos(latitude)
-        q = latlon_to_local(60.0, 1.0, 60.0, 0.0)
-        assert q.x == pytest.approx(EARTH_RADIUS_M * math.pi / 180.0 * 0.5, rel=1e-9)
-        assert q.y == pytest.approx(0.0)
+        (qx, qy), = latlon_to_local([[60.0, 1.0]], 60.0, 0.0)
+        assert qx == pytest.approx(EARTH_RADIUS_M * math.pi / 180.0 * 0.5, rel=1e-9)
+        assert qy == pytest.approx(0.0)
 
     def test_geographic_log_matches_metric_log(self, tmp_path):
         lat0, lon0 = 41.0, -70.5
