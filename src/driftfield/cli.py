@@ -8,8 +8,9 @@ the EM estimator and writes the model and a predicted field grid,
 prints kernel self-diagnostics as JSON.
 
 Configuration files are flat `key = value` text (SI units throughout:
-metres, seconds, m/s). `#` starts a comment line; unknown keys are
-rejected. The README documents every key.
+metres, seconds, m/s). `#` starts a comment line. Each subcommand
+rejects a key it does not read and a key given twice. The README
+documents every key.
 """
 
 from __future__ import annotations
@@ -55,10 +56,19 @@ class ConfigError(Exception):
 
 
 HYPER_KEYS = {"lengthscale_m", "current_variance_m2s2", "gps_noise_std_m"}
-VEHICLE_KEYS = {"speed_mps", "dt_s", "surface_tolerance_m", "waypoints_m", "max_steps_per_cycle"}
+VEHICLE_KEYS = {
+    "speed_mps", "dt_s", "surface_tolerance_m", "gps_noise_std_m", "waypoints_m", "max_steps_per_cycle",
+}
 EM_KEYS = {"em_max_iters", "em_tol_m", "pseudo_target_spacing_m"}
 GRID_KEYS = {"grid_origin_m", "grid_spacing_m", "grid_nx", "grid_ny"}
-FIELD_KEYS = {"field", "field_seed", "field_amplitude", "field_extent_m", "field_phase_rad", "field_current_mps"}
+# The keys each `field` value reads.
+FIELD_KIND_KEYS = {
+    "random_gyre": {"field_seed"},
+    "zero": set(),
+    "uniform": {"field_current_mps"},
+    "double_gyre": {"field_amplitude", "field_extent_m", "field_phase_rad"},
+}
+FIELD_KEYS = {"field"}.union(*FIELD_KIND_KEYS.values())
 RUN_KEYS = {"trials", "base_seed"}
 ALL_KEYS = HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | FIELD_KEYS | RUN_KEYS
 
@@ -66,9 +76,13 @@ ALL_KEYS = HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | FIELD_KEYS | RUN_KE
 KERNELS = {"incompressible": KernelKind.INCOMPRESSIBLE, "standard": KernelKind.STANDARD_DIAGONAL}
 
 
-def parse_config(path) -> dict:
-    """Read a flat key = value file; values stay strings."""
+def parse_config(path, keys=ALL_KEYS) -> dict:
+    """
+    Read a flat key = value file; values stay strings. A key outside
+    `keys`, or one given twice, raises ConfigError naming its line.
+    """
     out = {}
+    lines = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -77,8 +91,12 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            why = "unknown key" if key not in ALL_KEYS else "this command does not read key"
+            raise ConfigError(f"{path}:{lineno}: {why} {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         out[key] = value.strip()
     return out
 
@@ -90,6 +108,13 @@ def _point(value: str) -> Vec2:
 
 def _points(value: str) -> tuple:
     return tuple(_point(chunk) for chunk in value.split(";") if chunk.strip())
+
+
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("expected a non-negative integer")
+    return seed
 
 
 def _value(cfg: dict, key: str, parse, default=None):
@@ -150,29 +175,32 @@ def grid_from_config(cfg: dict) -> Grid | None:
 
 def field_from_config(cfg: dict) -> AnalyticField:
     kind = cfg.get("field", "random_gyre")
+    if kind not in FIELD_KIND_KEYS:
+        raise ConfigError(f"unknown field {kind!r}")
+    foreign = sorted((FIELD_KEYS - {"field"} - FIELD_KIND_KEYS[kind]) & cfg.keys())
+    if foreign:
+        raise ConfigError(f"a {kind} field does not read key {foreign[0]!r}")
     if kind == "random_gyre":
-        return random_gyre(_value(cfg, "field_seed", int, 0))
+        return random_gyre(_value(cfg, "field_seed", _seed, 0))
     if kind == "zero":
         return AnalyticField.zero()
     if kind == "uniform":
         if "field_current_mps" not in cfg:
             raise ConfigError("uniform field needs field_current_mps (format: 'u,v')")
         return AnalyticField.uniform(_value(cfg, "field_current_mps", _point))
-    if kind == "double_gyre":
-        if "field_amplitude" not in cfg:
-            raise ConfigError("double_gyre field needs field_amplitude (m^2/s)")
-        extent = _value(cfg, "field_extent_m", _point, Vec2(50000.0, 50000.0))
-        phase = _value(cfg, "field_phase_rad", _point, Vec2(0.0, 0.0))
-        return AnalyticField.double_gyre(
-            _value(cfg, "field_amplitude", float),
-            extent=(extent.x, extent.y),
-            phase=(phase.x, phase.y),
-        )
-    raise ConfigError(f"unknown field {kind!r}")
+    if "field_amplitude" not in cfg:
+        raise ConfigError("double_gyre field needs field_amplitude (m^2/s)")
+    extent = _value(cfg, "field_extent_m", _point, Vec2(50000.0, 50000.0))
+    phase = _value(cfg, "field_phase_rad", _point, Vec2(0.0, 0.0))
+    return AnalyticField.double_gyre(
+        _value(cfg, "field_amplitude", float),
+        extent=(extent.x, extent.y),
+        phase=(phase.x, phase.y),
+    )
 
 
 def _cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, VEHICLE_KEYS | FIELD_KEYS)
     vehicle = vehicle_from_config(cfg)
     fld = field_from_config(cfg)
     try:
@@ -193,7 +221,7 @@ def _grid_for_log(log, hp: HyperParams) -> Grid:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = parse_config(args.hyper)
+    cfg = parse_config(args.hyper, HYPER_KEYS | EM_KEYS | GRID_KEYS)
     hp = hyper_from_config(cfg)
     kind = KERNELS[args.kernel]
     emcfg = em_from_config(cfg)
@@ -228,7 +256,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    cfg = parse_config(args.config)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    cfg = parse_config(args.config, HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | RUN_KEYS)
     hp = hyper_from_config(cfg)
     vehicle = vehicle_from_config(cfg)
     grid = grid_from_config(cfg) or default_grid(vehicle.waypoints, hp.lengthscale)
@@ -238,7 +268,7 @@ def _cmd_montecarlo(args) -> int:
         em=em_from_config(cfg),
         grid=grid,
         trials=_value(cfg, "trials", int, 20),
-        base_seed=_value(cfg, "base_seed", int, 0),
+        base_seed=_value(cfg, "base_seed", _seed, 0),
     )
     report = monte_carlo(run, workers=args.workers)
     emit_report(report, args.out, include_fields=args.fields)
@@ -248,7 +278,7 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    cfg = parse_config(args.config) if args.config else {}
+    cfg = parse_config(args.config, HYPER_KEYS) if args.config else {}
     hp = hyper_from_config(cfg)
     zero_lag = eval_kernel(hp, KernelKind.INCOMPRESSIBLE, Vec2(0, 0), Vec2(0, 0))
     rng = np.random.default_rng(0)

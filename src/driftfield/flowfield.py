@@ -6,12 +6,13 @@ streamfunction phi:
 
     w(x, y) = (d(phi)/dy, -d(phi)/dx)
 
-Two field families are provided:
+Every field is a uniform current c plus a double gyre of amplitude A:
 
-    Uniform      phi = c_x*y - c_y*x, w = (c_x, c_y) constant; the
-                 still field is the uniform field of speed 0.
-    DoubleGyre   phi = A sin(pi*x/Lx - px) sin(pi*y/Ly - py), a steady
-                 checkerboard of counter-rotating cells of size Lx x Ly.
+    phi = c_x*y - c_y*x + A sin(pi*x/Lx - px) sin(pi*y/Ly - py)
+
+The gyre is a steady checkerboard of counter-rotating cells of size
+Lx x Ly. The factories build the three fields in use: `uniform` (A = 0),
+`double_gyre` (c = 0) and `zero` (both 0, the still field).
 
 All fields are exactly divergence-free by construction; `divergence_fd`
 gives a central-difference estimate useful as a numerical cross-check.
@@ -22,22 +23,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Vec2",
-    "FieldKind",
     "AnalyticField",
     "Grid",
     "eval_field",
     "eval_field_many",
-    "eval_streamfunction",
     "divergence_fd",
     "random_gyre",
-    "peak_speed",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -54,16 +51,8 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"Vec2 components must be finite, got ({self.x}, {self.y})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scalar: float) -> "Vec2":
-        return Vec2(self.x * scalar, self.y * scalar)
-
-    __rmul__ = __mul__
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -100,29 +89,23 @@ def frozen_xy(points) -> np.ndarray:
     return out
 
 
-class FieldKind(Enum):
-    DOUBLE_GYRE = "double_gyre"
-    UNIFORM = "uniform"
-
-
 @dataclass(frozen=True)
 class AnalyticField:
     """
-    Closed-form streamfunction field.
-
-    `amplitude` scales the streamfunction for gyres (m^2/s) and is the
-    current speed for uniform fields (m/s). `domain_extent` is the gyre
-    cell size (Lx, Ly); `phase` shifts the cell pattern; `direction` is
-    the unit flow direction for uniform fields.
+    Closed-form streamfunction field: a uniform `current` (m/s) plus a
+    double gyre. `amplitude` scales the gyre streamfunction (m^2/s),
+    `domain_extent` is the gyre cell size (Lx, Ly) and `phase` shifts
+    the cell pattern.
     """
 
-    kind: FieldKind
+    current: tuple[float, float] = (0.0, 0.0)
     amplitude: float = 0.0
     domain_extent: tuple[float, float] = (5.0e4, 5.0e4)
     phase: tuple[float, float] = (0.0, 0.0)
-    direction: Vec2 = field(default_factory=lambda: Vec2(1.0, 0.0))
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.current):
+            raise ValueError(f"current must be finite, got {self.current}")
         if not (0 <= self.amplitude < math.inf):
             raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
         if not all(0 < e < math.inf for e in self.domain_extent):
@@ -131,24 +114,15 @@ class AnalyticField:
             )
         if not all(math.isfinite(p) for p in self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
-        if self.kind is FieldKind.UNIFORM and abs(self.direction.norm() - 1.0) > 1e-9:
-            raise ValueError("uniform field direction must have unit norm")
 
     @staticmethod
     def zero() -> "AnalyticField":
-        return AnalyticField(kind=FieldKind.UNIFORM)
+        return AnalyticField()
 
     @staticmethod
     def uniform(current: Vec2) -> "AnalyticField":
         """Uniform field flowing with the given current vector (m/s)."""
-        speed = current.norm()
-        if speed == 0.0:
-            return AnalyticField.zero()
-        return AnalyticField(
-            kind=FieldKind.UNIFORM,
-            amplitude=speed,
-            direction=Vec2(current.x / speed, current.y / speed),
-        )
+        return AnalyticField(current=(current.x, current.y))
 
     @staticmethod
     def double_gyre(
@@ -156,49 +130,24 @@ class AnalyticField:
         extent: tuple[float, float] = (5.0e4, 5.0e4),
         phase: tuple[float, float] = (0.0, 0.0),
     ) -> "AnalyticField":
-        return AnalyticField(
-            kind=FieldKind.DOUBLE_GYRE,
-            amplitude=amplitude,
-            domain_extent=extent,
-            phase=phase,
-        )
-
-
-def eval_streamfunction(f: AnalyticField, p: Vec2) -> float:
-    """Streamfunction phi(p) in m^2/s; gauge fixed so the uniform field has phi(0, 0) = 0."""
-    if f.kind is FieldKind.UNIFORM:
-        cx = f.amplitude * f.direction.x
-        cy = f.amplitude * f.direction.y
-        return cx * p.y - cy * p.x
-    lx, ly = f.domain_extent
-    px, py = f.phase
-    return f.amplitude * math.sin(math.pi * p.x / lx - px) * math.sin(math.pi * p.y / ly - py)
+        return AnalyticField(amplitude=amplitude, domain_extent=extent, phase=phase)
 
 
 def eval_field(f: AnalyticField, p: Vec2) -> Vec2:
     """Current w(p) = (d(phi)/dy, -d(phi)/dx), evaluated analytically."""
-    if f.kind is FieldKind.UNIFORM:
-        return Vec2(f.amplitude * f.direction.x, f.amplitude * f.direction.y)
+    cx, cy = f.current
     lx, ly = f.domain_extent
     px, py = f.phase
     ax = math.pi * p.x / lx - px
     ay = math.pi * p.y / ly - py
     u = f.amplitude * (math.pi / ly) * math.sin(ax) * math.cos(ay)
     v = -f.amplitude * (math.pi / lx) * math.cos(ax) * math.sin(ay)
-    return Vec2(u, v)
+    return Vec2(cx + u, cy + v)
 
 
 def eval_field_many(f: AnalyticField, points) -> np.ndarray:
     """`eval_field` over an (N, 2) array (or sequence of Vec2); returns (N, 2)."""
     return as_xy([eval_field(f, Vec2(x, y)) for x, y in as_xy(points).tolist()])
-
-
-def peak_speed(f: AnalyticField) -> float:
-    """Maximum of |w| over the plane, in closed form."""
-    if f.kind is FieldKind.UNIFORM:
-        return f.amplitude
-    lx, ly = f.domain_extent
-    return f.amplitude * math.pi / min(lx, ly)
 
 
 def divergence_fd(f, p: Vec2, h: float) -> float:

@@ -132,7 +132,9 @@ class GpModel:
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
         k_dsum = k_dq.reshape(k_dq.shape[0], q.shape[0], 2).sum(axis=1)  # (2N, 2)
-        cross = prior - k_dq.T @ cho_solve(self._factor, k_dsum)
+        # The factor is finite by construction; a non-finite query point
+        # comes out as NaN in `cross`, as it does for an empty model.
+        cross = prior - k_dq.T @ cho_solve(self._factor, k_dsum, check_finite=False)
         return mean.reshape(-1, 2), cross
 
     def predict_mean(self, query_points) -> np.ndarray:

@@ -309,3 +309,83 @@ class TestKernelCheck:
         result = json.loads(capsys.readouterr().out)
         assert result["zero_lag"][0][0] == 0.25
         assert result["fd_consistency"]["step_m"] == 1.0
+
+
+def _one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err
+    return err
+
+
+class TestKeysPerCommand:
+    """Each subcommand rejects a key it does not read, naming the key."""
+
+    def test_montecarlo_rejects_field_keys(self, tmp_path, capsys):
+        conf = tmp_path / "mc.conf"
+        conf.write_text(MC_CONF + "field = uniform\nfield_current_mps = 0.1,0\n")
+        rc = main(["montecarlo", "--config", str(conf), "--out", str(tmp_path / "report")])
+        assert rc == 2
+        _one_line_error(capsys, "'field'", ":9:")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("line", ["waypoints_m = 0,0; 100,0", "trials = 3", "field = nonsense"])
+    def test_estimate_rejects_foreign_keys(self, tmp_path, capsys, line):
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text(HYPER_CONF + line + "\n")
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, repr(line.split(" =")[0]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["field_amplitude = 5000", "field_extent_m = 4e4,4e4"])
+    def test_simulate_rejects_keys_of_another_field(self, tmp_path, capsys, line):
+        conf = tmp_path / "m.conf"
+        conf.write_text(f"field = random_gyre\nwaypoints_m = 1000,0\n{line}\n")
+        out = tmp_path / "cycles.jsonl"
+        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, repr(line.split(" =")[0]))
+        assert not out.exists()
+
+    def test_kernel_check_rejects_foreign_keys(self, tmp_path, capsys):
+        conf = tmp_path / "hp.conf"
+        conf.write_text("lengthscale_m = 10000\nem_max_iters = 3\n")
+        assert main(["kernel-check", "--config", str(conf)]) == 2
+        _one_line_error(capsys, "'em_max_iters'", ":2:")
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        conf = tmp_path / "m.conf"
+        conf.write_text("field = zero\nspeed_mps = 0.5\nwaypoints_m = 1000,0\nspeed_mps = 0.1\n")
+        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        _one_line_error(capsys, "'speed_mps'", ":4:", "line 2")
+
+    def test_negative_field_seed_names_its_key(self, tmp_path, capsys):
+        conf = tmp_path / "m.conf"
+        conf.write_text("field_seed = -1\nwaypoints_m = 1000,0\n")
+        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        _one_line_error(capsys, "field_seed = -1", "non-negative")
+
+    def test_negative_base_seed_names_its_key(self, tmp_path, capsys):
+        conf = tmp_path / "mc.conf"
+        conf.write_text(MC_CONF.replace("base_seed = 500", "base_seed = -1"))
+        rc = main(["montecarlo", "--config", str(conf), "--out", str(tmp_path / "report")])
+        assert rc == 2
+        _one_line_error(capsys, "base_seed = -1", "non-negative")
+
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, workers):
+        conf = tmp_path / "mc.conf"
+        conf.write_text(MC_CONF)
+        out = tmp_path / "report"
+        rc = main(["montecarlo", "--config", str(conf), "--out", str(out), "--workers", workers])
+        assert rc == 2
+        _one_line_error(capsys, "--workers", workers)
+        assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfield.flowfield import AnalyticField, Vec2, eval_field_many, random_gyre
 from driftfield.gp import DimensionMismatch, GpModel
@@ -174,6 +176,16 @@ class TestMStep:
             with pytest.raises(FloatingPointError, match="innovation covariance is not finite"):
                 m_step(GpModel(hp), traj, Vec2(2.0, 1.0), dt=dt)
 
+    @pytest.mark.parametrize("num_targets", [0, 20])
+    def test_non_finite_trajectory_point_is_a_floating_point_error(self, num_targets):
+        # the same isolated numerical failure with or without targets
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-4e4, 4e4, size=(num_targets, 2))
+        model = GpModel(HP, KernelKind.INCOMPRESSIBLE, pts, eval_field_many(random_gyre(3), pts))
+        traj = np.array([[0.0, 0.0], [np.nan, 0.0], [42.0, 0.0]])
+        with pytest.raises(FloatingPointError, match="innovation covariance is not finite"):
+            m_step(model, traj, Vec2(2.0, 1.0), dt=60.0)
+
     def test_singular_innovation(self):
         with pytest.raises(SingularInnovation):
             m_step(_DegenerateModel(), [Vec2(0, 0), Vec2(21, 0)], Vec2(1.0, 0.0), dt=60.0)
@@ -181,6 +193,55 @@ class TestMStep:
     def test_short_trajectory_rejected(self):
         with pytest.raises(ValueError):
             m_step(GpModel(HP), [Vec2(0, 0)], Vec2(0, 0), dt=60.0)
+
+
+@st.composite
+def em_problems(draw, gps_noise_std=3.0):
+    """A model with 0-10 targets, a random-walk trajectory of 1-25 steps, dt and a drift."""
+    hp = HyperParams(35000.0, 0.5, gps_noise_std)
+    coord = st.floats(-4e4, 4e4)
+    current = st.floats(-0.5, 0.5)
+    num_targets = draw(st.integers(0, 10))
+    pts = np.array([[draw(coord), draw(coord)] for _ in range(num_targets)]).reshape(-1, 2)
+    uv = np.array([[draw(current), draw(current)] for _ in range(num_targets)]).reshape(-1, 2)
+    model = GpModel(hp, draw(st.sampled_from(list(KernelKind))), pts, uv)
+    step = st.floats(-600.0, 600.0)
+    moves = [[draw(step), draw(step)] for _ in range(draw(st.integers(1, 25)))]
+    traj = np.cumsum([[draw(coord), draw(coord)]] + moves, axis=0)
+    drift = Vec2(draw(st.floats(10.0, 500.0)), draw(st.floats(-500.0, 500.0)))
+    return model, traj, drift, draw(st.floats(10.0, 120.0))
+
+
+class TestEmInvariants:
+    @given(em_problems(gps_noise_std=0.0))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_fix_reproduces_the_drift(self, problem):
+        model, traj, drift, dt = problem
+        w, _ = m_step(model, traj, drift, dt)
+        residual = np.linalg.norm(dt * w.sum(axis=0) - drift.as_array())
+        assert residual <= 1e-9 * drift.norm()
+
+    @given(em_problems(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_m_step_is_permutation_equivariant(self, problem, rnd):
+        # the drift sums the currents, so reordering the left endpoints
+        # reorders the currents and changes nothing else
+        model, traj, drift, dt = problem
+        n = traj.shape[0] - 1
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        w, _ = m_step(model, traj, drift, dt)
+        w_perm, _ = m_step(model, np.vstack([traj[perm], traj[-1:]]), drift, dt)
+        np.testing.assert_allclose(w_perm, w[perm], rtol=1e-9, atol=1e-12)
+
+    @given(em_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_e_step_endpoint_adds_the_summed_currents(self, problem):
+        model, dr, drift, dt = problem
+        w, _ = m_step(model, dr, drift, dt)
+        x = e_step(dr, w, dt)
+        np.testing.assert_allclose(x[-1], dr[-1] + dt * w.sum(axis=0), rtol=1e-12, atol=1e-9)
+        np.testing.assert_array_equal(x[0], dr[0])
 
 
 class TestRunEmCycle:

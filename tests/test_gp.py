@@ -150,6 +150,21 @@ class TestModelGrowth:
         q = np.array([[500.0, -700.0], [2e4, 2e4]])
         np.testing.assert_allclose(inc.predict_mean(q), batch.predict_mean(q), atol=1e-12)
 
+    @given(st.integers(0, 8), st.integers(0, 8), st.sampled_from(list(KernelKind)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_two_appends_match_one(self, num_a, num_b, kind, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-4e4, 4e4, size=(num_a + num_b, 2))
+        ys = rng.normal(0.0, 0.3, size=(num_a + num_b, 2))
+        empty = GpModel(HP, kind)
+        twice = empty.add_targets(pts[:num_a], ys[:num_a]).add_targets(pts[num_a:], ys[num_a:])
+        once = empty.add_targets(pts, ys)
+        np.testing.assert_array_equal(twice.positions, once.positions)
+        np.testing.assert_array_equal(twice.currents, once.currents)
+        q = rng.uniform(-5e4, 5e4, size=(5, 2))
+        np.testing.assert_allclose(twice.predict_mean(q), once.predict_mean(q), rtol=1e-9, atol=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GpModel(HP, positions=np.zeros((3, 2)), currents=np.zeros((2, 2)))

@@ -100,10 +100,10 @@ class TestMatrixKernel:
     @settings(max_examples=50, deadline=None)
     def test_stationarity(self, px, py, qx, qy):
         # kernel depends on the lag only
-        shift = Vec2(1234.5, -6789.0)
+        sx, sy = 1234.5, -6789.0
         k = eval_kernel(HP, KernelKind.INCOMPRESSIBLE, Vec2(px, py), Vec2(qx, qy))
         k_shifted = eval_kernel(
-            HP, KernelKind.INCOMPRESSIBLE, Vec2(px, py) + shift, Vec2(qx, qy) + shift
+            HP, KernelKind.INCOMPRESSIBLE, Vec2(px + sx, py + sy), Vec2(qx + sx, qy + sy)
         )
         np.testing.assert_allclose(k, k_shifted, atol=1e-12)
 
