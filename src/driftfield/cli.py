@@ -200,6 +200,8 @@ def field_from_config(cfg: dict) -> AnalyticField:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: expected a non-negative integer")
     cfg = parse_config(args.config, VEHICLE_KEYS | FIELD_KEYS)
     vehicle = vehicle_from_config(cfg)
     fld = field_from_config(cfg)

@@ -244,11 +244,11 @@ def iter_process_mission(
     for cycle in log.cycles:
         try:
             state = run_em_cycle(model, cycle, cfg)
+            kept_p, kept_w = downsample_targets(state.trajectory[:-1], state.currents, spacing)
+            model = model.add_targets(kept_p, kept_w)
         except _NUMERICAL_FAILURES as err:
             yield model, _failed_state(cycle, err)
             continue
-        kept_p, kept_w = downsample_targets(state.trajectory[:-1], state.currents, spacing)
-        model = model.add_targets(kept_p, kept_w)
         yield model, state
 
 

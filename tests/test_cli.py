@@ -380,6 +380,15 @@ class TestKeysPerCommand:
         assert rc == 2
         _one_line_error(capsys, "base_seed = -1", "non-negative")
 
+    def test_negative_simulate_seed_names_its_option(self, tmp_path, capsys):
+        conf = tmp_path / "m.conf"
+        conf.write_text("field = zero\nwaypoints_m = 1000,0\n")
+        out = tmp_path / "cycles.jsonl"
+        rc = main(["simulate", "--config", str(conf), "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, "--seed -1", "non-negative")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_workers_must_be_positive(self, tmp_path, capsys, workers):
         conf = tmp_path / "mc.conf"

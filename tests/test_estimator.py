@@ -405,6 +405,29 @@ class TestProcessMission:
         assert states[1].error is None
         assert model.num_targets > 0  # second cycle still contributed
 
+    def test_failed_factorisation_isolated_to_cycle(self, monkeypatch):
+        # appending the cycle's targets is part of the cycle: a Cholesky
+        # failure there yields an error state and keeps the old model
+        import driftfield.gp as gp_mod
+
+        real = gp_mod.cho_factor
+
+        def fail_nonempty(a, *args, **kwargs):
+            if a.size:
+                raise np.linalg.LinAlgError("forced")
+            return real(a, *args, **kwargs)
+
+        cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(6000.0, 0.0)), gps_noise_std=0.0)
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        monkeypatch.setattr(gp_mod, "cho_factor", fail_nonempty)
+        steps = iter_process_mission(log, HP_EXACT)
+        model, state = next(steps)
+        assert state.error is not None and "FactorizationFailure" in state.error
+        assert model.num_targets == 0
+        monkeypatch.setattr(gp_mod, "cho_factor", real)
+        model, state = next(steps)
+        assert state.error is None and model.num_targets > 0
+
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical failures are isolated to their cycle; a bug must
         # not turn into an error state

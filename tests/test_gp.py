@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from driftfield.flowfield import AnalyticField, Vec2, divergence_fd, eval_field_many, random_gyre
 from driftfield.gp import (
     DEFAULT_TARGET_NOISE_VAR,
+    JITTER_START,
     DimensionMismatch,
     FactorizationFailure,
     GpModel,
@@ -16,10 +17,14 @@ from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 
 
+def noisy_gram(model: GpModel) -> np.ndarray:
+    k = build_block_matrix(model.hp, model.kind, model.positions, model.positions)
+    return k + model.target_noise_var * np.eye(k.shape[0])
+
+
 def dense_posterior(model: GpModel, query: np.ndarray):
     # independent oracle: explicit inverse of the noisy Gram matrix
-    k_dd = build_block_matrix(model.hp, model.kind, model.positions, model.positions)
-    k_dd += model.target_noise_var * np.eye(k_dd.shape[0])
+    k_dd = noisy_gram(model)
     k_dq = build_block_matrix(model.hp, model.kind, model.positions, query)
     k_qq = build_block_matrix(model.hp, model.kind, query, query)
     inv = np.linalg.inv(k_dd)
@@ -172,6 +177,100 @@ class TestModelGrowth:
             GpModel(HP).add_targets([[0.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]])
 
 
+def assert_matches_dense_factor(model: GpModel, query: np.ndarray):
+    # independent oracle: one dense Cholesky of the whole noisy Gram matrix
+    l_dense = np.linalg.cholesky(noisy_gram(model))
+    alpha = np.linalg.solve(l_dense.T, np.linalg.solve(l_dense, model.currents.reshape(-1)))
+    k_dq = build_block_matrix(model.hp, model.kind, model.positions, query)
+    v = np.linalg.solve(l_dense, k_dq)
+    mean = (k_dq.T @ alpha).reshape(-1, 2)
+    cov = build_block_matrix(model.hp, model.kind, query, query) - v.T @ v
+    got_mean, got_cov = model.predict(query)
+    # Both sides are backward stable, so they agree to about cond * eps
+    # relative to each array's scale (cond <= 1 + 2N var / noise < 3e5
+    # here), not entry by entry: small entries come from cancellation.
+    for got, want, scale in [
+        (model._l, l_dense, np.abs(l_dense).max(initial=0.0)),
+        (model._alpha, alpha, np.abs(alpha).max(initial=0.0)),
+        (got_mean, mean, np.abs(model.currents).max(initial=0.0)),
+        (got_cov, cov, model.hp.current_variance),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+@st.composite
+def append_chains(draw):
+    """1-4 blocks of 0-6 targets; a block may repeat earlier points exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, seen = [], np.empty((0, 2))
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(0, 6))
+        if draw(st.booleans()) and len(seen):
+            pts = seen[rng.integers(0, len(seen), size)]
+        else:
+            pts = rng.uniform(-4e4, 4e4, size=(size, 2))
+        blocks.append((pts, rng.normal(0.0, 0.3, size=(size, 2))))
+        seen = np.vstack([seen, pts])
+    return blocks
+
+
+class TestFactorGrowth:
+    @given(append_chains(), st.sampled_from(list(KernelKind)))
+    @settings(max_examples=60, deadline=None)
+    def test_append_chain_matches_dense_factor(self, blocks, kind):
+        query = np.array([[0.0, 0.0], [1.2e4, -3.1e4], [-4.4e4, 2e3]])
+        model = GpModel(HP, kind)
+        for pts, ys in blocks:
+            model = model.add_targets(pts, ys)
+            assert np.array_equal(model._l, np.tril(model._l))
+            assert_matches_dense_factor(model, query)
+
+    def test_two_children_of_one_parent(self):
+        rng = np.random.default_rng(16)
+        pts = rng.uniform(-4e4, 4e4, size=(10, 2))
+        ys = rng.normal(0.0, 0.3, size=(10, 2))
+        query = rng.uniform(-5e4, 5e4, size=(4, 2))
+        parent = GpModel(HP, KernelKind.INCOMPRESSIBLE, pts[:6], ys[:6])
+        before = parent.predict(query)
+        left = parent.add_targets(pts[6:8], ys[6:8])
+        right = parent.add_targets(pts[8:], ys[8:])
+        for want, got in zip(before, parent.predict(query)):
+            np.testing.assert_array_equal(got, want)
+        for model in (parent, left, right):
+            assert_matches_dense_factor(model, query)
+        np.testing.assert_array_equal(left.positions, pts[:8])
+        np.testing.assert_array_equal(right.positions, np.vstack([pts[:6], pts[8:]]))
+
+    def test_jitter_lands_on_the_new_block_only(self, monkeypatch):
+        import driftfield.gp as gp_mod
+
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-4e4, 4e4, size=(7, 2))
+        ys = rng.normal(0.0, 0.3, size=(7, 2))
+        query = rng.uniform(-5e4, 5e4, size=(3, 2))
+        parent = GpModel(HP).add_targets(pts[:4], ys[:4])
+        before = parent.predict(query)
+        real, calls = gp_mod.cho_factor, []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gp_mod, "cho_factor", fail_once)
+        child = parent.add_targets(pts[4:], ys[4:])
+        assert len(calls) == 2
+        expected = np.zeros((14, 14))
+        expected[np.diag_indices(14)] = [0.0] * 8 + [JITTER_START * HP.current_variance] * 6
+        np.testing.assert_allclose(
+            child._l @ child._l.T - noisy_gram(child), expected, rtol=0, atol=1e-14
+        )
+        np.testing.assert_array_equal(child._l[:8, :8], parent._l)
+        for want, got in zip(before, parent.predict(query)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestNumericalRobustness:
     def test_near_duplicate_points_still_factorise(self):
         # 60 points inside a 1 mm box: the noise floor carries the Cholesky
@@ -187,6 +286,13 @@ class TestNumericalRobustness:
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="target_noise_var"):
                 GpModel(HP, target_noise_var=bad)
+
+    def test_non_finite_currents_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                GpModel(HP, positions=[[0.0, 0.0]], currents=[[bad, 0.1]])
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                GpModel(HP).add_targets([[0.0, 0.0]], [[0.1, bad]])
 
     def test_factorization_failure_after_jitter_attempts(self, monkeypatch):
         import driftfield.gp as gp_mod
