@@ -30,6 +30,7 @@ nearly coincident rows).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,8 @@ __all__ = [
     "iter_process_mission",
     "process_mission",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class SingularInnovation(Exception):
@@ -237,18 +240,29 @@ def iter_process_mission(
     spacing. A cycle that fails numerically (a failed factorisation, a
     singular innovation, a linear-algebra or floating-point error)
     yields an error state and leaves the model unchanged; later cycles
-    still run. Any other exception propagates.
+    still run. Any other exception propagates. A failed cycle, and one
+    that reaches the iteration cap without converging, each log a
+    warning naming the cycle's index.
     """
     model = GpModel(hp, kind)
     spacing = cfg.spacing_for(hp)
-    for cycle in log.cycles:
+    for index, cycle in enumerate(log.cycles):
         try:
             state = run_em_cycle(model, cycle, cfg)
             kept_p, kept_w = downsample_targets(state.trajectory[:-1], state.currents, spacing)
             model = model.add_targets(kept_p, kept_w)
         except _NUMERICAL_FAILURES as err:
-            yield model, _failed_state(cycle, err)
+            state = _failed_state(cycle, err)
+            logger.warning("cycle %d failed: %s", index, state.error)
+            yield model, state
             continue
+        if not state.converged:
+            logger.warning(
+                "cycle %d stopped at the iteration cap (max_iters = %d), last delta %.3g m",
+                index,
+                state.iteration,
+                state.delta,
+            )
         yield model, state
 
 

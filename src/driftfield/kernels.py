@@ -128,10 +128,42 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarra
     `build_block_matrix(hp, kind, pts_a, pts_b) @ np.tile(np.eye(2), (B, 1))`,
     the covariance of each current in `pts_a` with the sum of the
     currents in `pts_b`, without forming the (2A, 2B) matrix.
+
+    Each incompressible block is a quadratic in the lag times one
+    Gaussian, so one exponential per pair, e_ij = exp(-|a_i - b_j|^2 / 2l^2),
+    and one product of e with the moments [1, x, y, x^2, y^2, xy] of
+    `pts_b` give every sum; for example
+
+        sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i,
+
+    with m0 = e @ 1, my = e @ y and myy = e @ y^2. Both point sets are
+    first centred on the centroid of `pts_b` and scaled to lengthscale
+    units. The expansion still cancels: against the dense sum, the
+    error scaled by each row's magnitude is about eps * (extent / l)^2,
+    measured below 2e-15 over 1 lengthscale of extent, 1e-13 over 10,
+    6e-12 over 100 and 3e-10 over 1000. A dive spans about one
+    lengthscale or less.
     """
     a = as_xy(pts_a)
     b = as_xy(pts_b)
-    k11, k12, k22 = (k.sum(axis=1) for k in _kernel_blocks(hp, kind, a, b))
+    l = hp.lengthscale
+    centre = b.sum(axis=0) / max(b.shape[0], 1)
+    x_a, y_a = (a - centre).T / l
+    x_b, y_b = (b - centre).T / l
+    e = np.subtract.outer(x_a, x_b) ** 2
+    e += np.subtract.outer(y_a, y_b) ** 2
+    e *= -0.5
+    np.exp(e, out=e)
+    s = hp.current_variance
+    if kind is KernelKind.STANDARD_DIAGONAL:
+        k11 = k22 = s * e.sum(axis=1)
+        k12 = 0.0
+    else:
+        moments = np.column_stack([np.ones_like(x_b), x_b, y_b, x_b * x_b, y_b * y_b, x_b * y_b])
+        m0, mx, my, mxx, myy, mxy = (e @ moments).T
+        k11 = s * (m0 - (y_a * y_a * m0 - 2.0 * y_a * my + myy))
+        k22 = s * (m0 - (x_a * x_a * m0 - 2.0 * x_a * mx + mxx))
+        k12 = s * (x_a * y_a * m0 - x_a * my - y_a * mx + mxy)
     out = np.empty((2 * a.shape[0], 2))
     out[0::2, 0] = k11
     out[0::2, 1] = k12

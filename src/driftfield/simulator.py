@@ -25,8 +25,9 @@ Cycle logs are JSON Lines, one cycle per line:
 with an optional "drift_m" field (validated against fix minus last
 dead-reckoned point when present). Logs recorded in latitude/longitude
 use "dead_reckoned_latlon" / "gps_fix_latlon" keys ([lat, lon] pairs)
-plus an optional first header line {"origin_latlon": [lat, lon]}; they
-are converted to local metres on ingestion (see `latlon_to_local`).
+plus an optional header line {"origin_latlon": [lat, lon]}, which must
+come first; they are converted to local metres on ingestion (see
+`latlon_to_local`).
 """
 
 from __future__ import annotations
@@ -307,6 +308,12 @@ def ingest_cycles(path) -> MissionLog:
             if not isinstance(rec, dict):
                 raise ParseError(f"line {lineno}: expected a JSON object")
             if "origin_latlon" in rec and "dt_s" not in rec:
+                if cycles or origin is not None:
+                    # a later origin would silently re-project the rest of the log
+                    raise ParseError(
+                        f"line {lineno}: 'origin_latlon' must be the log's one header, "
+                        "before every cycle"
+                    )
                 try:
                     lat0, lon0 = _pair(rec["origin_latlon"])
                 except _CONVERSION_ERRORS as err:

@@ -442,6 +442,41 @@ class TestProcessMission:
         with pytest.raises(RuntimeError, match="bug"):
             process_mission(log, HP_EXACT)
 
+    def test_failed_cycle_logs_a_warning(self, monkeypatch, caplog):
+        import driftfield.estimator as est_mod
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(est_mod, "m_step", overflow)
+        cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(6000.0, 0.0)), gps_noise_std=0.0)
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        with caplog.at_level("WARNING", logger="driftfield.estimator"):
+            _, states = process_mission(log, HP_EXACT)
+        assert all(s.error is not None for s in states)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cycle {i} failed: FloatingPointError: forced" for i in range(len(states))
+        ]
+
+    def test_cycle_at_iteration_cap_logs_a_warning(self, caplog):
+        cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        emcfg = EmConfig(max_iters=1, convergence_tol=1e-9)
+        with caplog.at_level("WARNING", logger="driftfield.estimator"):
+            _, states = process_mission(log, HP_EXACT, cfg=emcfg)
+        assert not states[0].converged and states[0].delta > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cycle 0 stopped at the iteration cap (max_iters = 1), last delta {states[0].delta:.3g} m"
+        ]
+
+    def test_converged_cycles_log_nothing(self, caplog):
+        cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
+        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        with caplog.at_level("WARNING", logger="driftfield.estimator"):
+            _, states = process_mission(log, HP_EXACT)
+        assert states[0].converged
+        assert caplog.records == []
+
     def test_iter_yields_growing_models(self):
         fld = random_gyre(31)
         cfg = VehicleConfig(waypoints=(Vec2(5000.0, 0.0), Vec2(5000.0, 5000.0)), gps_noise_std=3.0)

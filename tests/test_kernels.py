@@ -151,6 +151,47 @@ class TestBlockRowSums:
         np.testing.assert_array_equal(sums, np.zeros((6, 2)))
 
 
+def _sum_tolerance(num_b: int) -> float:
+    return 1e-10 * HP.current_variance * max(num_b, 1)
+
+
+@st.composite
+def row_sum_problems(draw):
+    """A kernel, (A, 2) and (B, 2) point sets sharing an offset, with A and B up to 60."""
+    kind = draw(st.sampled_from(list(KernelKind)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    offset = np.array([draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))])
+    extent = draw(st.floats(0.0, 100.0)) * HP.lengthscale
+    rng = np.random.default_rng(seed)
+    b = offset + extent * rng.uniform(-0.5, 0.5, size=(draw(st.integers(0, 60)), 2))
+    if draw(st.booleans()):
+        a = b  # the prior case of predict_sum
+    else:
+        a = offset + extent * rng.uniform(-0.5, 0.5, size=(draw(st.integers(0, 60)), 2))
+    return kind, a, b
+
+
+class TestBlockRowSumsProperties:
+    @given(row_sum_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, problem):
+        kind, a, b = problem
+        sums = block_row_sums(HP, kind, a, b)
+        dense = build_block_matrix(HP, kind, a, b) @ np.tile(np.eye(2), (len(b), 1))
+        assert sums.shape == (2 * len(a), 2)
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(len(b)))
+
+    @given(row_sum_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_translation_invariant(self, problem):
+        # the kernel depends on the lag only
+        kind, a, b = problem
+        shift = np.array([1e6, -1e6])
+        sums = block_row_sums(HP, kind, a, b)
+        shifted = block_row_sums(HP, kind, a + shift, b + shift)
+        np.testing.assert_allclose(shifted, sums, rtol=0, atol=_sum_tolerance(len(b)))
+
+
 class TestFdConsistencyReport:
     def test_passes_for_default_lags(self):
         rep = fd_consistency_report(HP)

@@ -294,6 +294,18 @@ class TestCycleLogIO:
         with pytest.raises(ParseError, match="line 1"):
             ingest_cycles(path)
 
+    @pytest.mark.parametrize("first", ["cycle", "header"])
+    def test_origin_header_after_first_line_raises_parse_error(self, tmp_path, first):
+        # a late header would re-project every later cycle about a new origin
+        rec = {"dt_s": 60.0, "dead_reckoned_latlon": [[49.4, -5.0], [49.4, -4.999]],
+               "gps_fix_latlon": [49.4, -4.999]}
+        lines = [rec if first == "cycle" else {"origin_latlon": [49.4, -5.0]},
+                 {"origin_latlon": [49.0, -5.0]}, rec]
+        path = tmp_path / "late.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ParseError, match="line 2: 'origin_latlon' must be the log's one header"):
+            ingest_cycles(path)
+
     def test_drift_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = {
