@@ -38,6 +38,13 @@ __all__ = [
     "fd_consistency_report",
 ]
 
+# Entries of the pairwise exponential that `block_row_sums` holds at once
+# (256 KiB of float64). The whole (M, M) array of a 587-point dive is
+# 2.8 MB, and temporaries that large get fresh pages from the OS on every
+# call (about 1300 page faults each), so the call's time would follow
+# the host's memory load; blocks this size are reused from the heap.
+ROW_SUM_BLOCK_ENTRIES = 32768
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -142,7 +149,8 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarra
     error scaled by each row's magnitude is about eps * (extent / l)^2,
     measured below 2e-15 over 1 lengthscale of extent, 1e-13 over 10,
     6e-12 over 100 and 3e-10 over 1000. A dive spans about one
-    lengthscale or less.
+    lengthscale or less. e is formed a block of whole rows at a time,
+    about ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small.
     """
     a = as_xy(pts_a)
     b = as_xy(pts_b)
@@ -150,17 +158,27 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarra
     centre = b.sum(axis=0) / max(b.shape[0], 1)
     x_a, y_a = (a - centre).T / l
     x_b, y_b = (b - centre).T / l
-    e = np.subtract.outer(x_a, x_b) ** 2
-    e += np.subtract.outer(y_a, y_b) ** 2
-    e *= -0.5
-    np.exp(e, out=e)
-    s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
-        k11 = k22 = s * e.sum(axis=1)
-        k12 = 0.0
+        moments = np.ones((b.shape[0], 1))
     else:
         moments = np.column_stack([np.ones_like(x_b), x_b, y_b, x_b * x_b, y_b * y_b, x_b * y_b])
-        m0, mx, my, mxx, myy, mxy = (e @ moments).T
+    sums = np.empty((a.shape[0], moments.shape[1]))
+    rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(b.shape[0], 1))
+    for i in range(0, a.shape[0], rows):
+        e = np.subtract.outer(x_a[i : i + rows], x_b)
+        e *= e
+        d = np.subtract.outer(y_a[i : i + rows], y_b)
+        d *= d
+        e += d
+        e *= -0.5
+        np.exp(e, out=e)
+        np.matmul(e, moments, out=sums[i : i + rows])
+    s = hp.current_variance
+    if kind is KernelKind.STANDARD_DIAGONAL:
+        k11 = k22 = s * sums[:, 0]
+        k12 = 0.0
+    else:
+        m0, mx, my, mxx, myy, mxy = sums.T
         k11 = s * (m0 - (y_a * y_a * m0 - 2.0 * y_a * my + myy))
         k22 = s * (m0 - (x_a * x_a * m0 - 2.0 * x_a * mx + mxx))
         k12 = s * (x_a * y_a * m0 - x_a * my - y_a * mx + mxy)

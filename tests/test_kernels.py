@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftfield import kernels
 from driftfield.flowfield import Vec2
 from driftfield.kernels import (
     HyperParams,
@@ -149,6 +150,26 @@ class TestBlockRowSums:
     def test_empty_inputs(self):
         sums = block_row_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((3, 2)), np.zeros((0, 2)))
         np.testing.assert_array_equal(sums, np.zeros((6, 2)))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_dive_sized_prior_spans_several_row_blocks(self, kind):
+        # a 587-point dive, the longest in the acceptance study
+        rng = np.random.default_rng(4)
+        q = np.cumsum(rng.normal(0.0, 40.0, size=(587, 2)), axis=0)
+        assert 587 * 587 > 2 * kernels.ROW_SUM_BLOCK_ENTRIES
+        sums = block_row_sums(HP, kind, q, q)
+        dense = build_block_matrix(HP, kind, q, q) @ np.tile(np.eye(2), (587, 1))
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(587))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("entries", [1, 5, 33, 60])
+    def test_row_blocks_do_not_change_the_sums(self, kind, entries, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-5e4, 5e4, size=(13, 2))
+        b = rng.uniform(-5e4, 5e4, size=(6, 2))
+        whole = block_row_sums(HP, kind, a, b)
+        monkeypatch.setattr(kernels, "ROW_SUM_BLOCK_ENTRIES", entries)
+        np.testing.assert_allclose(block_row_sums(HP, kind, a, b), whole, rtol=1e-13, atol=1e-16)
 
 
 def _sum_tolerance(num_b: int) -> float:
