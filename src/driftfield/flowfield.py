@@ -51,18 +51,8 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"Vec2 components must be finite, got ({self.x}, {self.y})")
 
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Vec2":
-        return Vec2(float(a[0]), float(a[1]))
 
 
 def as_xy(points) -> np.ndarray:
@@ -133,21 +123,24 @@ class AnalyticField:
         return AnalyticField(amplitude=amplitude, domain_extent=extent, phase=phase)
 
 
-def eval_field(f: AnalyticField, p: Vec2) -> Vec2:
-    """Current w(p) = (d(phi)/dy, -d(phi)/dx), evaluated analytically."""
+def eval_field(f: AnalyticField, x: float, y: float) -> tuple[float, float]:
+    """Current (u, v) = (d(phi)/dy, -d(phi)/dx) at (x, y), evaluated analytically."""
     cx, cy = f.current
     lx, ly = f.domain_extent
     px, py = f.phase
-    ax = math.pi * p.x / lx - px
-    ay = math.pi * p.y / ly - py
+    ax = math.pi * x / lx - px
+    ay = math.pi * y / ly - py
     u = f.amplitude * (math.pi / ly) * math.sin(ax) * math.cos(ay)
     v = -f.amplitude * (math.pi / lx) * math.cos(ax) * math.sin(ay)
-    return Vec2(cx + u, cy + v)
+    return cx + u, cy + v
 
 
 def eval_field_many(f: AnalyticField, points) -> np.ndarray:
-    """`eval_field` over an (N, 2) array (or sequence of Vec2); returns (N, 2)."""
-    return as_xy([eval_field(f, Vec2(x, y)) for x, y in as_xy(points).tolist()])
+    """`eval_field` over an (N, 2) array (or sequence of Vec2) of finite points; returns (N, 2)."""
+    xy = as_xy(points)
+    if not np.isfinite(xy).all():
+        raise ValueError("query points must be finite")
+    return as_xy([eval_field(f, x, y) for x, y in xy.tolist()])
 
 
 def divergence_fd(f, p: Vec2, h: float) -> float:

@@ -27,7 +27,7 @@ dead-reckoned point when present). Logs recorded in latitude/longitude
 use "dead_reckoned_latlon" / "gps_fix_latlon" keys ([lat, lon] pairs)
 plus an optional header line {"origin_latlon": [lat, lon]}, which must
 come first; they are converted to local metres on ingestion (see
-`latlon_to_local`).
+`latlon_to_local`). A record with any other key is a ParseError.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ class Cycle:
         if not np.isfinite(dr).all():
             raise ValueError("dead-reckoned positions must be finite")
         object.__setattr__(self, "dead_reckoned", dr)
-        object.__setattr__(self, "drift", self.gps_fix - Vec2.from_array(dr[-1]))
+        ex, ey = dr[-1].tolist()
+        object.__setattr__(self, "drift", Vec2(self.gps_fix.x - ex, self.gps_fix.y - ey))
 
     @property
     def num_steps(self) -> int:
@@ -154,15 +155,15 @@ def run_mission(cfg: VehicleConfig, fld: AnalyticField, seed: int) -> MissionLog
     dead-reckoned bearing, surfaces once the dead-reckoned position is
     within surface_tolerance (taking at least one step), and fixes with
     GPS noise N(0, gps_noise_std^2 I). A cycle that runs out of steps is
-    still logged; if the budget is exhausted on every waypoint from some
-    point onward, MissionAborted is raised with the partial log attached.
+    still logged; if every waypoint from the first missed one onward is
+    missed, MissionAborted is raised with the partial log attached.
     """
     rng = np.random.default_rng(seed)
     speed, dt = cfg.speed_through_water, cfg.dt
 
     def gps(x: float, y: float) -> tuple:
-        noise = rng.normal(0.0, cfg.gps_noise_std, size=2)
-        return x + noise[0], y + noise[1]
+        nx, ny = rng.normal(0.0, cfg.gps_noise_std, size=2).tolist()
+        return x + nx, y + ny
 
     # Plain floats in the step loop. The order of the operations fixes the
     # rounding and so the bytes of every log; keep it when editing.
@@ -181,8 +182,8 @@ def run_mission(cfg: VehicleConfig, fld: AnalyticField, seed: int) -> MissionLog
             dx, dy = wp.x - ex, wp.y - ey
             dist = math.hypot(dx, dy)
             vx, vy = (0.0, 0.0) if dist == 0.0 else (dx / dist * speed, dy / dist * speed)
-            w = eval_field(fld, Vec2(tx, ty))
-            tx, ty = tx + (vx + w.x) * dt, ty + (vy + w.y) * dt
+            wx, wy = eval_field(fld, tx, ty)
+            tx, ty = tx + (vx + wx) * dt, ty + (vy + wy) * dt
             ex, ey = ex + vx * dt, ey + vy * dt
             dr.append((ex, ey))
             truth_path.append((tx, ty))
@@ -244,32 +245,34 @@ def _pair(value) -> np.ndarray:
 _CONVERSION_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
 
 
+# A cycle record is "dt_s", an optional "drift_m" and exactly one of these
+# (track, fix) key pairs: positions in metres, or [lat, lon] in degrees.
+_POSITION_KEYS = (("dead_reckoned_m", "gps_fix_m"), ("dead_reckoned_latlon", "gps_fix_latlon"))
+
+
 def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
-    if "dt_s" not in rec:
-        raise ParseError(f"line {lineno}: missing 'dt_s'")
-    metric = "dead_reckoned_m" in rec or "gps_fix_m" in rec
-    geographic = "dead_reckoned_latlon" in rec or "gps_fix_latlon" in rec
-    if metric and geographic:
-        raise ParseError(f"line {lineno}: mixed metric and lat/long keys")
-    if metric:
-        track_key, fix_key = "dead_reckoned_m", "gps_fix_m"
-    elif geographic:
-        track_key, fix_key = "dead_reckoned_latlon", "gps_fix_latlon"
-    else:
-        raise ParseError(f"line {lineno}: no position keys found")
-    if track_key not in rec or fix_key not in rec:
-        raise ParseError(f"line {lineno}: need both '{track_key}' and '{fix_key}'")
+    keys = set(rec)
+    # judge the record by the pair it shares more keys with (metric on a tie)
+    track_key, fix_key = max(_POSITION_KEYS, key=lambda pair: len(keys.intersection(pair)))
+    unexpected = sorted(keys - {"dt_s", "drift_m", track_key, fix_key})
+    missing = sorted({"dt_s", track_key, fix_key} - keys)
+    if unexpected or missing:
+        raise ParseError(
+            f"line {lineno}: unexpected keys {unexpected}, missing keys {missing}; a cycle "
+            f"record is 'dt_s', an optional 'drift_m' and one pair of {list(_POSITION_KEYS)}, "
+            'a header exactly {"origin_latlon": [lat, lon]}'
+        )
     try:
         dr = frozen_xy(rec[track_key])
         fix = _pair(rec[fix_key])
-        if geographic:
+        if fix_key == "gps_fix_latlon":
             if origin is None:
                 # project about the first fix when no header named an origin
                 origin = (float(dr[0, 0]), float(dr[0, 1]))
             dr = latlon_to_local(dr, *origin)
             fix = latlon_to_local(fix[None], *origin)[0]
-        fix = Vec2.from_array(fix)
-        stated = Vec2.from_array(_pair(rec["drift_m"])) if "drift_m" in rec else None
+        fix = Vec2(*fix.tolist())
+        stated = Vec2(*_pair(rec["drift_m"]).tolist()) if "drift_m" in rec else None
     except _CONVERSION_ERRORS as err:
         raise ParseError(
             f"line {lineno}: '{track_key}' must be a list of coordinate pairs and "
@@ -279,7 +282,7 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
         cycle = Cycle(float(rec["dt_s"]), dr, fix)
     except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"line {lineno}: {err}") from err
-    if stated is not None and (stated - cycle.drift).norm() > 1e-6:
+    if stated is not None and math.dist((stated.x, stated.y), (cycle.drift.x, cycle.drift.y)) > 1e-6:
         raise ValidationError(
             f"line {lineno}: stated drift {stated} disagrees with "
             f"fix minus last dead-reckoned point {cycle.drift}"
@@ -307,7 +310,7 @@ def ingest_cycles(path) -> MissionLog:
                 raise ParseError(f"line {lineno}: invalid JSON ({err.msg})") from err
             if not isinstance(rec, dict):
                 raise ParseError(f"line {lineno}: expected a JSON object")
-            if "origin_latlon" in rec and "dt_s" not in rec:
+            if rec.keys() == {"origin_latlon"}:
                 if cycles or origin is not None:
                     # a later origin would silently re-project the rest of the log
                     raise ParseError(
@@ -325,7 +328,7 @@ def ingest_cycles(path) -> MissionLog:
             cycle, origin = _cycle_from_record(rec, lineno, origin)
             cycles.append(cycle)
     for prev, nxt in zip(cycles, cycles[1:]):
-        if (Vec2.from_array(nxt.dead_reckoned[0]) - prev.gps_fix).norm() > 1e-6:
+        if math.dist(nxt.dead_reckoned[0].tolist(), (prev.gps_fix.x, prev.gps_fix.y)) > 1e-6:
             logger.warning(
                 "cycles do not chain: dive-in %s vs previous fix %s",
                 nxt.dead_reckoned[0],

@@ -124,6 +124,17 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
 
+    def test_overflowing_gyre_exits_2_with_one_line(self, tmp_path, capsys):
+        # cells 1e-300 m wide: an early step overflows the truth position
+        # to inf, and the next field evaluation fails; no numpy warning
+        # may print (or, under pytest, escape) before the error line
+        conf = tmp_path / "hostile.conf"
+        conf.write_text("field = double_gyre\nfield_amplitude = 1e5\n"
+                        "field_extent_m = 1e-300,1e-300\nwaypoints_m = 5000,0\n")
+        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        _one_line_error(capsys)
+
 
 class TestEstimate:
     def test_full_pipeline_recovers_uniform_current(self, tmp_path, mission_conf, hyper_conf):

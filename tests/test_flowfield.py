@@ -41,12 +41,6 @@ def fd_rotated_gradient(f: AnalyticField, p: Vec2, h: float = 1.0) -> Vec2:
 
 
 class TestVec2:
-    def test_arithmetic(self):
-        a = Vec2(1.0, 2.0)
-        b = Vec2(-0.5, 4.0)
-        assert (a - b) == Vec2(1.5, -2.0)
-        assert a.norm() == pytest.approx(math.sqrt(5.0))
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Vec2(float("nan"), 0.0)
@@ -58,27 +52,27 @@ class TestDoubleGyre:
     def test_quarter_cell_value(self):
         # A=1e4, L=5e4 at the cell quarter point: u = A*(pi/L)*sin(pi/4)*cos(pi/4) = pi/10
         f = AnalyticField.double_gyre(1e4, extent=(5e4, 5e4))
-        w = eval_field(f, Vec2(12500.0, 12500.0))
-        assert w.x == pytest.approx(math.pi / 10.0, rel=1e-12)
-        assert w.y == pytest.approx(-math.pi / 10.0, rel=1e-12)
+        u, v = eval_field(f, 12500.0, 12500.0)
+        assert u == pytest.approx(math.pi / 10.0, rel=1e-12)
+        assert v == pytest.approx(-math.pi / 10.0, rel=1e-12)
 
     def test_matches_streamfunction_gradient(self):
         f = AnalyticField.double_gyre(1e4, extent=(5e4, 3e4), phase=(0.7, -1.2))
         for p in [Vec2(0.0, 0.0), Vec2(12500.0, 12500.0), Vec2(-31000.0, 8000.0), Vec2(3.3e4, -4.1e4)]:
-            w = eval_field(f, p)
+            u, v = eval_field(f, p.x, p.y)
             w_fd = fd_rotated_gradient(f, p, h=1.0)
-            assert w.x == pytest.approx(w_fd.x, abs=1e-8)
-            assert w.y == pytest.approx(w_fd.y, abs=1e-8)
+            assert u == pytest.approx(w_fd.x, abs=1e-8)
+            assert v == pytest.approx(w_fd.y, abs=1e-8)
 
     def test_current_adds_to_the_gyre(self):
         gyre = AnalyticField.double_gyre(1e4, extent=(5e4, 3e4), phase=(0.7, -1.2))
         f = AnalyticField(current=(0.2, -0.1), amplitude=1e4, domain_extent=(5e4, 3e4), phase=(0.7, -1.2))
         for p in [Vec2(0.0, 0.0), Vec2(-31000.0, 8000.0), Vec2(3.3e4, -4.1e4)]:
-            w, g = eval_field(f, p), eval_field(gyre, p)
-            assert (w.x, w.y) == (0.2 + g.x, -0.1 + g.y)
+            (u, v), (gu, gv) = eval_field(f, p.x, p.y), eval_field(gyre, p.x, p.y)
+            assert (u, v) == (0.2 + gu, -0.1 + gv)
             w_fd = fd_rotated_gradient(f, p, h=1.0)
-            assert w.x == pytest.approx(w_fd.x, abs=1e-8)
-            assert w.y == pytest.approx(w_fd.y, abs=1e-8)
+            assert u == pytest.approx(w_fd.x, abs=1e-8)
+            assert v == pytest.approx(w_fd.y, abs=1e-8)
 
     def test_peak_speed_closed_form(self):
         f = AnalyticField.double_gyre(1e4, extent=(6e4, 4e4))
@@ -94,7 +88,7 @@ class TestDoubleGyre:
         # leaving only round-off
         f = AnalyticField.double_gyre(1e4, extent=(5e4, 5e4), phase=(0.3, 1.1))
         for p in [Vec2(12500.0, 12500.0), Vec2(-8000.0, 30000.0), Vec2(41000.0, -2500.0)]:
-            div = divergence_fd(lambda q: eval_field(f, q), p, h=10.0)
+            div = divergence_fd(lambda q: Vec2(*eval_field(f, q.x, q.y)), p, h=10.0)
             assert abs(div) < 1e-12
 
     def test_rectangular_cell_divergence_is_second_order(self):
@@ -102,7 +96,7 @@ class TestDoubleGyre:
         a, lx, ly = 1e4, 6e4, 4e4
         f = AnalyticField.double_gyre(a, extent=(lx, ly))
         p = Vec2(0.0, 0.0)
-        g = lambda q: eval_field(f, q)
+        g = lambda q: Vec2(*eval_field(f, q.x, q.y))
         d1 = divergence_fd(g, p, h=2000.0)
         d2 = divergence_fd(g, p, h=1000.0)
         predicted = (a * math.pi**4 * 2000.0**2 / 6.0) * (lx**2 - ly**2) / (lx**3 * ly**3)
@@ -114,9 +108,9 @@ class TestUniformAndZero:
     def test_uniform_field_constant(self):
         f = AnalyticField.uniform(Vec2(0.2, -0.1))
         for p in [Vec2(0.0, 0.0), Vec2(1e5, -3e4)]:
-            w = eval_field(f, p)
-            assert w.x == pytest.approx(0.2)
-            assert w.y == pytest.approx(-0.1)
+            u, v = eval_field(f, p.x, p.y)
+            assert u == pytest.approx(0.2)
+            assert v == pytest.approx(-0.1)
         w_fd = fd_rotated_gradient(f, Vec2(500.0, 700.0))
         assert w_fd.x == pytest.approx(0.2, abs=1e-9)
         assert w_fd.y == pytest.approx(-0.1, abs=1e-9)
@@ -127,8 +121,7 @@ class TestUniformAndZero:
     )
     @settings(max_examples=200, deadline=None)
     def test_uniform_returns_its_exact_current(self, u, v, x, y):
-        w = eval_field(AnalyticField.uniform(Vec2(u, v)), Vec2(x, y))
-        assert (w.x, w.y) == (u, v)
+        assert eval_field(AnalyticField.uniform(Vec2(u, v)), x, y) == (u, v)
 
     def test_uniform_zero_current_collapses_to_zero_field(self):
         assert AnalyticField.uniform(Vec2(0.0, 0.0)) == AnalyticField.zero()
@@ -148,7 +141,7 @@ class TestUniformAndZero:
 
     def test_zero_field(self):
         f = AnalyticField.zero()
-        assert eval_field(f, Vec2(123.0, -456.0)) == Vec2(0.0, 0.0)
+        assert eval_field(f, 123.0, -456.0) == (0.0, 0.0)
         assert eval_streamfunction(f, Vec2(123.0, -456.0)) == 0.0
 
     def test_vectorised_matches_scalar(self):
@@ -161,9 +154,14 @@ class TestUniformAndZero:
         for f in fields:
             many = eval_field_many(f, pts)
             for row, (x, y) in zip(many, pts):
-                w = eval_field(f, Vec2(x, y))
-                assert row[0] == pytest.approx(w.x, abs=1e-15)
-                assert row[1] == pytest.approx(w.y, abs=1e-15)
+                u, v = eval_field(f, x, y)
+                assert row[0] == pytest.approx(u, abs=1e-15)
+                assert row[1] == pytest.approx(v, abs=1e-15)
+
+    def test_vectorised_rejects_non_finite_points(self):
+        pts = np.array([[0.0, 0.0], [math.nan, 1.0], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            eval_field_many(random_gyre(1), pts)
 
 
 class TestRandomGyre:
@@ -187,7 +185,7 @@ class TestRandomGyre:
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = Vec2(*rng.uniform(-1e5, 1e5, size=2))
-            div = divergence_fd(lambda q: eval_field(f, q), p, h=5.0)
+            div = divergence_fd(lambda q: Vec2(*eval_field(f, q.x, q.y)), p, h=5.0)
             assert abs(div) < 1e-10
 
 

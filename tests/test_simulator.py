@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,8 +36,7 @@ def rk4_endpoint(fld: AnalyticField, p0, commands, dt: float, substeps: int = 10
     # independent oracle: classical RK4 on dp/dt = v + w(p), the command v
     # held over each step, at `substeps` RK4 steps per simulator step
     def f(q, v):
-        w = eval_field(fld, Vec2(q[0], q[1]))
-        return v + np.array([w.x, w.y])
+        return v + np.array(eval_field(fld, q[0], q[1]))
 
     h = dt / substeps
     p = np.array(p0, dtype=float)
@@ -221,6 +221,28 @@ class TestRunMission:
         with pytest.raises(MissionAborted):
             run_mission(cfg, AnalyticField.zero(), seed=0)
 
+    def test_no_abort_when_a_later_waypoint_is_missed_after_a_reached_one(self):
+        # the abort rule looks from the first missed waypoint onward: here
+        # waypoint 0 is missed, 1 is reached, and the last one is missed
+        # again; the mission is returned, not aborted
+        cfg = quiet_config(waypoints=(Vec2(1000.0, 0.0), Vec2(150.0, 0.0), Vec2(2000.0, 0.0)),
+                           max_steps_per_cycle=5)
+        log = run_mission(cfg, AnalyticField.zero(), seed=0)
+        assert len(log.cycles) == 3
+        missed = [
+            np.linalg.norm(c.dead_reckoned[-1] - wp.as_array()) > cfg.surface_tolerance
+            for c, wp in zip(log.cycles, cfg.waypoints)
+        ]
+        assert missed == [True, False, True]
+
+    def test_fixes_and_drifts_are_python_floats(self):
+        # the step loop runs on plain floats; a numpy scalar leaking into it
+        # would reach the fixes and drifts of the log
+        log = run_mission(VehicleConfig(waypoints=WAYPOINTS, gps_noise_std=3.0), random_gyre(4), seed=5)
+        for c in log.cycles:
+            for value in (c.gps_fix.x, c.gps_fix.y, c.drift.x, c.drift.y):
+                assert type(value) is float
+
 
 class TestMissionLog:
     def test_truth_length_checked(self):
@@ -336,6 +358,29 @@ class TestCycleLogIO:
         assert len(log.cycles) == 2
         assert any("chain" in rec.message for rec in caplog.records)
 
+    GEO = {"dt_s": 60.0, "dead_reckoned_latlon": [[49.4, -5.0], [49.4, -4.999]],
+           "gps_fix_latlon": [49.4, -4.999]}
+
+    @pytest.mark.parametrize(
+        "lines, unexpected",
+        [
+            # a typo beside valid keys
+            ([{"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22.0, 1.0],
+               "gps_fix_mm": [22.0, 1.0]}], "['gps_fix_mm']"),
+            # the origin is a header of its own; inside a cycle it would be
+            # ignored and the cycle projected about its first dive-in point
+            ([{**GEO, "origin_latlon": [49.0, -5.0]}], "['origin_latlon']"),
+            # a header with more than its origin
+            ([{"origin_latlon": [49.0, -5.0], "datum": "WGS84"}, GEO], "['datum', 'origin_latlon']"),
+        ],
+        ids=["typo", "origin_in_cycle", "header_extra_key"],
+    )
+    def test_unread_key_rejected(self, tmp_path, lines, unexpected):
+        path = tmp_path / "keys.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ParseError, match=re.escape(f"line 1: unexpected keys {unexpected}")):
+            ingest_cycles(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22.0, 1.0]}
         path = tmp_path / "gaps.jsonl"
@@ -380,7 +425,7 @@ class TestLatLonIngestion:
                 )
         back = ingest_cycles(path)
         for ca, cb in zip(log.cycles, back.cycles):
-            assert (ca.gps_fix - cb.gps_fix).norm() < 1e-6
+            assert math.hypot(ca.gps_fix.x - cb.gps_fix.x, ca.gps_fix.y - cb.gps_fix.y) < 1e-6
             assert np.linalg.norm(ca.dead_reckoned - cb.dead_reckoned, axis=1).max() < 1e-6
 
 
