@@ -110,6 +110,11 @@ def _points(value: str) -> tuple:
     return tuple(_point(chunk) for chunk in value.split(";") if chunk.strip())
 
 
+def _pair(value: str) -> tuple:
+    p = _point(value)
+    return (p.x, p.y)
+
+
 def _seed(value: str) -> int:
     seed = int(value)
     if seed < 0:
@@ -182,21 +187,18 @@ def field_from_config(cfg: dict) -> AnalyticField:
         raise ConfigError(f"a {kind} field does not read key {foreign[0]!r}")
     if kind == "random_gyre":
         return random_gyre(_value(cfg, "field_seed", _seed, 0))
-    if kind == "zero":
-        return AnalyticField.zero()
-    if kind == "uniform":
-        if "field_current_mps" not in cfg:
-            raise ConfigError("uniform field needs field_current_mps (format: 'u,v')")
-        return AnalyticField.uniform(_value(cfg, "field_current_mps", _point))
-    if "field_amplitude" not in cfg:
+    if kind == "uniform" and "field_current_mps" not in cfg:
+        raise ConfigError("uniform field needs field_current_mps (format: 'u,v')")
+    if kind == "double_gyre" and "field_amplitude" not in cfg:
         raise ConfigError("double_gyre field needs field_amplitude (m^2/s)")
-    extent = _value(cfg, "field_extent_m", _point, Vec2(50000.0, 50000.0))
-    phase = _value(cfg, "field_phase_rad", _point, Vec2(0.0, 0.0))
-    return AnalyticField.double_gyre(
-        _value(cfg, "field_amplitude", float),
-        extent=(extent.x, extent.y),
-        phase=(phase.x, phase.y),
-    )
+    args = {
+        "current": _value(cfg, "field_current_mps", _pair),
+        "amplitude": _value(cfg, "field_amplitude", float),
+        "domain_extent": _value(cfg, "field_extent_m", _pair),
+        "phase": _value(cfg, "field_phase_rad", _pair),
+    }
+    # an absent key takes the constructor's default
+    return AnalyticField(**{arg: v for arg, v in args.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -216,12 +218,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grid_for_log(log, hp: HyperParams) -> Grid:
-    # same 20 x 20 rule as missions, over everywhere the vehicle reported
-    pts = np.vstack([c.dead_reckoned for c in log.cycles])
-    return default_grid(pts, hp.lengthscale, include_origin=False)
-
-
 def _cmd_estimate(args) -> int:
     cfg = parse_config(args.hyper, HYPER_KEYS | EM_KEYS | GRID_KEYS)
     hp = hyper_from_config(cfg)
@@ -231,7 +227,9 @@ def _cmd_estimate(args) -> int:
     if not log.cycles:
         print("cycle log is empty", file=sys.stderr)
         return 2
-    grid = grid_from_config(cfg) or _grid_for_log(log, hp)
+    # without grid keys, over everywhere the vehicle reported
+    grid = grid_from_config(cfg) or default_grid(
+        np.vstack([c.dead_reckoned for c in log.cycles]), hp.lengthscale)
     model, states = process_mission(log, hp, kind, emcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +261,9 @@ def _cmd_montecarlo(args) -> int:
     cfg = parse_config(args.config, HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | RUN_KEYS)
     hp = hyper_from_config(cfg)
     vehicle = vehicle_from_config(cfg)
-    grid = grid_from_config(cfg) or default_grid(vehicle.waypoints, hp.lengthscale)
+    # without grid keys, over the tour and its start at the origin
+    tour = (Vec2(0.0, 0.0),) + vehicle.waypoints
+    grid = grid_from_config(cfg) or default_grid(tour, hp.lengthscale)
     run = RunConfig(
         hp=hp,
         vehicle=vehicle,

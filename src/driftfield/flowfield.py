@@ -11,8 +11,8 @@ Every field is a uniform current c plus a double gyre of amplitude A:
     phi = c_x*y - c_y*x + A sin(pi*x/Lx - px) sin(pi*y/Ly - py)
 
 The gyre is a steady checkerboard of counter-rotating cells of size
-Lx x Ly. The factories build the three fields in use: `uniform` (A = 0),
-`double_gyre` (c = 0) and `zero` (both 0, the still field).
+Lx x Ly. `AnalyticField` builds every field from c, A, the cell size
+and a phase shift; c and A default to zero, the still field.
 
 All fields are exactly divergence-free by construction; `divergence_fd`
 gives a central-difference estimate useful as a numerical cross-check.
@@ -105,23 +105,6 @@ class AnalyticField:
         if not all(math.isfinite(p) for p in self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
 
-    @staticmethod
-    def zero() -> "AnalyticField":
-        return AnalyticField()
-
-    @staticmethod
-    def uniform(current: Vec2) -> "AnalyticField":
-        """Uniform field flowing with the given current vector (m/s)."""
-        return AnalyticField(current=(current.x, current.y))
-
-    @staticmethod
-    def double_gyre(
-        amplitude: float,
-        extent: tuple[float, float] = (5.0e4, 5.0e4),
-        phase: tuple[float, float] = (0.0, 0.0),
-    ) -> "AnalyticField":
-        return AnalyticField(amplitude=amplitude, domain_extent=extent, phase=phase)
-
 
 def eval_field(f: AnalyticField, x: float, y: float) -> tuple[float, float]:
     """Current (u, v) = (d(phi)/dy, -d(phi)/dx) at (x, y), evaluated analytically."""
@@ -178,7 +161,7 @@ def random_gyre(seed: int) -> AnalyticField:
     py = float(rng.uniform(0.0, 2.0 * np.pi))
     speed = float(np.exp(rng.uniform(np.log(PEAK_SPEED_MIN), np.log(PEAK_SPEED_MAX))))
     amplitude = speed * min(lx, ly) / math.pi
-    return AnalyticField.double_gyre(amplitude, extent=(lx, ly), phase=(px, py))
+    return AnalyticField(amplitude=amplitude, domain_extent=(lx, ly), phase=(px, py))
 
 
 @dataclass(frozen=True)

@@ -71,22 +71,22 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
 
 
-def default_grid(points, lengthscale: float, n: int = 20, include_origin: bool = True) -> Grid:
+DEFAULT_GRID_N = 20  # points per side of a default grid
+
+
+def default_grid(points, lengthscale: float) -> Grid:
     """
-    Square n x n grid over the bounding box of the (N, 2) `points` (plus,
-    by default, the mission start at the origin), padded by half a
-    lengthscale on every side.
+    Square DEFAULT_GRID_N x DEFAULT_GRID_N grid over the bounding box of
+    the (N, 2) `points`, padded by half a lengthscale on every side.
     """
     xy = as_xy(points)
-    if include_origin:
-        xy = np.vstack([xy, np.zeros((1, 2))])
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     pad = 0.5 * lengthscale
     span = max(hi[0] - lo[0], hi[1] - lo[1]) + 2.0 * pad
-    spacing = span / (n - 1)
+    spacing = span / (DEFAULT_GRID_N - 1)
     cx, cy = 0.5 * (hi + lo)
-    return Grid(Vec2(cx - span / 2.0, cy - span / 2.0), spacing, n, n)
+    return Grid(Vec2(cx - span / 2.0, cy - span / 2.0), spacing, DEFAULT_GRID_N, DEFAULT_GRID_N)
 
 
 def normalized_error(est_uv: np.ndarray, truth_uv: np.ndarray) -> float:
@@ -118,8 +118,8 @@ class TrialResult:
 KERNEL_ORDER = (KernelKind.INCOMPRESSIBLE, KernelKind.STANDARD_DIAGONAL)
 
 
-def _run_trial(cfg: RunConfig, field_factory, t: int) -> TrialResult:
-    fld = field_factory(cfg.base_seed + 2 * t)
+def _run_trial(cfg: RunConfig, t: int) -> TrialResult:
+    fld = random_gyre(cfg.base_seed + 2 * t)
     try:
         log = run_mission(cfg.vehicle, fld, cfg.base_seed + 2 * t + 1)
     except MissionAborted as err:
@@ -180,14 +180,14 @@ class ConvergenceReport:
         return out
 
 
-def monte_carlo(cfg: RunConfig, workers: int = 1, field_factory=random_gyre) -> ConvergenceReport:
+def monte_carlo(cfg: RunConfig, workers: int = 1) -> ConvergenceReport:
     """
     Run the full study. `workers` > 1 distributes trials over processes;
     results are identical either way. Trials whose mission aborts or
     whose truth field is degenerate are excluded from the matrices and
     listed with their reason.
     """
-    run = partial(_run_trial, cfg, field_factory)
+    run = partial(_run_trial, cfg)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(cfg.trials)))

@@ -31,7 +31,7 @@ def steps_matrix(n: int, dt: float) -> np.ndarray:
 
 def uniform_cycle(current=Vec2(0.08, -0.05), leg=Vec2(5000.0, 0.0)):
     cfg = VehicleConfig(waypoints=(leg,), gps_noise_std=0.0)
-    return run_mission(cfg, AnalyticField.uniform(current), seed=0).cycles[0]
+    return run_mission(cfg, AnalyticField(current=(current.x, current.y)), seed=0).cycles[0]
 
 
 class TestEStep:
@@ -258,7 +258,7 @@ class TestRunEmCycle:
 
     def test_zero_drift_keeps_track_and_zero_currents(self):
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
-        cycle = run_mission(cfg, AnalyticField.zero(), seed=0).cycles[0]
+        cycle = run_mission(cfg, AnalyticField(), seed=0).cycles[0]
         state = run_em_cycle(GpModel(HP_EXACT), cycle, EmConfig())
         assert state.converged
         w = state.currents
@@ -352,7 +352,7 @@ class TestProcessMission:
     def test_single_uniform_cycle_predicts_current_nearby(self):
         c = Vec2(0.08, -0.05)
         cfg = VehicleConfig(waypoints=(Vec2(5000.0, 0.0),), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(c), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(c.x, c.y)), seed=0)
         model, states = process_mission(log, HP_EXACT)
         assert states[0].converged
         assert model.num_targets >= 2
@@ -376,7 +376,7 @@ class TestProcessMission:
 
     def test_targets_thinned_to_spacing(self):
         cfg = VehicleConfig(waypoints=(Vec2(5000.0, 0.0),), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.02)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.05, 0.02)), seed=0)
         spacing = 800.0
         model, _ = process_mission(log, HP_EXACT, cfg=EmConfig(pseudo_target_spacing=spacing))
         pts = model.positions
@@ -388,7 +388,7 @@ class TestProcessMission:
     def test_failed_cycle_recorded_and_skipped(self, monkeypatch):
         import driftfield.estimator as est_mod
 
-        fld = AnalyticField.uniform(Vec2(0.05, 0.0))
+        fld = AnalyticField(current=(0.05, 0.0))
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(6000.0, 0.0)), gps_noise_std=0.0)
         log = run_mission(cfg, fld, seed=0)
         real = est_mod.run_em_cycle
@@ -420,7 +420,7 @@ class TestProcessMission:
             return real(a, *args, **kwargs)
 
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(6000.0, 0.0)), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.05, 0.0)), seed=0)
         monkeypatch.setattr(gp_mod, "cho_factor", fail_nonempty)
         steps = iter_process_mission(log, HP_EXACT)
         model, state = next(steps)
@@ -440,7 +440,7 @@ class TestProcessMission:
 
         monkeypatch.setattr(est_mod, "run_em_cycle", broken)
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.05, 0.0)), seed=0)
         with pytest.raises(RuntimeError, match="bug"):
             process_mission(log, HP_EXACT)
 
@@ -452,7 +452,7 @@ class TestProcessMission:
 
         monkeypatch.setattr(est_mod, "m_step", overflow)
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(6000.0, 0.0)), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.05, 0.0)), seed=0)
         with caplog.at_level("WARNING", logger="driftfield.estimator"):
             _, states = process_mission(log, HP_EXACT)
         assert all(s.error is not None for s in states)
@@ -462,7 +462,7 @@ class TestProcessMission:
 
     def test_cycle_at_iteration_cap_logs_a_warning(self, caplog):
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.05, 0.0)), seed=0)
         emcfg = EmConfig(max_iters=1, convergence_tol=1e-9)
         with caplog.at_level("WARNING", logger="driftfield.estimator"):
             _, states = process_mission(log, HP_EXACT, cfg=emcfg)
@@ -473,7 +473,7 @@ class TestProcessMission:
 
     def test_converged_cycles_log_nothing(self, caplog):
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0),), gps_noise_std=0.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.05, 0.0)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.05, 0.0)), seed=0)
         with caplog.at_level("WARNING", logger="driftfield.estimator"):
             _, states = process_mission(log, HP_EXACT)
         assert states[0].converged

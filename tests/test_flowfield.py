@@ -51,13 +51,13 @@ class TestVec2:
 class TestDoubleGyre:
     def test_quarter_cell_value(self):
         # A=1e4, L=5e4 at the cell quarter point: u = A*(pi/L)*sin(pi/4)*cos(pi/4) = pi/10
-        f = AnalyticField.double_gyre(1e4, extent=(5e4, 5e4))
+        f = AnalyticField(amplitude=1e4, domain_extent=(5e4, 5e4))
         u, v = eval_field(f, 12500.0, 12500.0)
         assert u == pytest.approx(math.pi / 10.0, rel=1e-12)
         assert v == pytest.approx(-math.pi / 10.0, rel=1e-12)
 
     def test_matches_streamfunction_gradient(self):
-        f = AnalyticField.double_gyre(1e4, extent=(5e4, 3e4), phase=(0.7, -1.2))
+        f = AnalyticField(amplitude=1e4, domain_extent=(5e4, 3e4), phase=(0.7, -1.2))
         for p in [Vec2(0.0, 0.0), Vec2(12500.0, 12500.0), Vec2(-31000.0, 8000.0), Vec2(3.3e4, -4.1e4)]:
             u, v = eval_field(f, p.x, p.y)
             w_fd = fd_rotated_gradient(f, p, h=1.0)
@@ -65,7 +65,7 @@ class TestDoubleGyre:
             assert v == pytest.approx(w_fd.y, abs=1e-8)
 
     def test_current_adds_to_the_gyre(self):
-        gyre = AnalyticField.double_gyre(1e4, extent=(5e4, 3e4), phase=(0.7, -1.2))
+        gyre = AnalyticField(amplitude=1e4, domain_extent=(5e4, 3e4), phase=(0.7, -1.2))
         f = AnalyticField(current=(0.2, -0.1), amplitude=1e4, domain_extent=(5e4, 3e4), phase=(0.7, -1.2))
         for p in [Vec2(0.0, 0.0), Vec2(-31000.0, 8000.0), Vec2(3.3e4, -4.1e4)]:
             (u, v), (gu, gv) = eval_field(f, p.x, p.y), eval_field(gyre, p.x, p.y)
@@ -75,7 +75,7 @@ class TestDoubleGyre:
             assert v == pytest.approx(w_fd.y, abs=1e-8)
 
     def test_peak_speed_closed_form(self):
-        f = AnalyticField.double_gyre(1e4, extent=(6e4, 4e4))
+        f = AnalyticField(amplitude=1e4, domain_extent=(6e4, 4e4))
         assert gyre_peak_speed(f) == pytest.approx(1e4 * math.pi / 4e4)
         # sample a dense grid: observed speeds stay below the peak and approach it
         pts = Grid(Vec2(0.0, 0.0), 500.0, 240, 160).points()
@@ -86,7 +86,7 @@ class TestDoubleGyre:
     def test_square_cell_divergence_cancels(self):
         # symmetric cells: the central-difference terms cancel analytically,
         # leaving only round-off
-        f = AnalyticField.double_gyre(1e4, extent=(5e4, 5e4), phase=(0.3, 1.1))
+        f = AnalyticField(amplitude=1e4, domain_extent=(5e4, 5e4), phase=(0.3, 1.1))
         for p in [Vec2(12500.0, 12500.0), Vec2(-8000.0, 30000.0), Vec2(41000.0, -2500.0)]:
             div = divergence_fd(lambda q: Vec2(*eval_field(f, q.x, q.y)), p, h=10.0)
             assert abs(div) < 1e-12
@@ -94,7 +94,7 @@ class TestDoubleGyre:
     def test_rectangular_cell_divergence_is_second_order(self):
         # leading FD error: (A pi^4 h^2 / 6) cos(ax) cos(ay) (Lx^2 - Ly^2) / (Lx^3 Ly^3)
         a, lx, ly = 1e4, 6e4, 4e4
-        f = AnalyticField.double_gyre(a, extent=(lx, ly))
+        f = AnalyticField(amplitude=a, domain_extent=(lx, ly))
         p = Vec2(0.0, 0.0)
         g = lambda q: Vec2(*eval_field(f, q.x, q.y))
         d1 = divergence_fd(g, p, h=2000.0)
@@ -106,7 +106,7 @@ class TestDoubleGyre:
 
 class TestUniformAndZero:
     def test_uniform_field_constant(self):
-        f = AnalyticField.uniform(Vec2(0.2, -0.1))
+        f = AnalyticField(current=(0.2, -0.1))
         for p in [Vec2(0.0, 0.0), Vec2(1e5, -3e4)]:
             u, v = eval_field(f, p.x, p.y)
             assert u == pytest.approx(0.2)
@@ -121,34 +121,34 @@ class TestUniformAndZero:
     )
     @settings(max_examples=200, deadline=None)
     def test_uniform_returns_its_exact_current(self, u, v, x, y):
-        assert eval_field(AnalyticField.uniform(Vec2(u, v)), x, y) == (u, v)
+        assert eval_field(AnalyticField(current=(u, v)), x, y) == (u, v)
 
     def test_uniform_zero_current_collapses_to_zero_field(self):
-        assert AnalyticField.uniform(Vec2(0.0, 0.0)) == AnalyticField.zero()
+        assert AnalyticField(current=(0.0, 0.0)) == AnalyticField()
 
     def test_rejects_bad_parameters(self):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="amplitude"):
-                AnalyticField.double_gyre(bad)
+                AnalyticField(amplitude=bad)
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="domain extents"):
-                AnalyticField.double_gyre(1e4, extent=(5e4, bad))
+                AnalyticField(amplitude=1e4, domain_extent=(5e4, bad))
         with pytest.raises(ValueError, match="phase"):
-            AnalyticField.double_gyre(1e4, phase=(math.nan, 0.0))
+            AnalyticField(amplitude=1e4, phase=(math.nan, 0.0))
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="current"):
                 AnalyticField(current=(0.1, bad))
 
     def test_zero_field(self):
-        f = AnalyticField.zero()
+        f = AnalyticField()
         assert eval_field(f, 123.0, -456.0) == (0.0, 0.0)
         assert eval_streamfunction(f, Vec2(123.0, -456.0)) == 0.0
 
     def test_vectorised_matches_scalar(self):
         fields = [
-            AnalyticField.double_gyre(2e4, extent=(4.5e4, 6.2e4), phase=(2.0, 0.4)),
-            AnalyticField.uniform(Vec2(-0.3, 0.05)),
-            AnalyticField.zero(),
+            AnalyticField(amplitude=2e4, domain_extent=(4.5e4, 6.2e4), phase=(2.0, 0.4)),
+            AnalyticField(current=(-0.3, 0.05)),
+            AnalyticField(),
         ]
         pts = np.array([[0.0, 0.0], [1.2e4, -3.4e4], [-5e4, 5e4], [777.0, 888.0]])
         for f in fields:

@@ -51,14 +51,14 @@ class TestNormalizedError:
         assert err == pytest.approx(1.0)
 
     def test_degenerate_truth(self):
-        truth = eval_field_many(AnalyticField.zero(), GRID.points())
+        truth = eval_field_many(AnalyticField(), GRID.points())
         with pytest.raises(DegenerateTruth):
             normalized_error(np.tile([1.0, 0.0], (len(truth), 1)), truth)
 
     def test_stagnation_points_masked(self):
         # the cell-corner stagnation point at the origin is excluded, so a
         # wild estimate there cannot poison the score
-        truth = AnalyticField.double_gyre(1e4, extent=(5e4, 5e4))
+        truth = AnalyticField(amplitude=1e4, domain_extent=(5e4, 5e4))
         grid = Grid(Vec2(0.0, 0.0), 12500.0, 3, 3)
         assert math.hypot(*eval_field(truth, 0.0, 0.0)) == 0.0
 
@@ -73,7 +73,8 @@ class TestNormalizedError:
 
 class TestDefaultGrid:
     def test_covers_padded_mission_box(self):
-        wps = np.array([[5000.0, 0.0], [10000.0, 20000.0]])
+        # the tour and its start at the origin
+        wps = np.array([[0.0, 0.0], [5000.0, 0.0], [10000.0, 20000.0]])
         g = default_grid(wps, lengthscale=35000.0)
         pts = g.points()
         assert g.nx == 20 and g.ny == 20
@@ -84,9 +85,9 @@ class TestDefaultGrid:
         assert pts[:, 1].max() >= 20000.0 + pad - g.spacing
 
     def test_square_cells(self):
-        g = default_grid([[1000.0, 0.0]], lengthscale=10000.0, n=5)
+        g = default_grid([[1000.0, 0.0]], lengthscale=10000.0)
         pts = g.points()
-        assert pts.shape == (25, 2)
+        assert pts.shape == (400, 2)
         xs = np.unique(pts[:, 0])
         ys = np.unique(pts[:, 1])
         np.testing.assert_allclose(np.diff(xs), g.spacing)
@@ -138,9 +139,11 @@ class TestMonteCarlo:
         assert len(rep.excluded) == 2
         assert all("MissionAborted" in reason for _, reason in rep.excluded)
 
-    def test_degenerate_field_excluded_per_trial(self):
+    def test_degenerate_field_excluded_per_trial(self, monkeypatch):
+        # a still truth field in every (serial) trial
+        monkeypatch.setattr("driftfield.harness.random_gyre", lambda seed: AnalyticField())
         cfg = small_config(trials=2)
-        rep = monte_carlo(cfg, field_factory=lambda seed: AnalyticField.zero())
+        rep = monte_carlo(cfg)
         assert rep.kept_trial_indices == []
         assert all("DegenerateTruth" in reason for _, reason in rep.excluded)
 

@@ -57,7 +57,8 @@ class TestSteppers:
         # p_1 = p_0 + (v + w) dt with v = 1 m/s east and a uniform current w
         current = Vec2(0.25, -0.5)
         cfg = quiet_config(waypoints=(Vec2(60.0, 0.0),), speed_through_water=1.0)
-        path = run_mission(cfg, AnalyticField.uniform(current), seed=0).truth_trajectories[0]
+        fld = AnalyticField(current=(current.x, current.y))
+        path = run_mission(cfg, fld, seed=0).truth_trajectories[0]
         np.testing.assert_array_equal(path[0], [0.0, 0.0])
         np.testing.assert_allclose(path[1], [(1.0 + 0.25) * 60.0, -0.5 * 60.0], rtol=1e-12)
 
@@ -65,21 +66,21 @@ class TestSteppers:
         # a current straight against the command at the same speed holds
         # the vehicle in place while dead reckoning believes it moves
         cfg = quiet_config(waypoints=(Vec2(500.0, 0.0),))
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(-0.35, 0.0)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(-0.35, 0.0)), seed=0)
         np.testing.assert_array_equal(log.truth_trajectories[0], 0.0)
         assert log.cycles[0].num_steps > 1
 
     def test_dead_reckoned_step(self):
         # e_1 = e_0 + v dt, blind to the current: 0.5 m/s toward (3, 4) km
         cfg = quiet_config(waypoints=(Vec2(3000.0, 4000.0),), speed_through_water=0.5, dt=10.0)
-        log = run_mission(cfg, AnalyticField.uniform(Vec2(0.2, -0.1)), seed=0)
+        log = run_mission(cfg, AnalyticField(current=(0.2, -0.1)), seed=0)
         np.testing.assert_allclose(log.cycles[0].dead_reckoned[1], [3.0, 4.0], rtol=1e-12)
 
     def test_euler_close_to_rk4_for_drifting_particle(self):
         # 637 steps at dt = 60 with peak current 0.45 m/s: the explicit
         # Euler truth path ends within 1% of a tenth-step RK4 integration
         # under the same command, read off the dead-reckoned track
-        fld = AnalyticField.double_gyre(0.45 * 5e4 / math.pi, extent=(5e4, 5e4))
+        fld = AnalyticField(amplitude=0.45 * 5e4 / math.pi, domain_extent=(5e4, 5e4))
         log = run_mission(quiet_config(waypoints=(Vec2(12500.0, 5000.0),)), fld, seed=0)
         cycle, path = log.cycles[0], log.truth_trajectories[0]
         commands = np.diff(cycle.dead_reckoned, axis=0) / cycle.dt
@@ -142,26 +143,26 @@ class TestVehicleConfig:
 
 class TestRunMission:
     def test_zero_field_zero_noise_gives_zero_drift(self):
-        log = run_mission(quiet_config(), AnalyticField.zero(), seed=0)
+        log = run_mission(quiet_config(), AnalyticField(), seed=0)
         assert len(log.cycles) == 4
         for c in log.cycles:
             assert c.drift == Vec2(0.0, 0.0)
 
     def test_zero_current_dead_reckoning_equals_truth(self):
-        log = run_mission(quiet_config(), AnalyticField.zero(), seed=0)
+        log = run_mission(quiet_config(), AnalyticField(), seed=0)
         for c, path in zip(log.cycles, log.truth_trajectories):
             np.testing.assert_array_equal(c.dead_reckoned, path)
             assert not path.flags.writeable
 
     def test_zero_current_reaches_every_waypoint(self):
         cfg = quiet_config()
-        log = run_mission(cfg, AnalyticField.zero(), seed=0)
+        log = run_mission(cfg, AnalyticField(), seed=0)
         for c, wp in zip(log.cycles, cfg.waypoints):
             assert np.linalg.norm(c.dead_reckoned[-1] - wp.as_array()) <= cfg.surface_tolerance
 
     def test_uniform_current_drift_telescopes(self):
         current = Vec2(0.08, -0.05)
-        log = run_mission(quiet_config(), AnalyticField.uniform(current), seed=0)
+        log = run_mission(quiet_config(), AnalyticField(current=(current.x, current.y)), seed=0)
         for c in log.cycles:
             expected = c.num_steps * c.dt * np.array([current.x, current.y])
             # per-step float rounding only
@@ -200,26 +201,26 @@ class TestRunMission:
     def test_every_cycle_has_at_least_one_step(self):
         # second waypoint sits inside the surfacing tolerance of the first
         cfg = quiet_config(waypoints=(Vec2(500.0, 0.0), Vec2(520.0, 0.0)))
-        log = run_mission(cfg, AnalyticField.zero(), seed=0)
+        log = run_mission(cfg, AnalyticField(), seed=0)
         assert all(c.num_steps >= 1 for c in log.cycles)
 
     def test_abort_when_no_waypoint_reachable(self):
         cfg = quiet_config(waypoints=(Vec2(5e4, 0.0), Vec2(6e4, 0.0)), max_steps_per_cycle=10)
         with pytest.raises(MissionAborted) as exc:
-            run_mission(cfg, AnalyticField.zero(), seed=0)
+            run_mission(cfg, AnalyticField(), seed=0)
         assert len(exc.value.log.cycles) == 2  # partial log still delivered
 
     def test_no_abort_when_vehicle_recovers(self):
         # first waypoint is out of step budget, second is reachable from
         # where the vehicle ends up
         cfg = quiet_config(waypoints=(Vec2(500.0, 0.0), Vec2(250.0, 0.0)), max_steps_per_cycle=10)
-        log = run_mission(cfg, AnalyticField.zero(), seed=0)
+        log = run_mission(cfg, AnalyticField(), seed=0)
         assert len(log.cycles) == 2
 
     def test_abort_on_final_waypoint_failure(self):
         cfg = quiet_config(waypoints=(Vec2(150.0, 0.0), Vec2(5e4, 0.0)), max_steps_per_cycle=10)
         with pytest.raises(MissionAborted):
-            run_mission(cfg, AnalyticField.zero(), seed=0)
+            run_mission(cfg, AnalyticField(), seed=0)
 
     def test_no_abort_when_a_later_waypoint_is_missed_after_a_reached_one(self):
         # the abort rule looks from the first missed waypoint onward: here
@@ -227,7 +228,7 @@ class TestRunMission:
         # again; the mission is returned, not aborted
         cfg = quiet_config(waypoints=(Vec2(1000.0, 0.0), Vec2(150.0, 0.0), Vec2(2000.0, 0.0)),
                            max_steps_per_cycle=5)
-        log = run_mission(cfg, AnalyticField.zero(), seed=0)
+        log = run_mission(cfg, AnalyticField(), seed=0)
         assert len(log.cycles) == 3
         missed = [
             np.linalg.norm(c.dead_reckoned[-1] - wp.as_array()) > cfg.surface_tolerance
