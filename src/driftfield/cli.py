@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     p_mc = sub.add_parser("montecarlo", help="two-kernel convergence study")
     p_mc.add_argument("--config", required=True, help="study config file")
     p_mc.add_argument("--out", required=True, help="output directory")
-    p_mc.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+    p_mc.add_argument("--workers", type=int, default=1, help="processes, at most one per trial")
     p_mc.add_argument("--fields", action="store_true", help="also write per-trial field CSVs")
     p_mc.set_defaults(func=_cmd_montecarlo)
 

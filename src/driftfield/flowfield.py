@@ -21,7 +21,6 @@ Positions are metres, velocities m/s, streamfunction m^2/s.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -104,6 +103,9 @@ class AnalyticField:
             )
         if not all(math.isfinite(p) for p in self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
+        if not math.isfinite(self.amplitude * (math.pi / min(self.domain_extent))):
+            raise ValueError(f"amplitude {self.amplitude!r} over extents {self.domain_extent}: "
+                             "the gyre speed amplitude*pi/min(extent) overflows")
 
 
 def eval_field(f: AnalyticField, x: float, y: float) -> tuple[float, float]:
@@ -191,25 +193,24 @@ FIELD_CSV_HEADER = ["x_m", "y_m", "u_mps", "v_mps"]
 
 
 def write_field_csv(path, grid: Grid, velocities) -> None:
-    """Write grid velocities as CSV rows `x_m,y_m,u_mps,v_mps` in grid row-major order."""
+    """Write grid velocities as CSV rows `x_m,y_m,u_mps,v_mps` (CRLF) in grid row-major order."""
     uv = as_xy(velocities)
     pts = grid.points()
     if uv.shape != pts.shape:
         raise ValueError(f"expected {pts.shape[0]} velocity rows, got {uv.shape[0]}")
+    rows = np.hstack([pts, uv]).tolist()
+    lines = [",".join(FIELD_CSV_HEADER)] + [f"{x!r},{y!r},{u!r},{v!r}" for x, y, u, v in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELD_CSV_HEADER)
-        for (x, y), (u, v) in zip(pts, uv):
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(u)), repr(float(v))])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a field CSV back as (positions, velocities), both (N, 2) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != FIELD_CSV_HEADER:
-            raise ValueError(f"unexpected field CSV header: {header}")
-        rows = [[float(c) for c in row] for row in reader if row]
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    if header != FIELD_CSV_HEADER:
+        raise ValueError(f"unexpected field CSV header: {header}")
+    rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line]
     data = np.array(rows, dtype=float).reshape(-1, 4)
     return data[:, :2], data[:, 2:]

@@ -182,12 +182,13 @@ class ConvergenceReport:
 
 def monte_carlo(cfg: RunConfig, workers: int = 1) -> ConvergenceReport:
     """
-    Run the full study. `workers` > 1 distributes trials over processes;
-    results are identical either way. Trials whose mission aborts or
-    whose truth field is degenerate are excluded from the matrices and
-    listed with their reason.
+    Run the full study. `workers` > 1 distributes trials over at most
+    that many processes, one per trial; results are identical either way.
+    Trials whose mission aborts or whose truth field is degenerate are
+    excluded from the matrices and listed with their reason.
     """
     run = partial(_run_trial, cfg)
+    workers = min(workers, cfg.trials)  # a pool starts all its processes up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(cfg.trials)))

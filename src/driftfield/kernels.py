@@ -21,6 +21,7 @@ comparison runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,6 +70,10 @@ class HyperParams:
             raise ValueError("current_variance must be positive and finite")
         if self.gps_noise_std < 0 or not math.isfinite(self.gps_noise_std):
             raise ValueError("gps_noise_std must be >= 0 and finite")
+        l2 = self.lengthscale * self.lengthscale  # the kernels divide by it
+        if not (l2 >= sys.float_info.min and math.isfinite(self.current_variance * l2)):
+            raise ValueError(f"lengthscale {self.lengthscale!r} out of range: lengthscale^2 "
+                             "must be normal and current_variance * lengthscale^2 finite")
 
     @property
     def streamfunction_variance(self) -> float:

@@ -156,7 +156,9 @@ def run_mission(cfg: VehicleConfig, fld: AnalyticField, seed: int) -> MissionLog
     within surface_tolerance (taking at least one step), and fixes with
     GPS noise N(0, gps_noise_std^2 I). A cycle that runs out of steps is
     still logged; if every waypoint from the first missed one onward is
-    missed, MissionAborted is raised with the partial log attached.
+    missed, MissionAborted is raised with the partial log attached. A
+    current strong enough to carry the true position out of the float
+    range raises ValueError naming the waypoint of that dive.
     """
     rng = np.random.default_rng(seed)
     speed, dt = cfg.speed_through_water, cfg.dt
@@ -172,25 +174,32 @@ def run_mission(cfg: VehicleConfig, fld: AnalyticField, seed: int) -> MissionLog
     cycles = []
     truths = []
     reached_flags = []
-    for wp in cfg.waypoints:
+    for i, wp in enumerate(cfg.waypoints):
         ex, ey = fx, fy
         dr = [(ex, ey)]
         truth_path = [(tx, ty)]
         reached = False
-        for _ in range(cfg.max_steps_per_cycle):
-            # command: constant speed along the dead-reckoned bearing
-            dx, dy = wp.x - ex, wp.y - ey
-            dist = math.hypot(dx, dy)
-            vx, vy = (0.0, 0.0) if dist == 0.0 else (dx / dist * speed, dy / dist * speed)
-            wx, wy = eval_field(fld, tx, ty)
-            tx, ty = tx + (vx + wx) * dt, ty + (vy + wy) * dt
-            ex, ey = ex + vx * dt, ey + vy * dt
-            dr.append((ex, ey))
-            truth_path.append((tx, ty))
-            if math.hypot(wp.x - ex, wp.y - ey) <= cfg.surface_tolerance:
-                reached = True
-                break
+        # checked once per dive: an overflowed position fails sin() or shows in the fix
+        try:
+            for _ in range(cfg.max_steps_per_cycle):
+                # command: constant speed along the dead-reckoned bearing
+                dx, dy = wp.x - ex, wp.y - ey
+                dist = math.hypot(dx, dy)
+                vx, vy = (0.0, 0.0) if dist == 0.0 else (dx / dist * speed, dy / dist * speed)
+                wx, wy = eval_field(fld, tx, ty)
+                tx, ty = tx + (vx + wx) * dt, ty + (vy + wy) * dt
+                ex, ey = ex + vx * dt, ey + vy * dt
+                dr.append((ex, ey))
+                truth_path.append((tx, ty))
+                if math.hypot(wp.x - ex, wp.y - ey) <= cfg.surface_tolerance:
+                    reached = True
+                    break
+        except ValueError:
+            tx = math.inf
         fx, fy = gps(tx, ty)
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise ValueError(f"dive to waypoint {i}: the current carried the true position "
+                             "out of the float range")
         cycles.append(Cycle(dt, dr, Vec2(fx, fy)))
         truths.append(frozen_xy(truth_path))
         reached_flags.append(reached)

@@ -133,7 +133,18 @@ class TestSimulate:
                         "field_extent_m = 1e-300,1e-300\nwaypoints_m = 5000,0\n")
         rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
-        _one_line_error(capsys)
+        _one_line_error(capsys, "waypoint 0")
+
+    def test_overflowing_gyre_speed_names_amplitude(self, tmp_path, capsys):
+        # amplitude*pi/L itself overflows: the field is rejected before the mission
+        conf = tmp_path / "hostile.conf"
+        conf.write_text("field = double_gyre\nfield_amplitude = 1e10\n"
+                        "field_extent_m = 1e-300,1e-300\nwaypoints_m = 5000,0\n")
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, "amplitude", "extent")
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -270,6 +281,32 @@ class TestEstimate:
         states = json.loads((out / "em_states.json").read_text())
         assert states[0]["error"].startswith("FloatingPointError")
         assert not (out / "model.json").exists()
+
+
+class TestLengthscaleRange:
+    """A lengthscale whose square, or whose streamfunction variance, leaves the float range."""
+
+    @pytest.mark.parametrize("value", ["1e160", "1e-160"])
+    @pytest.mark.parametrize("command", ["estimate", "montecarlo", "kernel-check"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, value):
+        conf = tmp_path / "c.conf"
+        line = f"lengthscale_m = {value}\n"
+        out = tmp_path / "out"
+        if command == "estimate":
+            conf.write_text(line)
+            log = tmp_path / "cycles.jsonl"
+            rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
+            log.write_text(json.dumps(rec) + "\n")
+            argv = ["estimate", "--cycles", str(log), "--hyper", str(conf), "--out", str(out)]
+        elif command == "montecarlo":
+            conf.write_text(MC_CONF + line)
+            argv = ["montecarlo", "--config", str(conf), "--out", str(out)]
+        else:
+            conf.write_text(line)
+            argv = ["kernel-check", "--config", str(conf)]
+        assert main(argv) == 2
+        _one_line_error(capsys, "lengthscale")
+        assert not out.exists()
 
 
 class TestMonteCarlo:

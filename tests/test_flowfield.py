@@ -139,6 +139,13 @@ class TestUniformAndZero:
             with pytest.raises(ValueError, match="current"):
                 AnalyticField(current=(0.1, bad))
 
+    def test_rejects_overflowing_gyre_speed(self):
+        for amplitude, extent in ((1e10, (1e-300, 1e-300)), (0.0, (5e4, 1e-310))):
+            with pytest.raises(ValueError, match="amplitude.*overflows"):
+                AnalyticField(amplitude=amplitude, domain_extent=extent)
+        # the largest gyre speed that stays finite is accepted
+        AnalyticField(amplitude=1e5, domain_extent=(1e-300, 1e-300))
+
     def test_zero_field(self):
         f = AnalyticField()
         assert eval_field(f, 123.0, -456.0) == (0.0, 0.0)
@@ -219,6 +226,15 @@ class TestFieldCsv:
         # repr-based floats survive the text round trip bit for bit
         np.testing.assert_array_equal(pts_back, g.points())
         np.testing.assert_array_equal(uv_back, uv)
+
+    def test_exact_bytes(self, tmp_path):
+        # a header, then each value's repr; CRLF ends every line
+        g = Grid(Vec2(0.0, -1.5), 0.5, nx=2, ny=1)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, g, np.array([[0.1, -0.2], [1e-05, 3.0]]))
+        assert path.read_bytes() == (
+            b"x_m,y_m,u_mps,v_mps\r\n0.0,-1.5,0.1,-0.2\r\n0.5,-1.5,1e-05,3.0\r\n"
+        )
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

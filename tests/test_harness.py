@@ -147,6 +147,28 @@ class TestMonteCarlo:
         assert rep.kept_trial_indices == []
         assert all("DegenerateTruth" in reason for _, reason in rep.excluded)
 
+    def test_pool_never_exceeds_the_trials(self, monkeypatch):
+        # a stand-in pool that records its size and starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("driftfield.harness.ProcessPoolExecutor", SerialPool)
+        rep = monte_carlo(small_config(trials=2), workers=10_000)
+        assert sizes == [2]
+        assert rep.kept_trial_indices == [0, 1]
+
     def test_trials_validated(self):
         cfg = small_config()
         with pytest.raises(ValueError):
