@@ -4,6 +4,8 @@ import re
 import shlex
 from pathlib import Path
 
+from driftfield.cli import ALL_KEYS, main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -26,8 +28,6 @@ def _section(title: str) -> str:
 def test_quick_start_commands_print_their_comments(tmp_path, monkeypatch):
     # each heredoc config is written as shown, each `driftfield ...` command
     # runs as shown, and prints the `# ...` lines that follow it
-    from driftfield.cli import main
-
     monkeypatch.chdir(tmp_path)
     lines = "\n".join(re.findall(r"```sh\n(.*?)```", _section("Quick start"), re.DOTALL))
     lines = lines.replace("\\\n", " ").splitlines()
@@ -53,8 +53,6 @@ def test_quick_start_commands_print_their_comments(tmp_path, monkeypatch):
 
 
 def test_configuration_tables_list_every_key():
-    from driftfield.cli import ALL_KEYS
-
     rows = re.findall(r"^\| (.*?) \|", _section("Configuration reference"), re.MULTILINE)
     keys = {key for row in rows for key in re.findall(r"`(\w+)`", row)}
     assert keys == ALL_KEYS
