@@ -1,11 +1,10 @@
 """
 Command line front end.
 
-Four subcommands: `simulate` runs a waypoint mission in an analytic
+Three subcommands: `simulate` runs a waypoint mission in an analytic
 field and writes the cycle log, `estimate` replays a cycle log through
-the EM estimator and writes the model and a predicted field grid,
-`montecarlo` runs the two-kernel convergence study, and `kernel-check`
-prints kernel self-diagnostics as JSON.
+the EM estimator and writes the model and a predicted field grid, and
+`montecarlo` runs the two-kernel convergence study.
 
 Configuration files are flat `key = value` text (SI units throughout:
 metres, seconds, m/s). `#` starts a comment line. Each subcommand
@@ -31,13 +30,7 @@ from driftfield.flowfield import (
     write_field_csv,
 )
 from driftfield.harness import RunConfig, default_grid, emit_report, monte_carlo
-from driftfield.kernels import (
-    HyperParams,
-    KernelKind,
-    build_block_matrix,
-    eval_kernel,
-    fd_consistency_report,
-)
+from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import (
     MissionAborted,
     ParseError,
@@ -279,22 +272,6 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
-def _cmd_kernel_check(args) -> int:
-    cfg = parse_config(args.config, HYPER_KEYS) if args.config else {}
-    hp = hyper_from_config(cfg)
-    zero_lag = eval_kernel(hp, KernelKind.INCOMPRESSIBLE, Vec2(0, 0), Vec2(0, 0))
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-4.0 * hp.lengthscale, 4.0 * hp.lengthscale, size=(40, 2))
-    gram = build_block_matrix(hp, KernelKind.INCOMPRESSIBLE, pts, pts)
-    result = {
-        "zero_lag": zero_lag.tolist(),
-        "psd_min_eigenvalue": float(np.linalg.eigvalsh(gram).min()),
-        "fd_consistency": fd_consistency_report(hp),
-    }
-    print(json.dumps(result, indent=2))
-    return 0 if result["fd_consistency"]["passed"] else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="driftfield",
@@ -321,10 +298,6 @@ def main(argv=None) -> int:
     p_mc.add_argument("--workers", type=int, default=1, help="processes, at most one per trial")
     p_mc.add_argument("--fields", action="store_true", help="also write per-trial field CSVs")
     p_mc.set_defaults(func=_cmd_montecarlo)
-
-    p_kc = sub.add_parser("kernel-check", help="print kernel self-diagnostics as JSON")
-    p_kc.add_argument("--config", help="optional hyperparameter config file")
-    p_kc.set_defaults(func=_cmd_kernel_check)
 
     args = parser.parse_args(argv)
     try:

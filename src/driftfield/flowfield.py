@@ -180,6 +180,11 @@ class Grid:
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must contain at least one point")
+        last_x = self.origin.x + self.spacing * (self.nx - 1)
+        last_y = self.origin.y + self.spacing * (self.ny - 1)
+        if not (math.isfinite(last_x) and math.isfinite(last_y)):
+            raise ValueError(f"grid of {self.nx}x{self.ny} points spaced {self.spacing} m from "
+                             f"({self.origin.x}, {self.origin.y}) leaves the float range")
 
     def points(self) -> np.ndarray:
         """All grid points as an (nx*ny, 2) array in row-major order."""

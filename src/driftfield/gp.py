@@ -186,9 +186,9 @@ class GpModel:
 
     def predict_mean(self, query_points) -> np.ndarray:
         """Posterior mean only, skipping the query covariance. Shape (M, 2)."""
-        q = as_xy(query_points)
-        k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
-        return (k_dq.T @ self._alpha).reshape(-1, 2)
+        k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, as_xy(query_points))
+        a_u, a_v = self._alpha[0::2], self._alpha[1::2]
+        return np.column_stack([k11.T @ a_u + k12.T @ a_v, k12.T @ a_u + k22.T @ a_v])
 
     def add_targets(self, positions, currents) -> "GpModel":
         """New model conditioned on the union of old and new targets."""

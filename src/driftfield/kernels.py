@@ -36,7 +36,6 @@ __all__ = [
     "eval_kernel",
     "build_block_matrix",
     "block_row_sums",
-    "fd_consistency_report",
 ]
 
 # Entries of the pairwise exponential that `block_row_sums` holds at once
@@ -99,19 +98,35 @@ def eval_kernel(hp: HyperParams, kind: KernelKind, p: Vec2, q: Vec2) -> np.ndarr
 
 
 def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarray):
-    """(k11, k12, k22) covariance blocks between (A, 2) and (B, 2) points, each (A, B)."""
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
+    """
+    The k11, k12 and k22 covariance blocks between (A, 2) and (B, 2)
+    points, as one (3, A, B) array. They are formed in place, so the lags
+    and e are the only temporaries: arrays this large can come as fresh
+    pages from the OS, each of which faults on first touch.
+    """
+    k = np.empty((3, a.shape[0], b.shape[0]))
+    k11, k12, k22 = k
+    dx = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    np.multiply(dy, dy, out=k11)
+    np.multiply(dx, dx, out=k22)
+    np.multiply(dx, dy, out=k12)
     l2 = hp.lengthscale**2
-    e = np.exp(-(dx * dx + dy * dy) / (2.0 * l2))
+    e = k11 + k22
+    np.negative(e, out=e)
+    e /= 2.0 * l2
+    np.exp(e, out=e)
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
-        diag = s * e
-        return diag, np.zeros_like(diag), diag
-    k11 = s * (1.0 - dy * dy / l2) * e
-    k22 = s * (1.0 - dx * dx / l2) * e
-    k12 = s * (dx * dy / l2) * e
-    return k11, k12, k22
+        k[0::2] = s * e
+        k12[...] = 0.0
+        return k
+    # s * (1 - dy^2 / l2) * e, s * (dx dy / l2) * e and s * (1 - dx^2 / l2) * e
+    k /= l2
+    np.subtract(1.0, k[0::2], out=k[0::2])
+    k *= s
+    k *= e
+    return k
 
 
 def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarray:
@@ -193,57 +208,3 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarra
     out[1::2, 0] = k12
     out[1::2, 1] = k22
     return out
-
-
-def fd_consistency_report(hp: HyperParams) -> dict:
-    """
-    Check the incompressible kernel against finite differences of the
-    scalar kernel, block by block, at six lag vectors spread over two
-    lengthscales.
-
-    The matrix kernel is a second derivative of the scalar kernel in lag
-    space: K11 = -d2g/dy2, K22 = -d2g/dx2, K12 = d2g/dxdy. Each block is
-    compared against a central second difference with step
-    1e-4 * lengthscale. Returns a dict with the worst relative error
-    and per-lag details; `passed` is True when the worst error is below
-    1e-6.
-    """
-    l = hp.lengthscale
-    lags = [
-        Vec2(0.0, 0.0),
-        Vec2(0.3 * l, 0.0),
-        Vec2(0.0, -0.7 * l),
-        Vec2(0.5 * l, 0.5 * l),
-        Vec2(-1.2 * l, 0.4 * l),
-        Vec2(2.0 * l, -1.5 * l),
-    ]
-    h = 1e-4 * l
-    origin = Vec2(0.0, 0.0)
-
-    def g(dx: float, dy: float) -> float:
-        return eval_scalar_kernel(hp, Vec2(dx, dy), origin)
-
-    scale = hp.current_variance
-    details = []
-    worst = 0.0
-    for d in lags:
-        k = eval_kernel(hp, KernelKind.INCOMPRESSIBLE, d, origin)
-        fd11 = -(g(d.x, d.y + h) - 2.0 * g(d.x, d.y) + g(d.x, d.y - h)) / (h * h)
-        fd22 = -(g(d.x + h, d.y) - 2.0 * g(d.x, d.y) + g(d.x - h, d.y)) / (h * h)
-        fd12 = (
-            g(d.x + h, d.y + h) - g(d.x + h, d.y - h) - g(d.x - h, d.y + h) + g(d.x - h, d.y - h)
-        ) / (4.0 * h * h)
-        errs = {
-            "k11": abs(k[0, 0] - fd11) / scale,
-            "k22": abs(k[1, 1] - fd22) / scale,
-            "k12": abs(k[0, 1] - fd12) / scale,
-        }
-        block_worst = max(errs.values())
-        worst = max(worst, block_worst)
-        details.append({"lag_m": [d.x, d.y], "rel_errors": errs})
-    return {
-        "step_m": h,
-        "worst_rel_error": worst,
-        "passed": bool(worst < 1e-6),
-        "lags": details,
-    }

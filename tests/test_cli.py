@@ -36,6 +36,9 @@ grid_nx = 10
 grid_ny = 10
 """
 
+# the last x, 0 + 1e307 * 19, is not a finite float
+OVERFLOWING_GRID = "grid_origin_m = 0,0\ngrid_spacing_m = 1e307\ngrid_nx = 20\ngrid_ny = 2\n"
+
 
 @pytest.fixture
 def mission_conf(tmp_path):
@@ -245,8 +248,9 @@ class TestEstimate:
              "grid spacing must be positive and finite"),
             ("grid_origin_m = nan,0\ngrid_spacing_m = 10\ngrid_nx = 3\ngrid_ny = 3\n",
              "grid_origin_m"),
+            (OVERFLOWING_GRID, "grid of 20x2 points spaced 1e+307 m from (0.0, 0.0) leaves"),
         ],
-        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan"],
+        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan", "grid_overflow"],
     )
     def test_non_finite_config_exits_2(self, tmp_path, capsys, conf, expected):
         hyper = tmp_path / "hyper.conf"
@@ -287,7 +291,7 @@ class TestLengthscaleRange:
     """A lengthscale whose square, or whose streamfunction variance, leaves the float range."""
 
     @pytest.mark.parametrize("value", ["1e160", "1e-160"])
-    @pytest.mark.parametrize("command", ["estimate", "montecarlo", "kernel-check"])
+    @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, value):
         conf = tmp_path / "c.conf"
         line = f"lengthscale_m = {value}\n"
@@ -298,12 +302,9 @@ class TestLengthscaleRange:
             rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
             log.write_text(json.dumps(rec) + "\n")
             argv = ["estimate", "--cycles", str(log), "--hyper", str(conf), "--out", str(out)]
-        elif command == "montecarlo":
+        else:
             conf.write_text(MC_CONF + line)
             argv = ["montecarlo", "--config", str(conf), "--out", str(out)]
-        else:
-            conf.write_text(line)
-            argv = ["kernel-check", "--config", str(conf)]
         assert main(argv) == 2
         _one_line_error(capsys, "lengthscale")
         assert not out.exists()
@@ -330,6 +331,15 @@ class TestMonteCarlo:
         assert rc == 2
         assert "unknown key 'kernel'" in capsys.readouterr().err
 
+    def test_overflowing_grid_exits_2_with_one_line(self, tmp_path, capsys):
+        conf = tmp_path / "mc.conf"
+        conf.write_text("".join(l for l in MC_CONF.splitlines(True) if "grid_" not in l)
+                        + OVERFLOWING_GRID)
+        out = tmp_path / "report"
+        assert main(["montecarlo", "--config", str(conf), "--out", str(out)]) == 2
+        _one_line_error(capsys, "grid of 20x2 points", "float range")
+        assert not out.exists()
+
     def test_fields_flag(self, tmp_path):
         conf = tmp_path / "mc.conf"
         conf.write_text(MC_CONF)
@@ -338,25 +348,6 @@ class TestMonteCarlo:
         assert rc == 0
         field_files = sorted((out / "fields").glob("*.csv"))
         assert len(field_files) == 4
-
-
-class TestKernelCheck:
-    def test_json_diagnostics(self, capsys):
-        rc = main(["kernel-check"])
-        assert rc == 0
-        result = json.loads(capsys.readouterr().out)
-        np.testing.assert_allclose(result["zero_lag"], [[0.5, 0.0], [0.0, 0.5]], atol=0)
-        assert result["psd_min_eigenvalue"] >= -1e-8 * 0.5
-        assert result["fd_consistency"]["passed"]
-
-    def test_honours_config(self, tmp_path, capsys):
-        conf = tmp_path / "hp.conf"
-        conf.write_text("lengthscale_m = 10000\ncurrent_variance_m2s2 = 0.25\n")
-        rc = main(["kernel-check", "--config", str(conf)])
-        assert rc == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["zero_lag"][0][0] == 0.25
-        assert result["fd_consistency"]["step_m"] == 1.0
 
 
 def _one_line_error(capsys, *words):
@@ -400,12 +391,6 @@ class TestKeysPerCommand:
         assert rc == 2
         _one_line_error(capsys, repr(line.split(" =")[0]))
         assert not out.exists()
-
-    def test_kernel_check_rejects_foreign_keys(self, tmp_path, capsys):
-        conf = tmp_path / "hp.conf"
-        conf.write_text("lengthscale_m = 10000\nem_max_iters = 3\n")
-        assert main(["kernel-check", "--config", str(conf)]) == 2
-        _one_line_error(capsys, "'em_max_iters'", ":2:")
 
     def test_repeated_key_names_both_lines(self, tmp_path, capsys):
         conf = tmp_path / "m.conf"

@@ -213,6 +213,13 @@ class TestGrid:
                 Grid(Vec2(0, 0), bad, 2, 2)
         with pytest.raises(ValueError):
             Grid(Vec2(0, 0), 1.0, 0, 2)
+        # the last point on either axis must stay finite
+        for nx, ny in ((20, 2), (2, 20)):
+            with pytest.raises(ValueError, match="grid of .* leaves the float range"):
+                Grid(Vec2(0, 0), 1e307, nx, ny)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            Grid(Vec2(-1e308, 1.7e308), 1e307, 1, 2)
+        Grid(Vec2(0, 0), 1e307, 17, 17)  # 1.6e308 is still finite
 
 
 class TestFieldCsv:

@@ -62,10 +62,12 @@ class TestPosterior:
         np.testing.assert_allclose(mean, mean_o, atol=1e-8)
         np.testing.assert_allclose(cov, cov_o, atol=1e-6)
 
-    def test_predict_mean_matches_full_predict(self, trained_model):
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_predict_mean_matches_full_predict(self, trained_model, kind):
+        model = GpModel(HP, kind, trained_model.positions, trained_model.currents)
         query = np.array([[100.0, 200.0], [-3e4, 2.5e4]])
         np.testing.assert_allclose(
-            trained_model.predict_mean(query), trained_model.predict(query)[0], atol=0
+            model.predict_mean(query), model.predict(query)[0], rtol=1e-10, atol=0
         )
 
     def test_near_interpolation_at_targets(self, trained_model):

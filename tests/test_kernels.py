@@ -14,7 +14,6 @@ from driftfield.kernels import (
     build_block_matrix,
     eval_kernel,
     eval_scalar_kernel,
-    fd_consistency_report,
 )
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
@@ -66,14 +65,16 @@ class TestMatrixKernel:
         assert k[0, 0] == 0.5 and k[1, 1] == 0.5
         assert k[0, 1] == 0.0 and k[1, 0] == 0.0
 
-    def test_matches_fd_of_scalar_kernel(self):
-        h = 1e-4 * HP.lengthscale
-        lags = [Vec2(0.0, 0.0), Vec2(10500.0, 0.0), Vec2(0.0, -24500.0),
-                Vec2(17500.0, 17500.0), Vec2(-42000.0, 14000.0), Vec2(70000.0, -52500.0)]
-        for d in lags:
-            k = eval_kernel(HP, KernelKind.INCOMPRESSIBLE, d, Vec2(0.0, 0.0))
-            k_fd = fd_second_derivatives(HP, d, h)
-            np.testing.assert_allclose(k, k_fd, atol=1e-6 * HP.current_variance)
+    @pytest.mark.parametrize("hp", [HP, HyperParams(500.0, 0.25, 1.0)], ids=["35km", "500m"])
+    def test_matches_fd_of_scalar_kernel(self, hp):
+        l = hp.lengthscale
+        h = 1e-4 * l
+        lags = [(0.0, 0.0), (0.3, 0.0), (0.0, -0.7), (0.5, 0.5), (-1.2, 0.4), (2.0, -1.5)]
+        for x, y in lags:
+            d = Vec2(x * l, y * l)
+            k = eval_kernel(hp, KernelKind.INCOMPRESSIBLE, d, Vec2(0.0, 0.0))
+            k_fd = fd_second_derivatives(hp, d, h)
+            np.testing.assert_allclose(k, k_fd, atol=1e-6 * hp.current_variance)
 
     def test_transpose_symmetry(self):
         p, q = Vec2(1000.0, -2000.0), Vec2(-500.0, 4000.0)
@@ -211,16 +212,3 @@ class TestBlockRowSumsProperties:
         sums = block_row_sums(HP, kind, a, b)
         shifted = block_row_sums(HP, kind, a + shift, b + shift)
         np.testing.assert_allclose(shifted, sums, rtol=0, atol=_sum_tolerance(len(b)))
-
-
-class TestFdConsistencyReport:
-    def test_passes_for_default_lags(self):
-        rep = fd_consistency_report(HP)
-        assert rep["passed"]
-        assert rep["worst_rel_error"] < 1e-6
-        assert len(rep["lags"]) == 6
-
-    def test_step_scales_with_lengthscale(self):
-        rep = fd_consistency_report(HyperParams(500.0, 0.25, 1.0))
-        assert rep["step_m"] == pytest.approx(0.05)
-        assert rep["passed"]

@@ -49,7 +49,7 @@ def test_quick_start_commands_print_their_comments(tmp_path, monkeypatch):
             if expected:
                 assert out.getvalue().splitlines() == expected, line
             ran += 1
-    assert ran == 4
+    assert ran == 3
 
 
 def test_configuration_tables_list_every_key():
