@@ -16,8 +16,8 @@ approximates it). EM untangles the two:
                 S = C Sigma C^T + sy^2 I
                 W = mu + Sigma C^T S^(-1) (drift - C mu)
 
-            Only Sigma C^T (2n x 2) and the 2x2 S are needed, and both
-            come from block row sums of the GP covariance, so the
+            Only Sigma C^T, n 2x2 blocks, and the 2x2 S are needed, and
+            both come from block row sums of the GP covariance, so the
             (2n, 2n) trajectory covariance is never formed (the
             linear-observation case of Jidling et al. 2017,
             "Linearly constrained Gaussian processes").
@@ -151,13 +151,12 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
-    n = x.shape[0] - 1
-    mean, cross = model.predict_sum(x[:n])
+    mean, cross = model.predict_sum(x[:-1])
     # An overflow to inf (np.square overflows where float ** would raise)
     # is reported as a FloatingPointError just below.
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_ct = dt * cross  # Sigma C^T, (2n, 2)
-        c_sigma_ct = dt * sigma_ct.reshape(n, 2, 2).sum(axis=0)
+        sigma_ct = dt * cross  # Sigma C^T as n 2x2 blocks
+        c_sigma_ct = dt * sigma_ct.sum(axis=0)
         s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + np.square(model.hp.gps_noise_std) * np.eye(2)
     if not np.isfinite(s_mat).all():
         raise FloatingPointError(
@@ -166,13 +165,13 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
         )
     innov = drift.as_array() - dt * mean.sum(axis=0)
     try:
-        w = mean.reshape(-1) + sigma_ct @ np.linalg.solve(s_mat, innov)
+        w = mean + sigma_ct @ np.linalg.solve(s_mat, innov)
     except np.linalg.LinAlgError as err:
         raise SingularInnovation(
             "innovation covariance is singular; zero GPS noise with a "
             "degenerate predictive covariance"
         ) from err
-    return w.reshape(-1, 2), s_mat
+    return w, s_mat
 
 
 def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:

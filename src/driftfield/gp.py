@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -73,13 +72,14 @@ class GpModel:
     empty model predicts the prior by the same formulas.
     """
 
+    target_noise_var = DEFAULT_TARGET_NOISE_VAR
+
     def __init__(
         self,
         hp: HyperParams,
         kind: KernelKind = KernelKind.INCOMPRESSIBLE,
         positions=None,
         currents=None,
-        target_noise_var: float = DEFAULT_TARGET_NOISE_VAR,
     ):
         self.hp = hp
         self.kind = kind
@@ -89,11 +89,6 @@ class GpModel:
             raise DimensionMismatch(
                 f"positions {self.positions.shape} vs currents {self.currents.shape}"
             )
-        if not (0 < target_noise_var < math.inf):
-            raise ValueError(
-                f"target_noise_var must be positive and finite, got {target_noise_var}"
-            )
-        self.target_noise_var = float(target_noise_var)
         self._l = np.zeros((0, 0))
         self._grow(self.positions[:0], self.positions)
 
@@ -164,14 +159,15 @@ class GpModel:
         Posterior mean at the query points and the posterior covariance
         of each query current with the sum of all of them.
 
-        Returns (mean, cross) with shapes (M, 2) and (2M, 2); `cross`
-        equals `predict(q)[1] @ np.tile(np.eye(2), (M, 1))`, but
-        neither the (2M, 2M) covariance nor the interleaved (2N, 2M)
-        kernel is formed, and the training factor is solved against 2
-        right-hand sides instead of 2M.
+        Returns (mean, cross) with shapes (M, 2) and (M, 2, 2); block i
+        of `cross` is the posterior covariance of query current i with
+        the sum, the block row sum of `predict(q)[1]`. Neither the
+        (2M, 2M) covariance nor the interleaved (2N, 2M) kernel is
+        formed, and the training factor is solved against 2 right-hand
+        sides instead of 2M.
         """
         q = as_xy(query_points)
-        prior = block_row_sums(self.hp, self.kind, q, q)
+        prior = block_row_sums(self.hp, self.kind, q)
         k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, q)  # each (N, M)
         s11, s12, s22 = k11.sum(axis=1), k12.sum(axis=1), k22.sum(axis=1)
         k_dsum = np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2)  # (2N, 2)
@@ -182,7 +178,7 @@ class GpModel:
         )
         even, odd = rhs[0::2], rhs[1::2]  # rows of the u and v target components
         out = np.stack([k11.T @ even + k12.T @ odd, k12.T @ even + k22.T @ odd], axis=1)
-        return out[:, :, 0], prior - out[:, :, 1:].reshape(-1, 2)
+        return out[:, :, 0], prior - out[:, :, 1:]
 
     def predict_mean(self, query_points) -> np.ndarray:
         """Posterior mean only, skipping the query covariance. Shape (M, 2)."""
@@ -219,6 +215,9 @@ class GpModel:
     @staticmethod
     def from_json(text: str) -> "GpModel":
         d = json.loads(text)
+        if d["target_noise_var_m2s2"] != DEFAULT_TARGET_NOISE_VAR:
+            raise ValueError(f"target_noise_var_m2s2 must be {DEFAULT_TARGET_NOISE_VAR}, "
+                             f"got {d['target_noise_var_m2s2']!r}")
         hp = HyperParams(
             lengthscale=d["lengthscale_m"],
             current_variance=d["current_variance_m2s2"],
@@ -229,7 +228,6 @@ class GpModel:
             KernelKind(d["kernel"]),
             np.array(d["positions_m"], dtype=float).reshape(-1, 2),
             np.array(d["currents_mps"], dtype=float).reshape(-1, 2),
-            target_noise_var=d["target_noise_var_m2s2"],
         )
 
 

@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 # Entries of the pairwise exponential that `block_row_sums` holds at once
-# (256 KiB of float64). The whole (M, M) array of a 587-point dive is
-# 2.8 MB, and temporaries that large get fresh pages from the OS on every
-# call (about 1300 page faults each), so the call's time would follow
-# the host's memory load; blocks this size are reused from the heap.
+# (256 KiB of float64), against 2.8 MB for the whole (M, M) array of a
+# 587-point dive; temporaries that large get fresh pages from the OS on
+# every call (about 1300 page faults each). These blocks still exceed
+# glibc's default 128 KiB mmap threshold, so they come from the heap only
+# once freeing a larger mmapped chunk has raised the dynamic threshold.
 ROW_SUM_BLOCK_ENTRIES = 32768
 
 
@@ -102,12 +103,17 @@ def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarr
     The k11, k12 and k22 covariance blocks between (A, 2) and (B, 2)
     points, as one (3, A, B) array. They are formed in place, so the lags
     and e are the only temporaries: arrays this large can come as fresh
-    pages from the OS, each of which faults on first touch.
+    pages from the OS, each of which faults on first touch. Lags are
+    clipped to +-40 lengthscales, so a far pair's squares stay finite and
+    its e, at most exp(-800), is still exactly 0.
     """
     k = np.empty((3, a.shape[0], b.shape[0]))
     k11, k12, k22 = k
+    far = 40.0 * hp.lengthscale
     dx = np.subtract.outer(a[:, 0], b[:, 0])
+    np.clip(dx, -far, far, out=dx)
     dy = np.subtract.outer(a[:, 1], b[:, 1])
+    np.clip(dy, -far, far, out=dy)
     np.multiply(dy, dy, out=k11)
     np.multiply(dx, dx, out=k22)
     np.multiply(dx, dy, out=k12)
@@ -147,47 +153,43 @@ def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.nd
     return out
 
 
-def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarray:
+def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     """
-    Sum of the 2x2 blocks along each block row of the covariance.
+    Block row sums of the covariance of (M, 2) points with themselves.
 
-    Returns a (2A, 2) array equal to
-    `build_block_matrix(hp, kind, pts_a, pts_b) @ np.tile(np.eye(2), (B, 1))`,
-    the covariance of each current in `pts_a` with the sum of the
-    currents in `pts_b`, without forming the (2A, 2B) matrix.
+    Returns an (M, 2, 2) array whose block i is sum_j K(p_i, p_j), the
+    covariance of the current at p_i with the sum of all M currents,
+    without forming the (2M, 2M) `build_block_matrix(hp, kind, pts, pts)`.
 
     Each incompressible block is a quadratic in the lag times one
-    Gaussian, so one exponential per pair, e_ij = exp(-|a_i - b_j|^2 / 2l^2),
+    Gaussian, so one exponential per pair, e_ij = exp(-|p_i - p_j|^2 / 2l^2),
     and one product of e with the moments [1, x, y, x^2, y^2, xy] of
-    `pts_b` give every sum; for example
+    the points give every sum; for example
 
         sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i,
 
-    with m0 = e @ 1, my = e @ y and myy = e @ y^2. Both point sets are
-    first centred on the centroid of `pts_b` and scaled to lengthscale
-    units. The expansion still cancels: against the dense sum, the
-    error scaled by each row's magnitude is about eps * (extent / l)^2,
-    measured below 2e-15 over 1 lengthscale of extent, 1e-13 over 10,
-    6e-12 over 100 and 3e-10 over 1000. A dive spans about one
-    lengthscale or less. e is formed a block of whole rows at a time,
-    about ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small.
+    with m0 = e @ 1, my = e @ y and myy = e @ y^2. The points are first
+    centred on their centroid and scaled to lengthscale units. The
+    expansion still cancels: against the dense sum, the error scaled by
+    each row's magnitude is about eps * (extent / l)^2, measured below
+    2e-15 over 1 lengthscale of extent, 1e-13 over 10, 6e-12 over 100
+    and 3e-10 over 1000. A dive spans about one lengthscale or less. e
+    is formed a block of whole rows at a time, about
+    ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small.
     """
-    a = as_xy(pts_a)
-    b = as_xy(pts_b)
-    l = hp.lengthscale
-    centre = b.sum(axis=0) / max(b.shape[0], 1)
-    x_a, y_a = (a - centre).T / l
-    x_b, y_b = (b - centre).T / l
+    p = as_xy(pts)
+    m = p.shape[0]
+    x, y = (p - p.sum(axis=0) / max(m, 1)).T / hp.lengthscale
     if kind is KernelKind.STANDARD_DIAGONAL:
-        moments = np.ones((b.shape[0], 1))
+        moments = np.ones((m, 1))
     else:
-        moments = np.column_stack([np.ones_like(x_b), x_b, y_b, x_b * x_b, y_b * y_b, x_b * y_b])
-    sums = np.empty((a.shape[0], moments.shape[1]))
-    rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(b.shape[0], 1))
-    for i in range(0, a.shape[0], rows):
-        e = np.subtract.outer(x_a[i : i + rows], x_b)
+        moments = np.column_stack([np.ones_like(x), x, y, x * x, y * y, x * y])
+    sums = np.empty((m, moments.shape[1]))
+    rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
+    for i in range(0, m, rows):
+        e = np.subtract.outer(x[i : i + rows], x)
         e *= e
-        d = np.subtract.outer(y_a[i : i + rows], y_b)
+        d = np.subtract.outer(y[i : i + rows], y)
         d *= d
         e += d
         e *= -0.5
@@ -195,16 +197,9 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.ndarra
         np.matmul(e, moments, out=sums[i : i + rows])
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
-        k11 = k22 = s * sums[:, 0]
-        k12 = 0.0
-    else:
-        m0, mx, my, mxx, myy, mxy = sums.T
-        k11 = s * (m0 - (y_a * y_a * m0 - 2.0 * y_a * my + myy))
-        k22 = s * (m0 - (x_a * x_a * m0 - 2.0 * x_a * mx + mxx))
-        k12 = s * (x_a * y_a * m0 - x_a * my - y_a * mx + mxy)
-    out = np.empty((2 * a.shape[0], 2))
-    out[0::2, 0] = k11
-    out[0::2, 1] = k12
-    out[1::2, 0] = k12
-    out[1::2, 1] = k22
-    return out
+        return s * sums[:, 0, None, None] * np.eye(2)
+    m0, mx, my, mxx, myy, mxy = sums.T
+    k11 = m0 - (y * y * m0 - 2.0 * y * my + myy)
+    k22 = m0 - (x * x * m0 - 2.0 * x * mx + mxx)
+    k12 = x * y * m0 - x * my - y * mx + mxy
+    return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)

@@ -182,6 +182,21 @@ class TestEstimate:
         model = json.loads((out / "model.json").read_text())
         assert model["kernel"] == "standard_diagonal"
 
+    def test_grid_far_beyond_lengthscale_predicts_prior_mean(self, tmp_path, mission_conf):
+        cycles = tmp_path / "cycles.jsonl"
+        main(["simulate", "--config", str(mission_conf), "--seed", "3", "--out", str(cycles)])
+        hyper = tmp_path / "far.conf"
+        hyper.write_text(HYPER_CONF + "grid_origin_m = 0,0\ngrid_spacing_m = 1e200\n"
+                         "grid_nx = 3\ngrid_ny = 2\n")
+        out = tmp_path / "far"
+        rc = main(["estimate", "--cycles", str(cycles), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 0
+        pts, uv = read_field_csv(out / "field.csv")
+        origin = (pts == 0.0).all(axis=1)
+        assert origin.sum() == 1
+        np.testing.assert_allclose(uv[origin][0], [0.08, -0.05], atol=5e-3)
+        np.testing.assert_array_equal(uv[~origin], np.zeros((5, 2)))
+
     def test_empty_log_rejected(self, tmp_path, hyper_conf, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -70,7 +70,7 @@ class _DegenerateModel:
 
     def predict_sum(self, pts):
         n = np.asarray(pts, dtype=float).shape[0]
-        return np.zeros((n, 2)), np.zeros((2 * n, 2))
+        return np.zeros((n, 2)), np.zeros((n, 2, 2))
 
 
 class TestMStep:

@@ -130,9 +130,9 @@ class TestPredictSum:
         query = rng.uniform(-5e4, 5e4, size=(9, 2))
         mean, cross = model.predict_sum(query)
         full_mean, full_cov = model.predict(query)
-        assert mean.shape == (9, 2) and cross.shape == (18, 2)
+        assert mean.shape == (9, 2) and cross.shape == (9, 2, 2)
         np.testing.assert_allclose(mean, full_mean, rtol=1e-12, atol=1e-15)
-        dense = full_cov @ np.tile(np.eye(2), (9, 1))
+        dense = (full_cov @ np.tile(np.eye(2), (9, 1))).reshape(9, 2, 2)
         np.testing.assert_allclose(cross, dense, rtol=1e-9, atol=1e-12 * HP.current_variance)
 
 
@@ -284,11 +284,6 @@ class TestNumericalRobustness:
         assert np.all(np.isfinite(mean))
         assert np.all(np.isfinite(cov))
 
-    def test_target_noise_var_must_be_positive_and_finite(self):
-        for bad in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="target_noise_var"):
-                GpModel(HP, target_noise_var=bad)
-
     def test_non_finite_currents_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="infs or NaNs"):
@@ -314,6 +309,15 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.predict_mean(q), trained_model.predict_mean(q))
         assert clone.kind is trained_model.kind
         assert clone.hp == trained_model.hp
+
+    def test_from_json_rejects_another_noise_floor(self, trained_model):
+        import json
+
+        d = json.loads(trained_model.to_json())
+        for bad in (0.0, 2 * DEFAULT_TARGET_NOISE_VAR, None):
+            d["target_noise_var_m2s2"] = bad
+            with pytest.raises(ValueError, match="target_noise_var_m2s2"):
+                GpModel.from_json(json.dumps(d))
 
     def test_snapshot_contains_no_factorisation(self, trained_model):
         import json

@@ -136,21 +136,27 @@ class TestBlockMatrix:
         m = build_block_matrix(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)), np.zeros((2, 2)))
         assert m.shape == (0, 4)
 
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_far_point_gives_exact_zeros(self, kind):
+        # a lag of 1e200 m squares to inf unless it is clipped first
+        near = build_block_matrix(HP, kind, [[0.0, 0.0]], [[0.0, 0.0]])
+        m = build_block_matrix(HP, kind, [[0.0, 0.0], [1e200, -1e200]], [[0.0, 0.0]])
+        np.testing.assert_array_equal(m[:2], near)
+        np.testing.assert_array_equal(m[2:], np.zeros((2, 2)))
+
 
 class TestBlockRowSums:
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_matches_dense_block_sum(self, kind):
         rng = np.random.default_rng(3)
-        a = rng.uniform(-5e4, 5e4, size=(7, 2))
-        b = rng.uniform(-5e4, 5e4, size=(4, 2))
-        sums = block_row_sums(HP, kind, a, b)
-        dense = build_block_matrix(HP, kind, a, b) @ np.tile(np.eye(2), (4, 1))
-        assert sums.shape == (14, 2)
-        np.testing.assert_allclose(sums, dense, rtol=1e-12)
+        q = rng.uniform(-5e4, 5e4, size=(7, 2))
+        sums = block_row_sums(HP, kind, q)
+        assert sums.shape == (7, 2, 2)
+        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=1e-12)
 
     def test_empty_inputs(self):
-        sums = block_row_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((3, 2)), np.zeros((0, 2)))
-        np.testing.assert_array_equal(sums, np.zeros((6, 2)))
+        sums = block_row_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)))
+        assert sums.shape == (0, 2, 2)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_dive_sized_prior_spans_several_row_blocks(self, kind):
@@ -158,57 +164,57 @@ class TestBlockRowSums:
         rng = np.random.default_rng(4)
         q = np.cumsum(rng.normal(0.0, 40.0, size=(587, 2)), axis=0)
         assert 587 * 587 > 2 * kernels.ROW_SUM_BLOCK_ENTRIES
-        sums = block_row_sums(HP, kind, q, q)
-        dense = build_block_matrix(HP, kind, q, q) @ np.tile(np.eye(2), (587, 1))
-        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(587))
+        sums = block_row_sums(HP, kind, q)
+        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(587))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("entries", [1, 5, 33, 60])
     def test_row_blocks_do_not_change_the_sums(self, kind, entries, monkeypatch):
         rng = np.random.default_rng(5)
-        a = rng.uniform(-5e4, 5e4, size=(13, 2))
-        b = rng.uniform(-5e4, 5e4, size=(6, 2))
-        whole = block_row_sums(HP, kind, a, b)
+        q = rng.uniform(-5e4, 5e4, size=(6, 2))
+        whole = block_row_sums(HP, kind, q)
         monkeypatch.setattr(kernels, "ROW_SUM_BLOCK_ENTRIES", entries)
-        np.testing.assert_allclose(block_row_sums(HP, kind, a, b), whole, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(block_row_sums(HP, kind, q), whole, rtol=1e-13, atol=1e-16)
 
 
-def _sum_tolerance(num_b: int) -> float:
-    return 1e-10 * HP.current_variance * max(num_b, 1)
+def dense_row_sums(kind, q):
+    # oracle: the dense (2M, 2M) block matrix times M stacked identities,
+    # its interleaved rows regrouped into 2x2 blocks
+    dense = build_block_matrix(HP, kind, q, q) @ np.tile(np.eye(2), (len(q), 1))
+    return dense.reshape(-1, 2, 2)
+
+
+def _sum_tolerance(num_points: int) -> float:
+    return 1e-10 * HP.current_variance * max(num_points, 1)
 
 
 @st.composite
 def row_sum_problems(draw):
-    """A kernel, (A, 2) and (B, 2) point sets sharing an offset, with A and B up to 60."""
+    """A kernel and an (M, 2) point set, M up to 60, at an offset."""
     kind = draw(st.sampled_from(list(KernelKind)))
     seed = draw(st.integers(0, 2**32 - 1))
     offset = np.array([draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))])
     extent = draw(st.floats(0.0, 100.0)) * HP.lengthscale
     rng = np.random.default_rng(seed)
-    b = offset + extent * rng.uniform(-0.5, 0.5, size=(draw(st.integers(0, 60)), 2))
-    if draw(st.booleans()):
-        a = b  # the prior case of predict_sum
-    else:
-        a = offset + extent * rng.uniform(-0.5, 0.5, size=(draw(st.integers(0, 60)), 2))
-    return kind, a, b
+    q = offset + extent * rng.uniform(-0.5, 0.5, size=(draw(st.integers(0, 60)), 2))
+    return kind, q
 
 
 class TestBlockRowSumsProperties:
     @given(row_sum_problems())
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_oracle(self, problem):
-        kind, a, b = problem
-        sums = block_row_sums(HP, kind, a, b)
-        dense = build_block_matrix(HP, kind, a, b) @ np.tile(np.eye(2), (len(b), 1))
-        assert sums.shape == (2 * len(a), 2)
-        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(len(b)))
+        kind, q = problem
+        sums = block_row_sums(HP, kind, q)
+        assert sums.shape == (len(q), 2, 2)
+        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(len(q)))
 
     @given(row_sum_problems())
     @settings(max_examples=100, deadline=None)
     def test_translation_invariant(self, problem):
         # the kernel depends on the lag only
-        kind, a, b = problem
+        kind, q = problem
         shift = np.array([1e6, -1e6])
-        sums = block_row_sums(HP, kind, a, b)
-        shifted = block_row_sums(HP, kind, a + shift, b + shift)
-        np.testing.assert_allclose(shifted, sums, rtol=0, atol=_sum_tolerance(len(b)))
+        sums = block_row_sums(HP, kind, q)
+        shifted = block_row_sums(HP, kind, q + shift)
+        np.testing.assert_allclose(shifted, sums, rtol=0, atol=_sum_tolerance(len(q)))
