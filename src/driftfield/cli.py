@@ -48,21 +48,74 @@ class ConfigError(Exception):
     pass
 
 
-HYPER_KEYS = {"lengthscale_m", "current_variance_m2s2", "gps_noise_std_m"}
-VEHICLE_KEYS = {
-    "speed_mps", "dt_s", "surface_tolerance_m", "gps_noise_std_m", "waypoints_m", "max_steps_per_cycle",
+def _point(value: str) -> Vec2:
+    x, y = (float(v) for v in value.split(","))
+    return Vec2(x, y)
+
+
+def _points(value: str) -> tuple:
+    return tuple(_point(chunk) for chunk in value.split(";") if chunk.strip())
+
+
+def _pair(value: str) -> tuple:
+    p = _point(value)
+    return (p.x, p.y)
+
+
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("expected a non-negative integer")
+    return seed
+
+
+# One table per config section: each key maps to the constructor argument
+# it sets and the parser of its value. A key the file leaves out takes the
+# constructor's default.
+HYPER_ARGS = {
+    "lengthscale_m": ("lengthscale", float),
+    "current_variance_m2s2": ("current_variance", float),
+    "gps_noise_std_m": ("gps_noise_std", float),
 }
-EM_KEYS = {"em_max_iters", "em_tol_m", "pseudo_target_spacing_m"}
-GRID_KEYS = {"grid_origin_m", "grid_spacing_m", "grid_nx", "grid_ny"}
-# The keys each `field` value reads.
-FIELD_KIND_KEYS = {
-    "random_gyre": {"field_seed"},
-    "zero": set(),
-    "uniform": {"field_current_mps"},
-    "double_gyre": {"field_amplitude", "field_extent_m", "field_phase_rad"},
+VEHICLE_ARGS = {
+    "speed_mps": ("speed_through_water", float),
+    "dt_s": ("dt", float),
+    "surface_tolerance_m": ("surface_tolerance", float),
+    "gps_noise_std_m": ("gps_noise_std", float),
+    "waypoints_m": ("waypoints", _points),
+    "max_steps_per_cycle": ("max_steps_per_cycle", int),
 }
-FIELD_KEYS = {"field"}.union(*FIELD_KIND_KEYS.values())
-RUN_KEYS = {"trials", "base_seed"}
+EM_ARGS = {
+    "em_max_iters": ("max_iters", int),
+    "em_tol_m": ("convergence_tol", float),
+    "pseudo_target_spacing_m": ("pseudo_target_spacing", float),
+}
+GRID_ARGS = {
+    "grid_origin_m": ("origin", _point),
+    "grid_spacing_m": ("spacing", float),
+    "grid_nx": ("nx", int),
+    "grid_ny": ("ny", int),
+}
+RUN_ARGS = {"trials": ("trials", int), "base_seed": ("base_seed", _seed)}
+# The keys each `field` value reads: `random_gyre` passes its one to
+# `random_gyre`, the others theirs to `AnalyticField`.
+FIELD_ARGS = {
+    "random_gyre": {"field_seed": ("seed", _seed)},
+    "zero": {},
+    "uniform": {"field_current_mps": ("current", _pair)},
+    "double_gyre": {
+        "field_amplitude": ("amplitude", float),
+        "field_extent_m": ("domain_extent", _pair),
+        "field_phase_rad": ("phase", _pair),
+    },
+}
+
+HYPER_KEYS = set(HYPER_ARGS)
+VEHICLE_KEYS = set(VEHICLE_ARGS)
+EM_KEYS = set(EM_ARGS)
+GRID_KEYS = set(GRID_ARGS)
+FIELD_KEYS = {"field"}.union(*FIELD_ARGS.values())
+RUN_KEYS = set(RUN_ARGS)
 ALL_KEYS = HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | FIELD_KEYS | RUN_KEYS
 
 # `estimate --kernel` values
@@ -94,67 +147,33 @@ def parse_config(path, keys=ALL_KEYS) -> dict:
     return out
 
 
-def _point(value: str) -> Vec2:
-    x, y = (float(v) for v in value.split(","))
-    return Vec2(x, y)
-
-
-def _points(value: str) -> tuple:
-    return tuple(_point(chunk) for chunk in value.split(";") if chunk.strip())
-
-
-def _pair(value: str) -> tuple:
-    p = _point(value)
-    return (p.x, p.y)
-
-
-def _seed(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ValueError("expected a non-negative integer")
-    return seed
-
-
-def _value(cfg: dict, key: str, parse, default=None):
+def _args(cfg: dict, table: dict) -> dict:
     """
-    `parse(cfg[key])`, or `default` when the key is absent. A value that
-    does not parse raises ConfigError naming the key.
+    Constructor arguments for the keys of `table` that `cfg` sets. A value
+    that does not parse raises ConfigError naming its key.
     """
-    if key not in cfg:
-        return default
-    try:
-        return parse(cfg[key])
-    except ValueError as err:
-        raise ConfigError(f"{key} = {cfg[key]}: {err}") from err
+    args = {}
+    for key, (arg, parse) in table.items():
+        if key in cfg:
+            try:
+                args[arg] = parse(cfg[key])
+            except ValueError as err:
+                raise ConfigError(f"{key} = {cfg[key]}: {err}") from err
+    return args
 
 
 def hyper_from_config(cfg: dict) -> HyperParams:
-    return HyperParams(
-        lengthscale=_value(cfg, "lengthscale_m", float, 35000.0),
-        current_variance=_value(cfg, "current_variance_m2s2", float, 0.5),
-        gps_noise_std=_value(cfg, "gps_noise_std_m", float, 3.0),
-    )
+    return HyperParams(**_args(cfg, HYPER_ARGS))
 
 
 def vehicle_from_config(cfg: dict) -> VehicleConfig:
     if "waypoints_m" not in cfg:
         raise ConfigError("config needs waypoints_m (format: 'x,y; x,y; ...')")
-    return VehicleConfig(
-        speed_through_water=_value(cfg, "speed_mps", float, 0.35),
-        dt=_value(cfg, "dt_s", float, 60.0),
-        surface_tolerance=_value(cfg, "surface_tolerance_m", float, 100.0),
-        gps_noise_std=_value(cfg, "gps_noise_std_m", float, 3.0),
-        waypoints=_value(cfg, "waypoints_m", _points),
-        max_steps_per_cycle=_value(cfg, "max_steps_per_cycle", int, 1500),
-    )
+    return VehicleConfig(**_args(cfg, VEHICLE_ARGS))
 
 
 def em_from_config(cfg: dict) -> EmConfig:
-    return EmConfig(
-        max_iters=_value(cfg, "em_max_iters", int, 10),
-        convergence_tol=_value(cfg, "em_tol_m", float, 1.0),
-        pseudo_target_spacing=_value(cfg, "pseudo_target_spacing_m", float),
-    )
+    return EmConfig(**_args(cfg, EM_ARGS))
 
 
 def grid_from_config(cfg: dict) -> Grid | None:
@@ -163,35 +182,22 @@ def grid_from_config(cfg: dict) -> Grid | None:
         return None
     if present != GRID_KEYS:
         raise ConfigError(f"grid needs all of {sorted(GRID_KEYS)}, got {sorted(present)}")
-    return Grid(
-        _value(cfg, "grid_origin_m", _point),
-        _value(cfg, "grid_spacing_m", float),
-        _value(cfg, "grid_nx", int),
-        _value(cfg, "grid_ny", int),
-    )
+    return Grid(**_args(cfg, GRID_ARGS))
 
 
 def field_from_config(cfg: dict) -> AnalyticField:
     kind = cfg.get("field", "random_gyre")
-    if kind not in FIELD_KIND_KEYS:
+    if kind not in FIELD_ARGS:
         raise ConfigError(f"unknown field {kind!r}")
-    foreign = sorted((FIELD_KEYS - {"field"} - FIELD_KIND_KEYS[kind]) & cfg.keys())
+    foreign = sorted((FIELD_KEYS - {"field"} - FIELD_ARGS[kind].keys()) & cfg.keys())
     if foreign:
         raise ConfigError(f"a {kind} field does not read key {foreign[0]!r}")
-    if kind == "random_gyre":
-        return random_gyre(_value(cfg, "field_seed", _seed, 0))
     if kind == "uniform" and "field_current_mps" not in cfg:
         raise ConfigError("uniform field needs field_current_mps (format: 'u,v')")
     if kind == "double_gyre" and "field_amplitude" not in cfg:
         raise ConfigError("double_gyre field needs field_amplitude (m^2/s)")
-    args = {
-        "current": _value(cfg, "field_current_mps", _pair),
-        "amplitude": _value(cfg, "field_amplitude", float),
-        "domain_extent": _value(cfg, "field_extent_m", _pair),
-        "phase": _value(cfg, "field_phase_rad", _pair),
-    }
-    # an absent key takes the constructor's default
-    return AnalyticField(**{arg: v for arg, v in args.items() if v is not None})
+    make = random_gyre if kind == "random_gyre" else AnalyticField
+    return make(**_args(cfg, FIELD_ARGS[kind]))
 
 
 def _cmd_simulate(args) -> int:
@@ -257,14 +263,7 @@ def _cmd_montecarlo(args) -> int:
     # without grid keys, over the tour and its start at the origin
     tour = (Vec2(0.0, 0.0),) + vehicle.waypoints
     grid = grid_from_config(cfg) or default_grid(tour, hp.lengthscale)
-    run = RunConfig(
-        hp=hp,
-        vehicle=vehicle,
-        em=em_from_config(cfg),
-        grid=grid,
-        trials=_value(cfg, "trials", int, 20),
-        base_seed=_value(cfg, "base_seed", _seed, 0),
-    )
+    run = RunConfig(hp, vehicle, em_from_config(cfg), grid, **_args(cfg, RUN_ARGS))
     report = monte_carlo(run, workers=args.workers)
     emit_report(report, args.out, include_fields=args.fields)
     kept = len(report.kept_trial_indices)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from driftfield.flowfield import Vec2, as_xy, frozen_xy
+from driftfield.flowfield import Vec2, as_xy, frozen_xy, non_negative, positive
 
 # Unused, but perfbench/tracing.py wraps this name and fails without it;
 # drop the import together with that trace point.
@@ -83,13 +83,9 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0 < self.convergence_tol < math.inf):
-            raise ValueError(
-                f"convergence_tol must be positive and finite, got {self.convergence_tol}"
-            )
-        spacing = self.pseudo_target_spacing
-        if spacing is not None and not (0 <= spacing < math.inf):
-            raise ValueError(f"pseudo_target_spacing must be >= 0 and finite, got {spacing}")
+        positive("convergence_tol", self.convergence_tol)
+        if self.pseudo_target_spacing is not None:
+            non_negative("pseudo_target_spacing", self.pseudo_target_spacing)
 
     def spacing_for(self, hp: HyperParams) -> float:
         if self.pseudo_target_spacing is None:

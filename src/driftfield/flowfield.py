@@ -67,6 +67,18 @@ def as_xy(points) -> np.ndarray:
     return out
 
 
+def positive(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is positive and finite."""
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def non_negative(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is >= 0 and finite."""
+    if not (0 <= value < math.inf):
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+
+
 def to_vec2_list(xy: np.ndarray) -> list[Vec2]:
     return [Vec2(float(x), float(y)) for x, y in np.asarray(xy, dtype=float).reshape(-1, 2)]
 
@@ -95,12 +107,9 @@ class AnalyticField:
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.current):
             raise ValueError(f"current must be finite, got {self.current}")
-        if not (0 <= self.amplitude < math.inf):
-            raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
-        if not all(0 < e < math.inf for e in self.domain_extent):
-            raise ValueError(
-                f"domain extents must be positive and finite, got {self.domain_extent}"
-            )
+        non_negative("amplitude", self.amplitude)
+        for extent in self.domain_extent:
+            positive("domain extents", extent)
         if not all(math.isfinite(p) for p in self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
         if not math.isfinite(self.amplitude * (math.pi / min(self.domain_extent))):
@@ -153,7 +162,7 @@ PEAK_SPEED_MIN = 0.1
 PEAK_SPEED_MAX = 0.5
 
 
-def random_gyre(seed: int) -> AnalyticField:
+def random_gyre(seed: int = 0) -> AnalyticField:
     """Deterministic random double gyre with peak current speed in [0.1, 0.5] m/s."""
     rng = np.random.default_rng(seed)
     lo, hi = GYRE_EXTENT_RANGE
@@ -176,8 +185,7 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if not (0 < self.spacing < math.inf):
-            raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
+        positive("grid spacing", self.spacing)
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must contain at least one point")
         last_x = self.origin.x + self.spacing * (self.nx - 1)

@@ -63,8 +63,8 @@ class RunConfig:
     vehicle: VehicleConfig
     em: EmConfig
     grid: Grid
-    trials: int
-    base_seed: int
+    trials: int = 20
+    base_seed: int = 0
 
     def __post_init__(self):
         if self.trials < 1:

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from driftfield.flowfield import Vec2, as_xy
+from driftfield.flowfield import Vec2, as_xy, non_negative, positive
 
 __all__ = [
     "HyperParams",
@@ -59,17 +59,14 @@ class HyperParams:
     gps_noise_std: GPS fix noise standard deviation per axis, metres.
     """
 
-    lengthscale: float
-    current_variance: float
-    gps_noise_std: float
+    lengthscale: float = 35000.0
+    current_variance: float = 0.5
+    gps_noise_std: float = 3.0
 
     def __post_init__(self):
-        if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
-            raise ValueError("lengthscale must be positive and finite")
-        if not (self.current_variance > 0 and math.isfinite(self.current_variance)):
-            raise ValueError("current_variance must be positive and finite")
-        if self.gps_noise_std < 0 or not math.isfinite(self.gps_noise_std):
-            raise ValueError("gps_noise_std must be >= 0 and finite")
+        positive("lengthscale", self.lengthscale)
+        positive("current_variance", self.current_variance)
+        non_negative("gps_noise_std", self.gps_noise_std)
         l2 = self.lengthscale * self.lengthscale  # the kernels divide by it
         if not (l2 >= sys.float_info.min and math.isfinite(self.current_variance * l2)):
             raise ValueError(f"lengthscale {self.lengthscale!r} out of range: lengthscale^2 "

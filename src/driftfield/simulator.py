@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from driftfield.flowfield import AnalyticField, Vec2, as_xy, eval_field, frozen_xy
+from driftfield.flowfield import AnalyticField, Vec2, as_xy, eval_field, frozen_xy, non_negative, positive
 
 __all__ = [
     "VehicleConfig",
@@ -87,18 +87,10 @@ class VehicleConfig:
     max_steps_per_cycle: int = 1500
 
     def __post_init__(self):
-        if not (0 < self.speed_through_water < math.inf):
-            raise ValueError(
-                f"speed_through_water must be positive and finite, got {self.speed_through_water}"
-            )
-        if not (0 < self.dt < math.inf):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (0 < self.surface_tolerance < math.inf):
-            raise ValueError(
-                f"surface_tolerance must be positive and finite, got {self.surface_tolerance}"
-            )
-        if not (0 <= self.gps_noise_std < math.inf):
-            raise ValueError(f"gps_noise_std must be >= 0 and finite, got {self.gps_noise_std}")
+        positive("speed_through_water", self.speed_through_water)
+        positive("dt", self.dt)
+        positive("surface_tolerance", self.surface_tolerance)
+        non_negative("gps_noise_std", self.gps_noise_std)
         if len(self.waypoints) < 1:
             raise ValueError("at least one waypoint is required")
         if self.max_steps_per_cycle < 1:
@@ -121,8 +113,7 @@ class Cycle:
     drift: Vec2 = field(init=False)
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        positive("dt", self.dt)
         dr = frozen_xy(self.dead_reckoned)
         if len(dr) < 2:
             raise ValueError("a cycle needs the dive-in fix plus at least one step")
