@@ -147,21 +147,24 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
-    mean, cross = model.predict_sum(x[:-1])
-    # An overflow to inf (np.square overflows where float ** would raise)
-    # is reported as a FloatingPointError just below.
+    # An overflow to inf or NaN, in the row sums of a lengthscale far below
+    # the trajectory's extent or in the products below (np.square
+    # overflows where float ** would raise), is reported as a
+    # FloatingPointError just below.
     with np.errstate(over="ignore", invalid="ignore"):
+        mean, cross = model.predict_sum(x[:-1])
         sigma_ct = dt * cross  # Sigma C^T as n 2x2 blocks
         c_sigma_ct = dt * sigma_ct.sum(axis=0)
         s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + np.square(model.hp.gps_noise_std) * np.eye(2)
     if not np.isfinite(s_mat).all():
         raise FloatingPointError(
             f"innovation covariance is not finite (dt = {dt} s, "
-            f"GPS noise {model.hp.gps_noise_std} m)"
+            f"GPS noise {model.hp.gps_noise_std} m, lengthscale {model.hp.lengthscale} m)"
         )
     innov = drift.as_array() - dt * mean.sum(axis=0)
     try:
-        w = mean + sigma_ct @ np.linalg.solve(s_mat, innov)
+        # one (2n, 2) matrix-vector product, not n stacked 2x2 ones
+        w = mean + (sigma_ct.reshape(-1, 2) @ np.linalg.solve(s_mat, innov)).reshape(-1, 2)
     except np.linalg.LinAlgError as err:
         raise SingularInnovation(
             "innovation covariance is singular; zero GPS noise with a "

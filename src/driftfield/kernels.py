@@ -8,12 +8,13 @@ twice yields a matrix-valued covariance whose sample fields are exactly
 divergence-free. With g(d) = sigma_phi^2 exp(-|d|^2 / (2 l^2)) and
 sigma_phi^2 = sigma_w^2 l^2, the blocks reduce to
 
-    K11 = sigma_w^2 (1 - dy^2/l^2) exp(-|d|^2 / 2l^2)
-    K22 = sigma_w^2 (1 - dx^2/l^2) exp(-|d|^2 / 2l^2)
-    K12 = K21 = sigma_w^2 (dx dy / l^2) exp(-|d|^2 / 2l^2)
+    K11 = sigma_w^2 (1 - ry^2) exp(-|r|^2 / 2)
+    K22 = sigma_w^2 (1 - rx^2) exp(-|r|^2 / 2)
+    K12 = K21 = sigma_w^2 rx ry exp(-|r|^2 / 2)
 
-where d = p - q is the lag in metres. The zero-lag covariance is exactly
-sigma_w^2 * I. A standard diagonal kernel (independent squared-exponential
+where d = p - q is the lag in metres and r = d / l the lag in
+lengthscales, the unit the code computes in. The zero-lag covariance is
+exactly sigma_w^2 * I. A standard diagonal kernel (independent squared-exponential
 on each velocity component, no divergence constraint) is provided for
 comparison runs.
 """
@@ -100,35 +101,38 @@ def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarr
     The k11, k12 and k22 covariance blocks between (A, 2) and (B, 2)
     points, as one (3, A, B) array. They are formed in place, so the lags
     and e are the only temporaries: arrays this large can come as fresh
-    pages from the OS, each of which faults on first touch. Lags are
-    clipped to +-40 lengthscales, so a far pair's squares stay finite and
-    its e, at most exp(-800), is still exactly 0.
+    pages from the OS, each of which faults on first touch. Lags are taken
+    in lengthscale units and clipped to +-40, so a far pair's squares stay
+    finite and its e, at most exp(-800), is still exactly 0. Each block is
+    multiplied by e before the variance, so no intermediate value exceeds
+    current_variance.
     """
     k = np.empty((3, a.shape[0], b.shape[0]))
     k11, k12, k22 = k
-    far = 40.0 * hp.lengthscale
-    dx = np.subtract.outer(a[:, 0], b[:, 0])
-    np.clip(dx, -far, far, out=dx)
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
-    np.clip(dy, -far, far, out=dy)
+    # a lag that overflows to inf clips to 40 like any other far one
+    with np.errstate(over="ignore"):
+        dx = np.subtract.outer(a[:, 0], b[:, 0])
+        dx /= hp.lengthscale
+        dy = np.subtract.outer(a[:, 1], b[:, 1])
+        dy /= hp.lengthscale
+    np.clip(dx, -40.0, 40.0, out=dx)
+    np.clip(dy, -40.0, 40.0, out=dy)
     np.multiply(dy, dy, out=k11)
     np.multiply(dx, dx, out=k22)
     np.multiply(dx, dy, out=k12)
-    l2 = hp.lengthscale**2
     e = k11 + k22
-    np.negative(e, out=e)
-    e /= 2.0 * l2
+    e *= -0.5
     np.exp(e, out=e)
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
-        k[0::2] = s * e
+        np.multiply(e, s, out=k11)
+        k22[...] = k11
         k12[...] = 0.0
         return k
-    # s * (1 - dy^2 / l2) * e, s * (dx dy / l2) * e and s * (1 - dx^2 / l2) * e
-    k /= l2
+    # s (1 - dy^2) e, s dx dy e and s (1 - dx^2) e
     np.subtract(1.0, k[0::2], out=k[0::2])
-    k *= s
     k *= e
+    k *= s
     return k
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftfield.cli import ConfigError, main, parse_config
 from driftfield.flowfield import read_field_csv
@@ -105,6 +112,23 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "field_current_mps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "conf, words",
+        [
+            ("field = uniform\nfield_current_mps = 0,0\n", ["waypoints_m"]),
+            ("field = foo\nwaypoints_m = 1000,0\n", ["field", "'foo'"]),
+            ("field = double_gyre\nwaypoints_m = 1000,0\n", ["double_gyre", "field_amplitude"]),
+        ],
+        ids=["no_waypoints", "unknown_field", "double_gyre_without_amplitude"],
+    )
+    def test_missing_or_unknown_value_exits_2_naming_it(self, tmp_path, capsys, conf, words):
+        path = tmp_path / "bad.conf"
+        path.write_text(conf)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(path), "--seed", "0", "--out", str(out)]) == 2
+        _one_line_error(capsys, *words)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -281,6 +305,18 @@ class TestEstimate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_partial_grid_exits_2_naming_the_grid_keys(self, tmp_path, capsys):
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text("grid_nx = 3\ngrid_ny = 3\n")
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, "grid_origin_m", "grid_spacing_m")
+        assert not out.exists()
+
     def test_overflowing_innovation_exits_2(self, tmp_path, capsys):
         # dt so large that the innovation covariance of the only cycle
         # overflows to inf
@@ -323,6 +359,51 @@ class TestLengthscaleRange:
         assert main(argv) == 2
         _one_line_error(capsys, "lengthscale")
         assert not out.exists()
+
+
+# The lengthscales HyperParams accepts: lengthscale^2 a normal float
+ACCEPTED_LENGTHSCALES = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+
+
+def _small_log(path):
+    """Three chained 8-step dives, each about 4.8 km long."""
+    lines = []
+    start = (0.0, 0.0)
+    for _ in range(3):
+        track = [[start[0] + 600.0 * i, start[1] + 60.0 * i] for i in range(9)]
+        fix = [track[-1][0] + 5.0, track[-1][1] + 3.0]
+        lines.append(json.dumps({"dt_s": 60.0, "dead_reckoned_m": track, "gps_fix_m": fix}))
+        start = fix
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestEveryAcceptedLengthscale:
+    @settings(max_examples=100, deadline=None)
+    @given(log_l=st.floats(*(math.log(v) for v in ACCEPTED_LENGTHSCALES)))
+    @example(log_l=math.log(ACCEPTED_LENGTHSCALES[0]))
+    @example(log_l=math.log(3e-151))
+    @example(log_l=math.log(1e153))
+    @example(log_l=math.log(ACCEPTED_LENGTHSCALES[1]))
+    def test_estimate_fits_or_exits_2_without_warning(self, tmp_path_factory, log_l):
+        # log-uniform over the accepted range: either a finite field or one
+        # error line, and never a numpy warning on the way
+        work = tmp_path_factory.mktemp("lengthscale")
+        _small_log(work / "cycles.jsonl")
+        (work / "hyper.conf").write_text(f"lengthscale_m = {math.exp(log_l)!r}\n")
+        out = work / "out"
+        argv = ["estimate", "--cycles", str(work / "cycles.jsonl"),
+                "--hyper", str(work / "hyper.conf"), "--out", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv)
+        if rc == 0:
+            _, uv = read_field_csv(out / "field.csv")
+            assert np.isfinite(uv).all()
+        else:
+            assert rc == 2
+            assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 class TestMonteCarlo:

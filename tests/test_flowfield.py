@@ -103,6 +103,11 @@ class TestDoubleGyre:
         assert d1 == pytest.approx(predicted, rel=0.02)
         assert d1 / d2 == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_divergence_step_must_be_positive(self, h):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            divergence_fd(lambda q: q, Vec2(0.0, 0.0), h)
+
 
 class TestUniformAndZero:
     def test_uniform_field_constant(self):

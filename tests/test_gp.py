@@ -390,6 +390,10 @@ class TestDownsample:
                 earlier = pts[sorted(k for k in kept if k < i)]
                 assert (d2(earlier, pts[i]) < s2).any()
 
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(DimensionMismatch, match=r"positions \(3, 2\) vs currents \(2, 2\)"):
+            downsample_targets(np.zeros((3, 2)), np.zeros((2, 2)), 100.0)
+
     def test_greedy_keep_first(self):
         pts = np.array([[0.0, 0.0], [50.0, 0.0], [150.0, 0.0], [160.0, 0.0], [300.0, 0.0]])
         ys = np.arange(10.0).reshape(5, 2)

@@ -1,10 +1,17 @@
 import contextlib
+import inspect
 import io
 import re
 import shlex
 from pathlib import Path
 
+from driftfield import cli
 from driftfield.cli import ALL_KEYS, main
+from driftfield.estimator import EmConfig
+from driftfield.flowfield import AnalyticField, random_gyre
+from driftfield.harness import RunConfig
+from driftfield.kernels import HyperParams
+from driftfield.simulator import VehicleConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,3 +63,32 @@ def test_configuration_tables_list_every_key():
     rows = re.findall(r"^\| (.*?) \|", _section("Configuration reference"), re.MULTILINE)
     keys = {key for row in rows for key in re.findall(r"`(\w+)`", row)}
     assert keys == ALL_KEYS
+
+
+# Each config table of the CLI and the constructor its arguments go to.
+SECTIONS = [
+    (HyperParams, cli.HYPER_ARGS),
+    (VehicleConfig, cli.VEHICLE_ARGS),
+    (EmConfig, cli.EM_ARGS),
+    (RunConfig, cli.RUN_ARGS),
+    (random_gyre, cli.FIELD_ARGS["random_gyre"]),
+] + [(AnalyticField, args) for kind, args in cli.FIELD_ARGS.items() if kind != "random_gyre"]
+# Documented defaults that are no constructor's constant.
+DERIVED_DEFAULTS = {"pseudo_target_spacing_m": "lengthscale/20", "field": "`random_gyre`"}
+
+
+def test_configuration_defaults_are_the_constructors():
+    # a default in the README is the default of the constructor argument
+    # that the key's table entry names
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| .*? \|$", _section("Configuration reference"),
+                      re.MULTILINE)
+    checked = 0
+    for key, default in rows:
+        if default.startswith("required") or DERIVED_DEFAULTS.get(key) == default:
+            continue
+        entries = [(make, table[key]) for make, table in SECTIONS if key in table]
+        assert entries, key
+        for make, (arg, parse) in entries:
+            assert parse(default.strip("`")) == inspect.signature(make).parameters[arg].default, key
+            checked += 1
+    assert checked >= 14

@@ -275,6 +275,14 @@ class TestCycleLogIO:
         with pytest.raises(ParseError, match="line 2"):
             ingest_cycles(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '"dt_s"', "null"])
+    def test_non_object_line_names_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22, 1]})
+        path.write_text(f"{good}\n{line}\n")
+        with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+            ingest_cycles(path)
+
     def test_missing_fix_field_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]]}) + "\n")

@@ -1,19 +1,26 @@
 """
-The benchmark's trace points must name callables the package still has.
+The benchmark's trace points, and the CLI functions its workloads call,
+must name callables the package still has.
 
 `perfbench/tracing.py` wraps every `TRACE_POINTS` entry at
 `owner.__dict__[name]`, so a renamed or deleted name breaks every traced
-benchmark run.
+benchmark run; a missing `cli.<name>` breaks its workload.
 """
 
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import driftfield.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import tracing  # noqa: E402  (stdlib only)
+
+WORKLOAD_CLI_CALLS = sorted(set(re.findall(r"\bcli\.(\w+)\(", (PERFBENCH / "workloads.py").read_text())))
 
 
 @pytest.mark.parametrize(
@@ -28,3 +35,11 @@ def test_trace_point_resolves(module, attribute, attrs):
     if attrs is tracing._query_attrs:
         # the span attributes read the query argument by name
         assert "query_points" in inspect.signature(target).parameters
+
+
+def test_workloads_call_the_cli_functions():
+    # workloads.py imports driftfield.cli as `cli`; a satisfied check on no
+    # call would mean that import changed
+    assert "parse_config" in WORKLOAD_CLI_CALLS
+    for name in WORKLOAD_CLI_CALLS:
+        assert callable(getattr(driftfield.cli, name, None)), name
