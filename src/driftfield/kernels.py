@@ -14,9 +14,9 @@ sigma_phi^2 = sigma_w^2 l^2, the blocks reduce to
 
 where d = p - q is the lag in metres and r = d / l the lag in
 lengthscales, the unit the code computes in. The zero-lag covariance is
-exactly sigma_w^2 * I. A standard diagonal kernel (independent squared-exponential
-on each velocity component, no divergence constraint) is provided for
-comparison runs.
+exactly sigma_w^2 * I. A standard diagonal kernel (independent
+squared-exponential on each velocity component, no divergence
+constraint) is provided for comparison runs.
 """
 
 from __future__ import annotations
@@ -176,7 +176,10 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     2e-15 over 1 lengthscale of extent, 1e-13 over 10, 6e-12 over 100
     and 3e-10 over 1000. A dive spans about one lengthscale or less. e
     is formed a block of whole rows at a time, about
-    ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small.
+    ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small. A point
+    more than about 1e154 lengthscales from the centroid overflows its
+    moments, and the sums come out inf or NaN with numpy's overflow
+    warning; `m_step` silences it and reports the non-finite result.
     """
     p = as_xy(pts)
     m = p.shape[0]

@@ -288,8 +288,10 @@ class TestEstimate:
             ("grid_origin_m = nan,0\ngrid_spacing_m = 10\ngrid_nx = 3\ngrid_ny = 3\n",
              "grid_origin_m"),
             (OVERFLOWING_GRID, "grid of 20x2 points spaced 1e+307 m from (0.0, 0.0) leaves"),
+            ("grid_nx = 3\ngrid_ny = 3\n", "got ['grid_nx', 'grid_ny']"),
         ],
-        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan", "grid_overflow"],
+        ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan", "grid_overflow",
+             "partial_grid"],
     )
     def test_non_finite_config_exits_2(self, tmp_path, capsys, conf, expected):
         hyper = tmp_path / "hyper.conf"
@@ -303,18 +305,6 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
         assert err.count("\n") == 1
-        assert not out.exists()
-
-    def test_partial_grid_exits_2_naming_the_grid_keys(self, tmp_path, capsys):
-        hyper = tmp_path / "hyper.conf"
-        hyper.write_text("grid_nx = 3\ngrid_ny = 3\n")
-        log = tmp_path / "cycles.jsonl"
-        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
-        log.write_text(json.dumps(rec) + "\n")
-        out = tmp_path / "out"
-        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
-        assert rc == 2
-        _one_line_error(capsys, "grid_origin_m", "grid_spacing_m")
         assert not out.exists()
 
     def test_overflowing_innovation_exits_2(self, tmp_path, capsys):
