@@ -147,10 +147,8 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
-    # An overflow to inf or NaN, in the row sums of a lengthscale far below
-    # the trajectory's extent or in the products below (np.square
-    # overflows where float ** would raise), is reported as a
-    # FloatingPointError just below.
+    # An overflow to inf or NaN, in the row sums of a tiny lengthscale or in
+    # np.square (where float ** would raise), is reported just below.
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cross = model.predict_sum(x[:-1])
         sigma_ct = dt * cross  # Sigma C^T as n 2x2 blocks

@@ -104,8 +104,8 @@ def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarr
     pages from the OS, each of which faults on first touch. Lags are taken
     in lengthscale units and clipped to +-40, so a far pair's squares stay
     finite and its e, at most exp(-800), is still exactly 0. Each block is
-    multiplied by e before the variance, so no intermediate value exceeds
-    current_variance.
+    multiplied by e, which bounds it by 1, before the variance, so the
+    product cannot overflow.
     """
     k = np.empty((3, a.shape[0], b.shape[0]))
     k11, k12, k22 = k
@@ -177,9 +177,7 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     and 3e-10 over 1000. A dive spans about one lengthscale or less. e
     is formed a block of whole rows at a time, about
     ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small. A point
-    more than about 1e154 lengthscales from the centroid overflows its
-    moments, and the sums come out inf or NaN with numpy's overflow
-    warning; `m_step` silences it and reports the non-finite result.
+    over about 1e154 lengthscales from the centroid makes the sums overflow.
     """
     p = as_xy(pts)
     m = p.shape[0]

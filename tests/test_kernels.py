@@ -136,20 +136,16 @@ class TestBlockMatrix:
         m = build_block_matrix(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)), np.zeros((2, 2)))
         assert m.shape == (0, 4)
 
-    @pytest.mark.parametrize(
-        "hp",
-        [HP, HyperParams(1e153, 0.5, 3.0), HyperParams(3e-151, 0.5, 3.0)],
-        ids=["35km", "1e153m", "3e-151m"],
-    )
     @pytest.mark.parametrize("kind", list(KernelKind))
-    def test_far_point_gives_exact_zeros(self, kind, hp):
+    def test_far_point_gives_exact_zeros(self, kind):
         # a lag of 1e200 m squares to inf unless it is clipped first; in
         # units of 3e-151 m it overflows before it is squared, and 40 units
         # of 1e153 m would overflow once squared
-        near = build_block_matrix(hp, kind, [[0.0, 0.0]], [[0.0, 0.0]])
-        m = build_block_matrix(hp, kind, [[0.0, 0.0], [1e200, -1e200]], [[0.0, 0.0]])
-        np.testing.assert_array_equal(m[:2], near)
-        np.testing.assert_array_equal(m[2:], np.zeros((2, 2)))
+        for hp in [HP, HyperParams(1e153, 0.5, 3.0), HyperParams(3e-151, 0.5, 3.0)]:
+            near = build_block_matrix(hp, kind, [[0.0, 0.0]], [[0.0, 0.0]])
+            m = build_block_matrix(hp, kind, [[0.0, 0.0], [1e200, -1e200]], [[0.0, 0.0]])
+            np.testing.assert_array_equal(m[:2], near)
+            np.testing.assert_array_equal(m[2:], np.zeros((2, 2)))
 
 
 class TestBlockRowSums:
