@@ -73,7 +73,7 @@ SECTIONS = [
     (RunConfig, cli.RUN_ARGS),
     (random_gyre, cli.FIELD_ARGS["random_gyre"]),
 ] + [(AnalyticField, args) for kind, args in cli.FIELD_ARGS.items() if kind != "random_gyre"]
-# Documented defaults that are no constructor's constant.
+# README defaults that no constructor holds.
 DERIVED_DEFAULTS = {"pseudo_target_spacing_m": "lengthscale/20", "field": "`random_gyre`"}
 
 
