@@ -244,9 +244,16 @@ def downsample_targets(positions, currents, min_spacing: float):
     if min_spacing <= 0:
         return p, c
     s2 = min_spacing**2
-    kept, kept_xy = [], []
-    for i, (x, y) in enumerate(p.tolist()):
-        if all((x - kx) * (x - kx) + (y - ky) * (y - ky) >= s2 for kx, ky in kept_xy):
+    x, y = p.T
+    free = np.ones(len(p), dtype=bool)
+    kept = []
+    # an overflowing or infinite lag compares as a plain float would
+    with np.errstate(over="ignore", invalid="ignore"):
+        while free.any():
+            i = int(free.argmax())
             kept.append(i)
-            kept_xy.append((x, y))
+            free[i] = False  # s2 can underflow to 0
+            dx = x - x[i]
+            dy = y - y[i]
+            free &= dx * dx + dy * dy >= s2
     return p[kept], c[kept]

@@ -41,10 +41,10 @@ __all__ = [
 
 # Entries of the pairwise exponential that `block_row_sums` holds at once
 # (256 KiB of float64), against 2.8 MB for the whole (M, M) array of a
-# 587-point dive; temporaries that large get fresh pages from the OS on
-# every call (about 1300 page faults each). These blocks still exceed
-# glibc's default 128 KiB mmap threshold, so they come from the heap only
-# once freeing a larger mmapped chunk has raised the dynamic threshold.
+# 587-point dive. The one buffer of this size per call is the only large
+# array: glibc mmaps it on the first call, and freeing it raises the
+# dynamic mmap threshold, so later calls take it from the heap (0 minor
+# page faults per call at M = 389). 8192 entries ran about 30% slower there.
 ROW_SUM_BLOCK_ENTRIES = 32768
 
 
@@ -170,38 +170,50 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
         sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i,
 
     with m0 = e @ 1, my = e @ y and myy = e @ y^2. The points are first
-    centred on their centroid and scaled to lengthscale units. The
-    expansion still cancels: against the dense sum, the error scaled by
-    each row's magnitude is about eps * (extent / l)^2, measured below
-    2e-15 over 1 lengthscale of extent, 1e-13 over 10, 6e-12 over 100
-    and 3e-10 over 1000. A dive spans about one lengthscale or less. e
-    is formed a block of whole rows at a time, about
-    ROW_SUM_BLOCK_ENTRIES entries, so its temporaries stay small. A point
-    over about 1e154 lengthscales from the centroid makes the sums overflow.
+    centred on their centroid and scaled to lengthscale units, where each
+    exponent is a rank-4 product,
+
+        -|p_i - p_j|^2 / 2 = p_i . p_j - h_i - h_j,   h = |p|^2 / 2,
+
+    the rows of [x, y, -h, 1] times the columns of [x, y, 1, -h]. Three
+    guards hold where that rounds badly: e_ii is exactly 1, a NaN
+    exponent (from an h that overflowed) counts as a far pair, and a
+    positive one is clamped to 0, so no e exceeds 1. Both expansions
+    cancel: against the dense sum, each error scaled by its row's absolute
+    sum is about eps * (extent / l)^2, measured at 1.5e-15, 3.7e-14,
+    1.6e-12 and 4.9e-11 over 1, 10, 100 and 1000 lengthscales of extent
+    (200 points). A dive spans about one lengthscale or less. e is formed
+    a block of whole rows at a time in one buffer of about
+    ROW_SUM_BLOCK_ENTRIES entries. A point over about 1e154 lengthscales
+    from the centroid makes the incompressible sums overflow.
     """
     p = as_xy(pts)
     m = p.shape[0]
     x, y = (p - p.sum(axis=0) / max(m, 1)).T / hp.lengthscale
+    one = np.ones_like(x)
+    xx, yy = x * x, y * y
     if kind is KernelKind.STANDARD_DIAGONAL:
-        moments = np.ones((m, 1))
+        moments = one[:, None]
     else:
-        moments = np.column_stack([np.ones_like(x), x, y, x * x, y * y, x * y])
+        moments = np.column_stack([one, x, y, xx, yy, x * y])
+    h = 0.5 * (xx + yy)
+    left = np.column_stack([x, y, -h, one])
+    right = np.stack([x, y, one, -h])
     sums = np.empty((m, moments.shape[1]))
     rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
+    buf = np.empty((min(rows, m), m))
     for i in range(0, m, rows):
-        e = np.subtract.outer(x[i : i + rows], x)
-        e *= e
-        d = np.subtract.outer(y[i : i + rows], y)
-        d *= d
-        e += d
-        e *= -0.5
+        e = np.matmul(left[i : i + rows], right, out=buf[: min(rows, m - i)])
+        np.fill_diagonal(e[:, i:], 0.0)
+        np.fmax(e, -np.inf, out=e)  # NaN, from inf - inf, to -inf
+        np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         np.matmul(e, moments, out=sums[i : i + rows])
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
         return s * sums[:, 0, None, None] * np.eye(2)
     m0, mx, my, mxx, myy, mxy = sums.T
-    k11 = m0 - (y * y * m0 - 2.0 * y * my + myy)
-    k22 = m0 - (x * x * m0 - 2.0 * x * mx + mxx)
+    k11 = m0 - (yy * m0 - 2.0 * y * my + myy)
+    k22 = m0 - (xx * m0 - 2.0 * x * mx + mxx)
     k12 = x * y * m0 - x * my - y * mx + mxy
     return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)

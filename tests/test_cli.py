@@ -395,6 +395,30 @@ class TestEveryAcceptedLengthscale:
             assert rc == 2
             assert err.getvalue().splitlines()[-1].startswith("error: ")
 
+    @settings(max_examples=50, deadline=None)
+    @given(log_l=st.floats(*(math.log(v) for v in ACCEPTED_LENGTHSCALES)))
+    @example(log_l=math.log(ACCEPTED_LENGTHSCALES[0]))
+    @example(log_l=math.log(3e-151))
+    @example(log_l=math.log(ACCEPTED_LENGTHSCALES[1]))
+    def test_montecarlo_reports_or_exits_2_without_warning(self, tmp_path_factory, log_l):
+        # NaN and Infinity are not JSON, so a report must hold neither
+        work = tmp_path_factory.mktemp("lengthscale")
+        conf = work / "mc.conf"
+        conf.write_text(MC_CONF.replace("trials = 2", "trials = 1") + f"lengthscale_m = {math.exp(log_l)!r}\n")
+        out = work / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["montecarlo", "--config", str(conf), "--out", str(out)])
+        if rc == 0:
+            summary = (out / "summary.json").read_text()
+            assert "NaN" not in summary and "Infinity" not in summary
+        else:
+            assert rc == 2
+            lines = err.getvalue().splitlines()
+            assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+
 
 class TestMonteCarlo:
     def test_writes_report(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,7 +172,11 @@ class TestModelGrowth:
         np.testing.assert_array_equal(twice.positions, once.positions)
         np.testing.assert_array_equal(twice.currents, once.currents)
         q = rng.uniform(-5e4, 5e4, size=(5, 2))
-        np.testing.assert_allclose(twice.predict_mean(q), once.predict_mean(q), rtol=1e-9, atol=1e-12)
+        # the two factors round differently, so a mean near 0 differs by
+        # about cond * eps relative to the currents, as in
+        # assert_matches_dense_factor
+        scale = np.abs(ys).max(initial=0.0)
+        np.testing.assert_allclose(twice.predict_mean(q), once.predict_mean(q), rtol=1e-9, atol=1e-9 * scale)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -400,6 +406,18 @@ class TestDownsample:
         kept_p, kept_y = downsample_targets(pts, ys, min_spacing=100.0)
         np.testing.assert_array_equal(kept_p, [[0.0, 0.0], [150.0, 0.0], [300.0, 0.0]])
         np.testing.assert_array_equal(kept_y, [[0.0, 1.0], [4.0, 5.0], [8.0, 9.0]])
+
+    def test_overflowing_lags_match_the_plain_float_loop(self):
+        # (1e200 - 0)^2 overflows to inf and inf - inf is NaN, which compares
+        # false, as in a loop over Python floats; no warning is raised
+        pts = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 5.0], [np.inf, 0.0], [np.inf, 1.0], [10.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept_p, _ = downsample_targets(pts, pts, 100.0)
+            # a spacing whose square underflows to 0 keeps every point but inf - inf
+            tiny_p, _ = downsample_targets(pts, pts, 1e-170)
+        np.testing.assert_array_equal(kept_p, [[0.0, 0.0], [1e200, 0.0], [np.inf, 0.0]])
+        np.testing.assert_array_equal(tiny_p, np.delete(pts, 4, axis=0))
 
     def test_zero_spacing_keeps_all(self):
         pts = np.zeros((4, 2))

@@ -179,12 +179,43 @@ class TestBlockRowSums:
         monkeypatch.setattr(kernels, "ROW_SUM_BLOCK_ENTRIES", entries)
         np.testing.assert_allclose(block_row_sums(HP, kind, q), whole, rtol=1e-13, atol=1e-16)
 
+    @pytest.mark.parametrize(
+        ("kind", "lengthscale"),
+        [(kind, lengthscale) for kind in KernelKind for lengthscale in (1e-6, 1e-30)]
+        + [(KernelKind.STANDARD_DIAGONAL, 1.5e-154)],
+    )
+    def test_far_apart_points_leave_only_their_own_variance(self, kind, lengthscale):
+        # every exponent but a point's own is far below -800, and at
+        # 1.5e-154 m |p|^2 / 2 overflows to inf
+        q = _points_apart(6)
+        hp = HyperParams(lengthscale, 0.5, 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = block_row_sums(hp, kind, q)
+        np.testing.assert_array_equal(sums, np.broadcast_to(0.5 * np.eye(2), (300, 2, 2)))
+
+    def test_coincident_points_keep_each_exponential_at_most_1(self):
+        # at 1e-30 m a coincident pair's exponent is known only to within
+        # about 1e49, but each e is still at most 1
+        q = _points_apart(7)
+        hp = HyperParams(1e-30, 0.5, 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = block_row_sums(hp, KernelKind.STANDARD_DIAGONAL, np.concatenate([q, q]))
+        assert (sums[:, 0, 0] >= 0.5).all() and (sums[:, 0, 0] <= 1.0).all()
+        np.testing.assert_array_equal(sums[:, 0, 1], 0.0)
+
 
 def dense_row_sums(kind, q):
     # oracle: the dense (2M, 2M) block matrix times M stacked identities,
     # its interleaved rows regrouped into 2x2 blocks
     dense = build_block_matrix(HP, kind, q, q) @ np.tile(np.eye(2), (len(q), 1))
     return dense.reshape(-1, 2, 2)
+
+
+def _points_apart(seed: int) -> np.ndarray:
+    """300 points of a 25 m grid, each moved by up to 2 m: at least 21 m apart."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(np.arange(20.0), np.arange(15.0)), axis=-1).reshape(-1, 2)
+    return 25.0 * grid + rng.uniform(-2.0, 2.0, size=grid.shape)
 
 
 def _sum_tolerance(num_points: int) -> float:
