@@ -84,8 +84,11 @@ class EmConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         positive("convergence_tol", self.convergence_tol)
-        if self.pseudo_target_spacing is not None:
-            non_negative("pseudo_target_spacing", self.pseudo_target_spacing)
+        s = self.pseudo_target_spacing
+        if s is not None:
+            non_negative("pseudo_target_spacing", s)
+            if not math.isfinite(s * s):  # downsample_targets squares it
+                raise ValueError(f"pseudo_target_spacing {s!r} out of range: its square must be finite")
 
     def spacing_for(self, hp: HyperParams) -> float:
         if self.pseudo_target_spacing is None:
@@ -147,8 +150,8 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
-    # An overflow to inf or NaN, in the row sums of a tiny lengthscale or in
-    # np.square (where float ** would raise), is reported just below.
+    # An overflow to inf or NaN in predict_sum's prior - out, the dt products or
+    # np.square (where float ** would raise) is reported just below.
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cross = model.predict_sum(x[:-1])
         sigma_ct = dt * cross  # Sigma C^T as n 2x2 blocks

@@ -90,23 +90,21 @@ class GpModel:
                 f"positions {self.positions.shape} vs currents {self.currents.shape}"
             )
         self._l = np.zeros((0, 0))
-        self._grow(self.positions[:0], self.positions)
+        self._grow(0)
 
     @property
     def num_targets(self) -> int:
         return self.positions.shape[0]
 
-    def _grow(self, old_positions, new_positions):
+    def _grow(self, n_old: int):
         """
-        Extend `_l`, the lower factor of Gram + noise at `old_positions`,
-        by the block of `new_positions`, then solve for `_alpha` against
+        Extend `_l`, the lower factor of Gram + noise at the first `n_old`
+        targets, by the block of the rest, then solve for `_alpha` against
         `self.currents`. Jitter goes on the new block's Schur complement
         only, so the old factor is reused exactly.
         """
-        n1, n2 = 2 * len(old_positions), 2 * len(new_positions)
-        k2 = build_block_matrix(
-            self.hp, self.kind, new_positions, np.vstack([old_positions, new_positions])
-        )
+        n1, n2 = 2 * n_old, 2 * (self.num_targets - n_old)
+        k2 = build_block_matrix(self.hp, self.kind, self.positions[n_old:], self.positions)
         # L11 is finite by construction; a non-finite position makes
         # the Schur complement non-finite, which cho_factor rejects.
         l21 = solve_triangular(self._l, k2[:, :n1].T, lower=True, check_finite=False).T
@@ -194,7 +192,7 @@ class GpModel:
         child = copy.copy(self)
         child.positions = np.vstack([self.positions, new_p])
         child.currents = np.vstack([self.currents, new_c])
-        child._grow(self.positions, new_p)
+        child._grow(self.num_targets)
         return child
 
     def to_json(self) -> str:

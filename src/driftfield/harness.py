@@ -37,14 +37,12 @@ from driftfield.simulator import MissionAborted, VehicleConfig, run_mission
 __all__ = [
     "RunConfig",
     "ConvergenceReport",
-    "TrialResult",
     "DegenerateTruth",
     "SPEED_MASK_EPS",
     "normalized_error",
     "default_grid",
     "monte_carlo",
     "emit_report",
-    "read_convergence_csv",
 ]
 
 # Grid points where the true current is slower than this are excluded
@@ -251,26 +249,3 @@ def emit_report(report: ConvergenceReport, out_dir, include_fields: bool = False
                 write_field_csv(p, report.grid, mats[row])
                 written.append(p)
     return written
-
-
-def read_convergence_csv(path) -> dict:
-    """
-    Parse convergence.csv back into {kernel: {trial: [error per cycle]}}.
-    Cycle order is preserved; floats round-trip exactly.
-    """
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != CONVERGENCE_HEADER:
-        raise ValueError(f"unexpected convergence CSV header: {text[:1]}")
-    out = {}
-    for line in text[1:]:
-        if not line:
-            continue
-        trial_s, cycle_s, kernel, err_s = line.split(",")
-        out.setdefault(kernel, {}).setdefault(int(trial_s), []).append(
-            (int(cycle_s), float(err_s))
-        )
-    for kernel in out:
-        for trial, pairs in out[kernel].items():
-            pairs.sort(key=lambda p: p[0])
-            out[kernel][trial] = [e for _, e in pairs]
-    return out

@@ -34,7 +34,6 @@ __all__ = [
     "HyperParams",
     "KernelKind",
     "eval_scalar_kernel",
-    "eval_kernel",
     "build_block_matrix",
     "block_row_sums",
 ]
@@ -68,7 +67,9 @@ class HyperParams:
         positive("lengthscale", self.lengthscale)
         positive("current_variance", self.current_variance)
         non_negative("gps_noise_std", self.gps_noise_std)
-        l2 = self.lengthscale * self.lengthscale  # the kernels divide by it
+        # Only eval_scalar_kernel and streamfunction_variance form l^2 (the matrix kernel and
+        # the row sums divide by l): the rule keeps 2 l^2 off zero and sigma_phi^2 finite.
+        l2 = self.lengthscale * self.lengthscale
         if not (l2 >= sys.float_info.min and math.isfinite(self.current_variance * l2)):
             raise ValueError(f"lengthscale {self.lengthscale!r} out of range: lengthscale^2 "
                              "must be normal and current_variance * lengthscale^2 finite")
@@ -89,11 +90,6 @@ def eval_scalar_kernel(hp: HyperParams, p: Vec2, q: Vec2) -> float:
     dy = p.y - q.y
     l2 = hp.lengthscale**2
     return hp.streamfunction_variance * math.exp(-(dx * dx + dy * dy) / (2.0 * l2))
-
-
-def eval_kernel(hp: HyperParams, kind: KernelKind, p: Vec2, q: Vec2) -> np.ndarray:
-    """2x2 cross-covariance of the currents at p and q."""
-    return build_block_matrix(hp, kind, [p], [q])
 
 
 def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarray):
@@ -154,6 +150,7 @@ def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.nd
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     """
     Block row sums of the covariance of (M, 2) points with themselves.
@@ -184,8 +181,9 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     1.6e-12 and 4.9e-11 over 1, 10, 100 and 1000 lengthscales of extent
     (200 points). A dive spans about one lengthscale or less. e is formed
     a block of whole rows at a time in one buffer of about
-    ROW_SUM_BLOCK_ENTRIES entries. A point over about 1e154 lengthscales
-    from the centroid makes the incompressible sums overflow.
+    ROW_SUM_BLOCK_ENTRIES entries. A point more than about 1e154
+    lengthscales from the centroid makes the incompressible sums
+    non-finite, with no warning.
     """
     p = as_xy(pts)
     m = p.shape[0]

@@ -19,7 +19,7 @@ from driftfield.flowfield import (
     random_gyre,
 )
 from driftfield.gp import GpModel
-from driftfield.kernels import HyperParams, KernelKind, build_block_matrix, eval_kernel, eval_scalar_kernel
+from driftfield.kernels import HyperParams, KernelKind, build_block_matrix, eval_scalar_kernel
 from driftfield.simulator import VehicleConfig, ingest_cycles, run_mission, write_cycles
 from driftfield.estimator import EmConfig, m_step, process_mission
 from driftfield.harness import RunConfig, emit_report, monte_carlo
@@ -67,13 +67,13 @@ def test_1_kernel_matches_finite_differences():
     worst = 0.0
     for _ in range(100):
         dx, dy = rng.uniform(-3.0 * HP.lengthscale, 3.0 * HP.lengthscale, size=2)
-        k = eval_kernel(HP, KernelKind.INCOMPRESSIBLE, Vec2(dx, dy), origin)
+        k = build_block_matrix(HP, KernelKind.INCOMPRESSIBLE, [Vec2(dx, dy)], [origin])
         fd11 = -(g(dx, dy + h) - 2 * g(dx, dy) + g(dx, dy - h)) / h**2
         fd22 = -(g(dx + h, dy) - 2 * g(dx, dy) + g(dx - h, dy)) / h**2
         fd12 = (g(dx + h, dy + h) - g(dx + h, dy - h) - g(dx - h, dy + h) + g(dx - h, dy - h)) / (4 * h**2)
         fd = np.array([[fd11, fd12], [fd12, fd22]])
         worst = max(worst, np.abs(k - fd).max() / HP.current_variance)
-    zero_lag = eval_kernel(HP, KernelKind.INCOMPRESSIBLE, Vec2(5.0, -9.0), Vec2(5.0, -9.0))
+    zero_lag = build_block_matrix(HP, KernelKind.INCOMPRESSIBLE, [Vec2(5.0, -9.0)], [Vec2(5.0, -9.0)])
     exact = (
         zero_lag[0, 0] == HP.current_variance
         and zero_lag[1, 1] == HP.current_variance

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from driftfield.cli import ConfigError, main, parse_config
 from driftfield.flowfield import read_field_csv
 from driftfield.gp import GpModel
-from driftfield.harness import read_convergence_csv
 from driftfield.simulator import ingest_cycles
 
 MISSION_CONF = """
@@ -289,9 +288,11 @@ class TestEstimate:
              "grid_origin_m"),
             (OVERFLOWING_GRID, "grid of 20x2 points spaced 1e+307 m from (0.0, 0.0) leaves"),
             ("grid_nx = 3\ngrid_ny = 3\n", "got ['grid_nx', 'grid_ny']"),
+            ("pseudo_target_spacing_m = 1e200\n",
+             "pseudo_target_spacing 1e+200 out of range: its square must be finite"),
         ],
         ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan", "grid_overflow",
-             "partial_grid"],
+             "partial_grid", "spacing_overflow"],
     )
     def test_non_finite_config_exits_2(self, tmp_path, capsys, conf, expected):
         hyper = tmp_path / "hyper.conf"
@@ -428,8 +429,8 @@ class TestMonteCarlo:
         rc = main(["montecarlo", "--config", str(conf), "--out", str(out)])
         assert rc == 0
         assert "2/2 trials kept" in capsys.readouterr().out
-        parsed = read_convergence_csv(out / "convergence.csv")
-        assert set(parsed) == {"incompressible", "standard_diagonal"}
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+        assert {kernel for _, _, kernel, _ in rows} == {"incompressible", "standard_diagonal"}
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kept_trials"] == 2
 
