@@ -14,8 +14,7 @@ The gyre is a steady checkerboard of counter-rotating cells of size
 Lx x Ly. `AnalyticField` builds every field from c, A, the cell size
 and a phase shift; c and A default to zero, the still field.
 
-All fields are exactly divergence-free by construction; `divergence_fd`
-gives a central-difference estimate useful as a numerical cross-check.
+All fields are exactly divergence-free by construction.
 Positions are metres, velocities m/s, streamfunction m^2/s.
 """
 
@@ -32,7 +31,6 @@ __all__ = [
     "Grid",
     "eval_field",
     "eval_field_many",
-    "divergence_fd",
     "random_gyre",
     "write_field_csv",
     "read_field_csv",
@@ -135,22 +133,6 @@ def eval_field_many(f: AnalyticField, points) -> np.ndarray:
     if not np.isfinite(xy).all():
         raise ValueError("query points must be finite")
     return as_xy([eval_field(f, x, y) for x, y in xy.tolist()])
-
-
-def divergence_fd(f, p: Vec2, h: float) -> float:
-    """
-    Central-difference divergence of a vector field at p.
-
-    `f` is any callable Vec2 -> Vec2; `h` is the step in metres. Returns
-    (f_x(p+h*ex) - f_x(p-h*ex) + f_y(p+h*ey) - f_y(p-h*ey)) / (2h), in 1/s.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    fx_p = f(Vec2(p.x + h, p.y)).x
-    fx_m = f(Vec2(p.x - h, p.y)).x
-    fy_p = f(Vec2(p.x, p.y + h)).y
-    fy_m = f(Vec2(p.x, p.y - h)).y
-    return (fx_p - fx_m + fy_p - fy_m) / (2.0 * h)
 
 
 # Sampling ranges for random gyres. Cell extents are drawn uniformly per

@@ -28,12 +28,11 @@ from enum import Enum
 
 import numpy as np
 
-from driftfield.flowfield import Vec2, as_xy, non_negative, positive
+from driftfield.flowfield import as_xy, non_negative, positive
 
 __all__ = [
     "HyperParams",
     "KernelKind",
-    "eval_scalar_kernel",
     "build_block_matrix",
     "block_row_sums",
 ]
@@ -54,8 +53,7 @@ class HyperParams:
 
     lengthscale: spatial correlation scale of the current field, metres.
     current_variance: prior marginal variance of each velocity component,
-        m^2/s^2. The implied streamfunction variance is
-        current_variance * lengthscale^2.
+        m^2/s^2.
     gps_noise_std: GPS fix noise standard deviation per axis, metres.
     """
 
@@ -67,29 +65,17 @@ class HyperParams:
         positive("lengthscale", self.lengthscale)
         positive("current_variance", self.current_variance)
         non_negative("gps_noise_std", self.gps_noise_std)
-        # Only eval_scalar_kernel and streamfunction_variance form l^2 (the matrix kernel and
-        # the row sums divide by l): the rule keeps 2 l^2 off zero and sigma_phi^2 finite.
-        l2 = self.lengthscale * self.lengthscale
-        if not (l2 >= sys.float_info.min and math.isfinite(self.current_variance * l2)):
-            raise ValueError(f"lengthscale {self.lengthscale!r} out of range: lengthscale^2 "
-                             "must be normal and current_variance * lengthscale^2 finite")
-
-    @property
-    def streamfunction_variance(self) -> float:
-        return self.current_variance * self.lengthscale**2
+        # The default thinning spacing, l / 20, is squared by downsample_targets, so l^2
+        # must be finite. Below a normal l^2, a km-scale dive overflows the row sums'
+        # centred coordinates and every cycle fails: a config error says it better.
+        if not (sys.float_info.min <= self.lengthscale * self.lengthscale < math.inf):
+            raise ValueError(f"lengthscale {self.lengthscale!r} out of range: "
+                             "its square must be normal and finite")
 
 
 class KernelKind(Enum):
     INCOMPRESSIBLE = "incompressible"
     STANDARD_DIAGONAL = "standard_diagonal"
-
-
-def eval_scalar_kernel(hp: HyperParams, p: Vec2, q: Vec2) -> float:
-    """Squared-exponential streamfunction covariance g(p - q), in m^4/s^2."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    l2 = hp.lengthscale**2
-    return hp.streamfunction_variance * math.exp(-(dx * dx + dy * dy) / (2.0 * l2))
 
 
 def _kernel_blocks(hp: HyperParams, kind: KernelKind, a: np.ndarray, b: np.ndarray):

@@ -14,15 +14,15 @@ from driftfield.flowfield import (
     AnalyticField,
     Grid,
     Vec2,
-    divergence_fd,
     eval_field_many,
     random_gyre,
 )
 from driftfield.gp import GpModel
-from driftfield.kernels import HyperParams, KernelKind, build_block_matrix, eval_scalar_kernel
+from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
 from driftfield.simulator import VehicleConfig, ingest_cycles, run_mission, write_cycles
 from driftfield.estimator import EmConfig, m_step, process_mission
 from driftfield.harness import RunConfig, emit_report, monte_carlo
+from oracles import divergence_fd, eval_scalar_kernel
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 

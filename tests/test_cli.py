@@ -330,7 +330,7 @@ class TestEstimate:
 
 
 class TestLengthscaleRange:
-    """A lengthscale whose square, or whose streamfunction variance, leaves the float range."""
+    """A lengthscale whose square leaves the normal float range."""
 
     @pytest.mark.parametrize("value", ["1e160", "1e-160"])
     @pytest.mark.parametrize("command", ["estimate", "montecarlo"])

@@ -9,13 +9,13 @@ from driftfield.flowfield import (
     AnalyticField,
     Grid,
     Vec2,
-    divergence_fd,
     eval_field,
     eval_field_many,
     random_gyre,
     read_field_csv,
     write_field_csv,
 )
+from oracles import divergence_fd
 
 
 def eval_streamfunction(f: AnalyticField, p: Vec2) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftfield.flowfield import AnalyticField, Vec2, divergence_fd, eval_field_many, random_gyre
+from driftfield.flowfield import AnalyticField, Vec2, eval_field_many, random_gyre
 from driftfield.gp import (
     DEFAULT_TARGET_NOISE_VAR,
     JITTER_START,
@@ -15,6 +15,7 @@ from driftfield.gp import (
     downsample_targets,
 )
 from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
+from oracles import divergence_fd
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 

@@ -12,8 +12,8 @@ from driftfield.kernels import (
     KernelKind,
     block_row_sums,
     build_block_matrix,
-    eval_scalar_kernel,
 )
+from oracles import eval_scalar_kernel
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 
@@ -41,9 +41,7 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(35000.0, 0.5, -0.1)
         HyperParams(35000.0, 0.5, 0.0)  # zero GPS noise is legal
-
-    def test_streamfunction_variance(self):
-        assert HP.streamfunction_variance == pytest.approx(0.5 * 35000.0**2)
+        HyperParams(35000.0, 1e300, 3.0)  # so is a variance whose product with l^2 overflows
 
 
 class TestScalarKernel:

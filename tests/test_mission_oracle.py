@@ -1,0 +1,68 @@
+"""
+The whole mission loop against its dense reference: the order targets
+enter the factor, each cycle's EM against the model grown so far, and
+thinning, over chained dives.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftfield.flowfield import Vec2
+from driftfield.gp import DEFAULT_TARGET_NOISE_VAR
+from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
+from driftfield.simulator import Cycle, MissionLog
+from driftfield.estimator import EmConfig, process_mission
+from oracles import dense_process_mission
+
+HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
+
+
+@st.composite
+def missions(draw):
+    """2-5 chained dives of 3-12 steps of 100-1000 m, each starting at the last fix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cycles, start = [], np.zeros(2)
+    for _ in range(draw(st.integers(2, 5))):
+        n = draw(st.integers(3, 12))
+        dt = rng.uniform(60.0, 600.0)
+        heading = rng.uniform(0.0, 2.0 * np.pi, n)
+        steps = rng.uniform(100.0, 1000.0, (n, 1)) * np.column_stack([np.cos(heading), np.sin(heading)])
+        dr = start + np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+        fix = dr[-1] + n * dt * rng.uniform(-0.3, 0.3, 2)
+        cycles.append(Cycle(dt, dr, Vec2(*fix.tolist())))
+        start = fix
+    return MissionLog(cycles)
+
+
+@given(
+    missions(),
+    st.sampled_from(list(KernelKind)),
+    st.floats(0.0, HP.lengthscale / 5),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_dense_mission(log, kind, spacing, max_iters):
+    # No delta but an exact 0 falls below this tolerance, so both sides run
+    # max_iters iterations unless one lands on an exact fixed point.
+    cfg = EmConfig(max_iters=max_iters, convergence_tol=5e-324, pseudo_target_spacing=spacing)
+    model, states = process_mission(log, HP, kind, cfg)
+    pos, cur, dense_states = dense_process_mission(log, HP, kind, cfg)
+    # Both sides are backward stable, so they agree to about cond * eps
+    # relative to each array's scale, as in test_gp.py's
+    # assert_matches_dense_factor, where the noisy Gram matrix has
+    # cond <= 1 + 2N var / noise. Each EM iteration and cycle carries the
+    # last one's error forward: the worst of 1500 examples was 5.4 cond * eps.
+    cond = 1.0 + 2 * len(pos) * HP.current_variance / DEFAULT_TARGET_NOISE_VAR
+    tol = 100 * cond * np.finfo(float).eps
+    for state, (x, w), cycle in zip(states, dense_states, log.cycles):
+        assert state.error is None
+        moved = x - cycle.dead_reckoned
+        np.testing.assert_allclose(state.trajectory - cycle.dead_reckoned, moved, rtol=tol,
+                                   atol=tol * np.abs(moved).max())
+        np.testing.assert_allclose(state.currents, w, rtol=tol, atol=tol * np.abs(w).max())
+    assert model.num_targets == len(pos)
+    query = np.array([[0.0, 0.0], [5e3, -2e3], [-8e3, 1.1e4]])
+    gram = build_block_matrix(HP, kind, pos, pos) + DEFAULT_TARGET_NOISE_VAR * np.eye(2 * len(pos))
+    want = (build_block_matrix(HP, kind, pos, query).T @ np.linalg.solve(gram, cur.reshape(-1))).reshape(-1, 2)
+    np.testing.assert_allclose(model.predict_mean(query), want, rtol=tol, atol=tol * np.abs(cur).max())
