@@ -41,7 +41,7 @@ from driftfield.flowfield import Vec2, as_xy, frozen_xy, non_negative, positive
 # Unused, but perfbench/tracing.py wraps this name and fails without it;
 # drop the import together with that trace point.
 from driftfield.flowfield import to_vec2_list  # noqa: F401
-from driftfield.gp import DimensionMismatch, FactorizationFailure, GpModel, downsample_targets
+from driftfield.gp import DimensionMismatch, GpModel, downsample_targets
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import Cycle, MissionLog
 
@@ -160,7 +160,8 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     if not np.isfinite(s_mat).all():
         raise FloatingPointError(
             f"innovation covariance is not finite (dt = {dt} s, "
-            f"GPS noise {model.hp.gps_noise_std} m, lengthscale {model.hp.lengthscale} m)"
+            f"GPS noise {model.hp.gps_noise_std} m, lengthscale {model.hp.lengthscale} m, "
+            f"current variance {model.hp.current_variance} m^2/s^2)"
         )
     innov = drift.as_array() - dt * mean.sum(axis=0)
     try:
@@ -187,8 +188,11 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
     iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
         w, _ = m_step(model, x, cycle.drift, cycle.dt)
-        x_new = e_step(dr, w, cycle.dt)
-        delta = float(np.linalg.norm(x_new - x, axis=1).max())
+        # An overflow to inf or NaN in the trajectory is reported after
+        # the loop; in the delta it only keeps the cycle iterating.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = e_step(dr, w, cycle.dt)
+            delta = float(np.linalg.norm(x_new - x, axis=1).max())
         x = x_new
         if delta < cfg.convergence_tol:
             converged = True
@@ -207,7 +211,6 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
 # Failures that stay isolated to their cycle; anything else is a bug and
 # propagates.
 _NUMERICAL_FAILURES = (
-    FactorizationFailure,
     SingularInnovation,
     np.linalg.LinAlgError,
     FloatingPointError,
@@ -236,12 +239,12 @@ def iter_process_mission(
 
     The model grows by the cycle's converged currents, placed at the
     reconstructed trajectory points and thinned to the configured
-    spacing. A cycle that fails numerically (a failed factorisation, a
-    singular innovation, a linear-algebra or floating-point error)
-    yields an error state and leaves the model unchanged; later cycles
-    still run. Any other exception propagates. A failed cycle, and one
-    that reaches the iteration cap without converging, each log a
-    warning naming the cycle's index.
+    spacing. A cycle that fails numerically (a singular innovation, a
+    linear-algebra error such as a Cholesky factor that will not grow,
+    or a floating-point error) yields an error state and leaves the
+    model unchanged; later cycles still run. Any other exception
+    propagates. A failed cycle, and one that reaches the iteration cap
+    without converging, each log a warning naming the cycle's index.
     """
     model = GpModel(hp, kind)
     spacing = cfg.spacing_for(hp)

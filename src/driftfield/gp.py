@@ -34,7 +34,6 @@ from driftfield.kernels import (
 
 __all__ = [
     "GpModel",
-    "FactorizationFailure",
     "DimensionMismatch",
     "downsample_targets",
     "DEFAULT_TARGET_NOISE_VAR",
@@ -44,17 +43,6 @@ __all__ = [
 # plausible current variance but large enough to keep the Gram matrix
 # factorisable with near-duplicate target positions.
 DEFAULT_TARGET_NOISE_VAR = 1e-4
-
-# Jitter escalation when the Cholesky of an appended block fails: add
-# JITTER_START (relative to the current variance) to that block's
-# diagonal, ten times as much after each further failure, and give up
-# after JITTER_ATTEMPTS attempts.
-JITTER_START = 1e-10
-JITTER_ATTEMPTS = 7
-
-
-class FactorizationFailure(Exception):
-    """Training covariance could not be factorised even with jitter."""
 
 
 class DimensionMismatch(Exception):
@@ -100,8 +88,10 @@ class GpModel:
         """
         Extend `_l`, the lower factor of Gram + noise at the first `n_old`
         targets, by the block of the rest, then solve for `_alpha` against
-        `self.currents`. Jitter goes on the new block's Schur complement
-        only, so the old factor is reused exactly.
+        `self.currents`. The old factor is reused exactly. The noise
+        floor keeps the Schur complement positive definite (Rasmussen &
+        Williams 2006, *GPML*, Algorithm 2.1); one that is not raises
+        `cho_factor`'s `LinAlgError`, and the parent model is untouched.
         """
         n1, n2 = 2 * n_old, 2 * (self.num_targets - n_old)
         k2 = build_block_matrix(self.hp, self.kind, self.positions[n_old:], self.positions)
@@ -111,21 +101,7 @@ class GpModel:
         schur = k2[:, n1:]
         schur -= l21 @ l21.T
         schur[np.diag_indices_from(schur)] += self.target_noise_var
-        jitter = JITTER_START * self.hp.current_variance
-        last_err = None
-        for _ in range(JITTER_ATTEMPTS):
-            try:
-                l22 = cho_factor(schur, lower=True)[0]
-                break
-            except np.linalg.LinAlgError as err:
-                last_err = err
-                schur[np.diag_indices_from(schur)] += jitter
-                jitter *= 10.0
-        else:
-            raise FactorizationFailure(
-                f"Cholesky failed appending {n2 // 2} targets to {n1 // 2} after "
-                f"{JITTER_ATTEMPTS} jitter escalations"
-            ) from last_err
+        l22 = cho_factor(schur, lower=True)[0]
         # Free the Gram block before the new factor is allocated: when a
         # model is built with all its targets, each is (2N, 2N).
         del k2, schur

@@ -328,6 +328,24 @@ class TestEstimate:
         assert states[0]["error"].startswith("FloatingPointError")
         assert not (out / "model.json").exists()
 
+    def test_overflowing_trajectory_exits_2_without_warning(self, tmp_path, capsys):
+        # the E-step's running sum and the delta overflow to inf and NaN;
+        # only the named failure may report it, not a numpy RuntimeWarning
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text("lengthscale_m = 35000\n")
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0.0, 0.0], [1e308, 0.0], [-7e307, 0.0]],
+               "gps_fix_m": [1e308, 0.0]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper),
+                   "--kernel", "standard", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all 1 cycles failed")
+        assert "FloatingPointError: EM produced non-finite currents or trajectory" in err
+        assert err.count("\n") == 1
+
 
 class TestLengthscaleRange:
     """A lengthscale whose square leaves the normal float range."""

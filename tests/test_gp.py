@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from driftfield.flowfield import AnalyticField, Vec2, eval_field_many, random_gyre
 from driftfield.gp import (
     DEFAULT_TARGET_NOISE_VAR,
-    JITTER_START,
     DimensionMismatch,
-    FactorizationFailure,
     GpModel,
     downsample_targets,
 )
@@ -250,7 +248,9 @@ class TestFactorGrowth:
         np.testing.assert_array_equal(left.positions, pts[:8])
         np.testing.assert_array_equal(right.positions, np.vstack([pts[:6], pts[8:]]))
 
-    def test_jitter_lands_on_the_new_block_only(self, monkeypatch):
+    def test_failed_factor_propagates_and_leaves_the_parent(self, monkeypatch):
+        # one Cholesky attempt per append: a Schur complement that will not
+        # factor raises scipy's LinAlgError, and the parent is untouched
         import driftfield.gp as gp_mod
 
         rng = np.random.default_rng(17)
@@ -258,24 +258,19 @@ class TestFactorGrowth:
         ys = rng.normal(0.0, 0.3, size=(7, 2))
         query = rng.uniform(-5e4, 5e4, size=(3, 2))
         parent = GpModel(HP).add_targets(pts[:4], ys[:4])
+        l_before = parent._l.copy()
         before = parent.predict(query)
-        real, calls = gp_mod.cho_factor, []
+        calls = []
 
-        def fail_once(*args, **kwargs):
+        def always_fail(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("forced")
-            return real(*args, **kwargs)
+            raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(gp_mod, "cho_factor", fail_once)
-        child = parent.add_targets(pts[4:], ys[4:])
-        assert len(calls) == 2
-        expected = np.zeros((14, 14))
-        expected[np.diag_indices(14)] = [0.0] * 8 + [JITTER_START * HP.current_variance] * 6
-        np.testing.assert_allclose(
-            child._l @ child._l.T - noisy_gram(child), expected, rtol=0, atol=1e-14
-        )
-        np.testing.assert_array_equal(child._l[:8, :8], parent._l)
+        monkeypatch.setattr(gp_mod, "cho_factor", always_fail)
+        with pytest.raises(np.linalg.LinAlgError, match="forced"):
+            parent.add_targets(pts[4:], ys[4:])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(parent._l, l_before)
         for want, got in zip(before, parent.predict(query)):
             np.testing.assert_array_equal(got, want)
 
@@ -297,16 +292,6 @@ class TestNumericalRobustness:
                 GpModel(HP, positions=[[0.0, 0.0]], currents=[[bad, 0.1]])
             with pytest.raises(ValueError, match="infs or NaNs"):
                 GpModel(HP).add_targets([[0.0, 0.0]], [[0.1, bad]])
-
-    def test_factorization_failure_after_jitter_attempts(self, monkeypatch):
-        import driftfield.gp as gp_mod
-
-        def always_fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(gp_mod, "cho_factor", always_fail)
-        with pytest.raises(FactorizationFailure):
-            GpModel(HP, positions=[[0.0, 0.0]], currents=[[0.1, 0.1]])
 
 
 class TestSerialization:
