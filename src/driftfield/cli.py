@@ -31,21 +31,9 @@ from driftfield.flowfield import (
 )
 from driftfield.harness import RunConfig, default_grid, emit_report, monte_carlo
 from driftfield.kernels import HyperParams, KernelKind
-from driftfield.simulator import (
-    MissionAborted,
-    ParseError,
-    ValidationError,
-    VehicleConfig,
-    ingest_cycles,
-    run_mission,
-    write_cycles,
-)
+from driftfield.simulator import MissionAborted, VehicleConfig, ingest_cycles, run_mission, write_cycles
 
 __all__ = ["main", "parse_config"]
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _point(value: str) -> Vec2:
@@ -125,7 +113,7 @@ KERNELS = {"incompressible": KernelKind.INCOMPRESSIBLE, "standard": KernelKind.S
 def parse_config(path, keys=ALL_KEYS) -> dict:
     """
     Read a flat key = value file; values stay strings. A key outside
-    `keys`, or one given twice, raises ConfigError naming its line.
+    `keys`, or one given twice, raises ValueError naming its line.
     """
     out = {}
     lines = {}
@@ -134,14 +122,14 @@ def parse_config(path, keys=ALL_KEYS) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in keys:
             why = "unknown key" if key not in ALL_KEYS else "this command does not read key"
-            raise ConfigError(f"{path}:{lineno}: {why} {key!r}")
+            raise ValueError(f"{path}:{lineno}: {why} {key!r}")
         if key in lines:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
         lines[key] = lineno
         out[key] = value.strip()
     return out
@@ -150,7 +138,7 @@ def parse_config(path, keys=ALL_KEYS) -> dict:
 def _args(cfg: dict, table: dict) -> dict:
     """
     Constructor arguments for the keys of `table` that `cfg` sets. A value
-    that does not parse raises ConfigError naming its key.
+    that does not parse raises ValueError naming its key.
     """
     args = {}
     for key, (arg, parse) in table.items():
@@ -158,7 +146,7 @@ def _args(cfg: dict, table: dict) -> dict:
             try:
                 args[arg] = parse(cfg[key])
             except ValueError as err:
-                raise ConfigError(f"{key} = {cfg[key]}: {err}") from err
+                raise ValueError(f"{key} = {cfg[key]}: {err}") from err
     return args
 
 
@@ -168,7 +156,7 @@ def hyper_from_config(cfg: dict) -> HyperParams:
 
 def vehicle_from_config(cfg: dict) -> VehicleConfig:
     if "waypoints_m" not in cfg:
-        raise ConfigError("config needs waypoints_m (format: 'x,y; x,y; ...')")
+        raise ValueError("config needs waypoints_m (format: 'x,y; x,y; ...')")
     return VehicleConfig(**_args(cfg, VEHICLE_ARGS))
 
 
@@ -181,28 +169,28 @@ def grid_from_config(cfg: dict) -> Grid | None:
     if not present:
         return None
     if present != GRID_KEYS:
-        raise ConfigError(f"grid needs all of {sorted(GRID_KEYS)}, got {sorted(present)}")
+        raise ValueError(f"grid needs all of {sorted(GRID_KEYS)}, got {sorted(present)}")
     return Grid(**_args(cfg, GRID_ARGS))
 
 
 def field_from_config(cfg: dict) -> AnalyticField:
     kind = cfg.get("field", "random_gyre")
     if kind not in FIELD_ARGS:
-        raise ConfigError(f"unknown field {kind!r}")
+        raise ValueError(f"unknown field {kind!r}")
     foreign = sorted((FIELD_KEYS - {"field"} - FIELD_ARGS[kind].keys()) & cfg.keys())
     if foreign:
-        raise ConfigError(f"a {kind} field does not read key {foreign[0]!r}")
+        raise ValueError(f"a {kind} field does not read key {foreign[0]!r}")
     if kind == "uniform" and "field_current_mps" not in cfg:
-        raise ConfigError("uniform field needs field_current_mps (format: 'u,v')")
+        raise ValueError("uniform field needs field_current_mps (format: 'u,v')")
     if kind == "double_gyre" and "field_amplitude" not in cfg:
-        raise ConfigError("double_gyre field needs field_amplitude (m^2/s)")
+        raise ValueError("double_gyre field needs field_amplitude (m^2/s)")
     make = random_gyre if kind == "random_gyre" else AnalyticField
     return make(**_args(cfg, FIELD_ARGS[kind]))
 
 
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
-        raise ConfigError(f"--seed {args.seed}: expected a non-negative integer")
+        raise ValueError(f"--seed {args.seed}: expected a non-negative integer")
     cfg = parse_config(args.config, VEHICLE_KEYS | FIELD_KEYS)
     vehicle = vehicle_from_config(cfg)
     fld = field_from_config(cfg)
@@ -210,8 +198,7 @@ def _cmd_simulate(args) -> int:
         log = run_mission(vehicle, fld, args.seed)
     except MissionAborted as err:
         write_cycles(err.log, args.out)
-        print(f"mission aborted: {err}; partial log written to {args.out}", file=sys.stderr)
-        return 2
+        raise ValueError(f"mission aborted: {err}; partial log written to {args.out}") from err
     write_cycles(log, args.out)
     print(f"wrote {len(log.cycles)} cycles to {args.out}")
     return 0
@@ -224,8 +211,7 @@ def _cmd_estimate(args) -> int:
     emcfg = em_from_config(cfg)
     log = ingest_cycles(args.cycles)
     if not log.cycles:
-        print("cycle log is empty", file=sys.stderr)
-        return 2
+        raise ValueError(f"cycle log {args.cycles} is empty")
     # without grid keys, over everywhere the vehicle reported
     grid = grid_from_config(cfg) or default_grid(
         np.vstack([c.dead_reckoned for c in log.cycles]), hp.lengthscale)
@@ -245,9 +231,8 @@ def _cmd_estimate(args) -> int:
     ]
     (out / "em_states.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
     if all(s.error is not None for s in states):
-        print(f"error: all {len(states)} cycles failed, the first with {states[0].error}; "
-              f"see {out / 'em_states.json'}", file=sys.stderr)
-        return 2
+        raise ValueError(f"all {len(states)} cycles failed, the first with {states[0].error}; "
+                         f"see {out / 'em_states.json'}")
     (out / "model.json").write_text(model.to_json() + "\n")
     write_field_csv(out / "field.csv", grid, model.predict_mean(grid.points()))
     print(f"wrote em_states.json, model.json, field.csv to {out}")
@@ -256,7 +241,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = parse_config(args.config, HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | RUN_KEYS)
     hp = hyper_from_config(cfg)
     vehicle = vehicle_from_config(cfg)
@@ -299,9 +284,11 @@ def main(argv=None) -> int:
     p_mc.set_defaults(func=_cmd_montecarlo)
 
     args = parser.parse_args(argv)
+    # every failure a command reports is an OSError or a ValueError
+    # (ParseError and ValidationError included), printed here as one line
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError, ParseError, ValidationError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -41,14 +41,13 @@ from driftfield.flowfield import Vec2, as_xy, frozen_xy, non_negative, positive
 # Unused, but perfbench/tracing.py wraps this name and fails without it;
 # drop the import together with that trace point.
 from driftfield.flowfield import to_vec2_list  # noqa: F401
-from driftfield.gp import DimensionMismatch, GpModel, downsample_targets
+from driftfield.gp import GpModel, downsample_targets
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import Cycle, MissionLog
 
 __all__ = [
     "EmConfig",
     "EmState",
-    "SingularInnovation",
     "e_step",
     "m_step",
     "run_em_cycle",
@@ -57,13 +56,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class SingularInnovation(Exception):
-    """
-    The innovation covariance C S C^T + sy^2 I is singular. Only arises
-    with zero GPS noise and a degenerate predictive covariance.
-    """
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,7 @@ def e_step(dead_reckoned, currents, dt: float) -> np.ndarray:
     dr = as_xy(dead_reckoned)
     w = as_xy(currents)
     if dr.shape[0] != w.shape[0] + 1:
-        raise DimensionMismatch(
-            f"{dr.shape[0]} track points need {dr.shape[0] - 1} currents, got {w.shape[0]}"
-        )
+        raise ValueError(f"{dr.shape[0]} track points need {dr.shape[0] - 1} currents, got {w.shape[0]}")
     x = dr.copy()
     x[1:] += dt * np.cumsum(w, axis=0)
     return x
@@ -145,7 +135,8 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     drift measurement. Returns (W, S): the updated currents as an (n, 2)
     array and the symmetric 2x2 innovation covariance
     C Sigma C^T + sy^2 I, in m^2. Raises `FloatingPointError` when S is
-    not finite.
+    not finite and `np.linalg.LinAlgError` when it is singular, which
+    takes zero GPS noise and a degenerate predictive covariance.
     """
     x = as_xy(trajectory)
     if x.shape[0] < 2:
@@ -168,7 +159,7 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
         # one (2n, 2) matrix-vector product: n stacked 2x2 ones take about 6x as long
         w = mean + (sigma_ct.reshape(-1, 2) @ np.linalg.solve(s_mat, innov)).reshape(-1, 2)
     except np.linalg.LinAlgError as err:
-        raise SingularInnovation(
+        raise np.linalg.LinAlgError(
             "innovation covariance is singular; zero GPS noise with a "
             "degenerate predictive covariance"
         ) from err
@@ -209,12 +200,9 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
 
 
 # Failures that stay isolated to their cycle; anything else is a bug and
-# propagates.
-_NUMERICAL_FAILURES = (
-    SingularInnovation,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+# propagates. LinAlgError is a ValueError, but a plain ValueError (a bad
+# shape, say) is a bug.
+_NUMERICAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError)
 
 
 def _failed_state(cycle: Cycle, err: Exception) -> EmState:
@@ -239,10 +227,10 @@ def iter_process_mission(
 
     The model grows by the cycle's converged currents, placed at the
     reconstructed trajectory points and thinned to the configured
-    spacing. A cycle that fails numerically (a singular innovation, a
-    linear-algebra error such as a Cholesky factor that will not grow,
-    or a floating-point error) yields an error state and leaves the
-    model unchanged; later cycles still run. Any other exception
+    spacing. A cycle that fails numerically (a `LinAlgError`, such as a
+    singular innovation or a Cholesky factor that will not grow, or a
+    `FloatingPointError`) yields an error state and leaves the model
+    unchanged; later cycles still run. Any other exception
     propagates. A failed cycle, and one that reaches the iteration cap
     without converging, each log a warning naming the cycle's index.
     """

@@ -34,7 +34,6 @@ from driftfield.kernels import (
 
 __all__ = [
     "GpModel",
-    "DimensionMismatch",
     "downsample_targets",
     "DEFAULT_TARGET_NOISE_VAR",
 ]
@@ -43,10 +42,6 @@ __all__ = [
 # plausible current variance but large enough to keep the Gram matrix
 # factorisable with near-duplicate target positions.
 DEFAULT_TARGET_NOISE_VAR = 1e-4
-
-
-class DimensionMismatch(Exception):
-    """Positions and currents arrays disagree in length or width."""
 
 
 class GpModel:
@@ -74,9 +69,7 @@ class GpModel:
         self.positions = as_xy(positions if positions is not None else [])
         self.currents = as_xy(currents if currents is not None else [])
         if self.positions.shape != self.currents.shape:
-            raise DimensionMismatch(
-                f"positions {self.positions.shape} vs currents {self.currents.shape}"
-            )
+            raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
         self._l = np.zeros((0, 0))
         self._grow(0)
 
@@ -164,7 +157,7 @@ class GpModel:
         """New model conditioned on the union of old and new targets."""
         new_p, new_c = as_xy(positions), as_xy(currents)
         if new_p.shape != new_c.shape:
-            raise DimensionMismatch(f"positions {new_p.shape} vs currents {new_c.shape}")
+            raise ValueError(f"positions {new_p.shape} vs currents {new_c.shape}")
         child = copy.copy(self)
         child.positions = np.vstack([self.positions, new_p])
         child.currents = np.vstack([self.currents, new_c])
@@ -214,7 +207,7 @@ def downsample_targets(positions, currents, min_spacing: float):
     p = as_xy(positions)
     c = as_xy(currents)
     if p.shape != c.shape:
-        raise DimensionMismatch(f"positions {p.shape} vs currents {c.shape}")
+        raise ValueError(f"positions {p.shape} vs currents {c.shape}")
     if min_spacing <= 0:
         return p, c
     s2 = min_spacing**2

@@ -69,11 +69,11 @@ class MissionAborted(Exception):
         self.log = log
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Cycle-log line is not valid JSON or misses required fields."""
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Cycle-log contents violate a cycle invariant."""
 
 
@@ -265,21 +265,24 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
     try:
         dr = frozen_xy(rec[track_key])
         fix = _pair(rec[fix_key])
-        if fix_key == "gps_fix_latlon":
-            if origin is None:
-                # project about the first fix when no header named an origin
-                origin = (float(dr[0, 0]), float(dr[0, 1]))
-            dr = latlon_to_local(dr, *origin)
-            fix = latlon_to_local(fix[None], *origin)[0]
-        fix = Vec2(*fix.tolist())
-        stated = Vec2(*_pair(rec["drift_m"]).tolist()) if "drift_m" in rec else None
+        stated = _pair(rec["drift_m"]) if "drift_m" in rec else None
     except _CONVERSION_ERRORS as err:
         raise ParseError(
             f"line {lineno}: '{track_key}' must be a list of coordinate pairs and "
             f"'{fix_key}' and 'drift_m' one pair each ({type(err).__name__}: {err})"
         ) from err
+    for key, value in ((track_key, dr), (fix_key, fix), ("drift_m", stated)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValidationError(f"line {lineno}: '{key}' must be finite")
+    if fix_key == "gps_fix_latlon":
+        if origin is None:
+            # project about the first fix when no header named an origin
+            origin = (float(dr[0, 0]), float(dr[0, 1]))
+        dr = latlon_to_local(dr, *origin)
+        fix = latlon_to_local(fix[None], *origin)[0]
     try:
-        cycle = Cycle(float(rec["dt_s"]), dr, fix)
+        cycle = Cycle(float(rec["dt_s"]), dr, Vec2(*fix.tolist()))
+        stated = Vec2(*stated.tolist()) if stated is not None else None
     except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"line {lineno}: {err}") from err
     if stated is not None and math.dist((stated.x, stated.y), (cycle.drift.x, cycle.drift.y)) > 1e-6:
@@ -295,8 +298,8 @@ def ingest_cycles(path) -> MissionLog:
     Parse a JSON Lines cycle log into a MissionLog (no truth data).
 
     Raises ParseError for malformed lines, ValidationError for invariant
-    violations. Cycles that do not chain (dive-in fix != previous GPS
-    fix) are accepted with a warning.
+    violations and non-finite values. Cycles that do not chain (dive-in
+    fix != previous GPS fix) are accepted with a warning.
     """
     cycles = []
     origin = None
@@ -318,12 +321,13 @@ def ingest_cycles(path) -> MissionLog:
                         "before every cycle"
                     )
                 try:
-                    lat0, lon0 = _pair(rec["origin_latlon"])
+                    origin = tuple(_pair(rec["origin_latlon"]).tolist())
                 except _CONVERSION_ERRORS as err:
                     raise ParseError(
                         f"line {lineno}: 'origin_latlon' must be a [lat, lon] pair ({err})"
                     ) from err
-                origin = (float(lat0), float(lon0))
+                if not np.isfinite(origin).all():
+                    raise ValidationError(f"line {lineno}: 'origin_latlon' must be finite")
                 continue
             cycle, origin = _cycle_from_record(rec, lineno, origin)
             cycles.append(cycle)

@@ -325,6 +325,38 @@ class TestCycleLogIO:
         with pytest.raises(ParseError, match="line 1"):
             ingest_cycles(path)
 
+    # JSON text rather than json.dumps, which cannot write the float literal 1e400
+    @pytest.mark.parametrize(
+        "positions, key",
+        [
+            ('"dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [NaN, 3.9]', "gps_fix_m"),
+            ('"dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [1e400, 3.9]', "gps_fix_m"),
+            ('"dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22, 1], "drift_m": [Infinity, 0]',
+             "drift_m"),
+            ('"dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [NaN, 0.0]',
+             "gps_fix_latlon"),
+            ('"dead_reckoned_m": [[0, 0], [NaN, 0]], "gps_fix_m": [22, 1]', "dead_reckoned_m"),
+            # the first point is the projection's origin when no header names one
+            ('"dead_reckoned_latlon": [[1e400, 0], [0, 1e-3]], "gps_fix_latlon": [0, 1e-3]',
+             "dead_reckoned_latlon"),
+        ],
+        ids=["fix_nan", "fix_1e400", "drift_inf", "latlon_fix_nan", "track_nan", "latlon_track_1e400"],
+    )
+    def test_non_finite_position_raises_validation_error_naming_key(self, tmp_path, positions, key):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"dt_s": 60.0, ' + positions + "}\n")
+        with pytest.raises(ValidationError, match=f"^line 1: '{key}' must be finite$"):
+            ingest_cycles(path)
+
+    @pytest.mark.parametrize("origin", ["[NaN, 0.0]", "[0.0, Infinity]", "[1e400, 0.0]"],
+                             ids=["lat_nan", "lon_inf", "lat_1e400"])
+    def test_non_finite_origin_header_rejected_on_its_line(self, tmp_path, origin):
+        rec = {"dt_s": 60.0, "dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [0, 1e-3]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"origin_latlon": ' + origin + "}\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ValidationError, match="^line 1: 'origin_latlon' must be finite$"):
+            ingest_cycles(path)
+
     @pytest.mark.parametrize("first", ["cycle", "header"])
     def test_origin_header_after_first_line_raises_parse_error(self, tmp_path, first):
         # a late header would re-project every later cycle about a new origin
