@@ -76,11 +76,8 @@ class EmConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         positive("convergence_tol", self.convergence_tol)
-        s = self.pseudo_target_spacing
-        if s is not None:
-            non_negative("pseudo_target_spacing", s)
-            if not math.isfinite(s * s):  # downsample_targets squares it
-                raise ValueError(f"pseudo_target_spacing {s!r} out of range: its square must be finite")
+        if self.pseudo_target_spacing is not None:
+            non_negative("pseudo_target_spacing", self.pseudo_target_spacing)
 
     def spacing_for(self, hp: HyperParams) -> float:
         if self.pseudo_target_spacing is None:

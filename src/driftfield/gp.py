@@ -210,7 +210,6 @@ def downsample_targets(positions, currents, min_spacing: float):
         raise ValueError(f"positions {p.shape} vs currents {c.shape}")
     if min_spacing <= 0:
         return p, c
-    s2 = min_spacing**2
     x, y = p.T
     free = np.ones(len(p), dtype=bool)
     kept = []
@@ -219,8 +218,5 @@ def downsample_targets(positions, currents, min_spacing: float):
         while free.any():
             i = int(free.argmax())
             kept.append(i)
-            free[i] = False  # s2 can underflow to 0
-            dx = x - x[i]
-            dy = y - y[i]
-            free &= dx * dx + dy * dy >= s2
+            free &= np.hypot(x - x[i], y - y[i]) >= min_spacing
     return p[kept], c[kept]

@@ -75,16 +75,20 @@ DEFAULT_GRID_N = 20  # points per side of a default grid
 def default_grid(points, lengthscale: float) -> Grid:
     """
     Square DEFAULT_GRID_N x DEFAULT_GRID_N grid over the bounding box of
-    the (N, 2) `points`, padded by half a lengthscale on every side.
+    the (N, 2) `points`, padded by half a lengthscale on every side. A
+    grid that leaves the float range raises ValueError naming the grid keys.
     """
     xy = as_xy(points)
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
-    pad = 0.5 * lengthscale
-    span = max(hi[0] - lo[0], hi[1] - lo[1]) + 2.0 * pad
-    spacing = span / (DEFAULT_GRID_N - 1)
-    cx, cy = 0.5 * (hi + lo)
-    return Grid(Vec2(cx - span / 2.0, cy - span / 2.0), spacing, DEFAULT_GRID_N, DEFAULT_GRID_N)
+    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    # Python floats, which overflow to inf without a numpy warning
+    span = max(x1 - x0, y1 - y0) + lengthscale
+    cx, cy = 0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1
+    try:
+        return Grid(Vec2(cx - span / 2.0, cy - span / 2.0), span / (DEFAULT_GRID_N - 1),
+                    DEFAULT_GRID_N, DEFAULT_GRID_N)
+    except ValueError as err:
+        raise ValueError(f"the default grid, padded by {0.5 * lengthscale!r} m, leaves the float "
+                         "range; set grid_origin_m, grid_spacing_m, grid_nx and grid_ny") from err
 
 
 def normalized_error(est_uv: np.ndarray, truth_uv: np.ndarray) -> float:

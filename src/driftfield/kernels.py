@@ -21,7 +21,6 @@ constraint) is provided for comparison runs.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -65,12 +64,11 @@ class HyperParams:
         positive("lengthscale", self.lengthscale)
         positive("current_variance", self.current_variance)
         non_negative("gps_noise_std", self.gps_noise_std)
-        # The default thinning spacing, l / 20, is squared by downsample_targets, so l^2
-        # must be finite. Below a normal l^2, a km-scale dive overflows the row sums'
-        # centred coordinates and every cycle fails: a config error says it better.
-        if not (sys.float_info.min <= self.lengthscale * self.lengthscale < math.inf):
+        # Below a normal l^2, a km-scale dive overflows the row sums' centred
+        # coordinates and every cycle fails: a config error says it better.
+        if self.lengthscale * self.lengthscale < sys.float_info.min:
             raise ValueError(f"lengthscale {self.lengthscale!r} out of range: "
-                             "its square must be normal and finite")
+                             "its square must be a normal float")
 
 
 class KernelKind(Enum):

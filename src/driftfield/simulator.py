@@ -24,10 +24,11 @@ Cycle logs are JSON Lines, one cycle per line:
 
 with an optional "drift_m" field (validated against fix minus last
 dead-reckoned point when present). Logs recorded in latitude/longitude
-use "dead_reckoned_latlon" / "gps_fix_latlon" keys ([lat, lon] pairs)
-plus an optional header line {"origin_latlon": [lat, lon]}, which must
-come first; they are converted to local metres on ingestion (see
-`latlon_to_local`). A record with any other key is a ParseError.
+use "dead_reckoned_latlon" / "gps_fix_latlon" keys ([lat, lon] pairs in
+degrees, |lat| <= 90 and |lon| <= 360) plus an optional header line
+{"origin_latlon": [lat, lon]}, which must come first; they are converted
+to local metres on ingestion (see `latlon_to_local`). A record with any
+other key is a ParseError.
 """
 
 from __future__ import annotations
@@ -236,13 +237,31 @@ def latlon_to_local(latlon, origin_lat: float, origin_lon: float) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _pair(value) -> np.ndarray:
-    """One [x, y] pair as a float array of shape (2,); raises as `frozen_xy` does."""
-    return frozen_xy([value])[0]
-
-
 # Wrong types, shapes or lengths, and integers too large for a float.
 _CONVERSION_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
+
+
+def _coords(rec: dict, key: str, lineno: int) -> np.ndarray:
+    """
+    `rec[key]` as floats: an (N, 2) track for a 'dead_reckoned' key, one
+    (2,) pair for any other. Raises ParseError for a value of another
+    shape, ValidationError for a non-finite one and, for a '_latlon'
+    key, for |lat| > 90 or |lon| > 360 degrees.
+    """
+    track = key.startswith("dead_reckoned")
+    try:
+        xy = frozen_xy(rec[key] if track else [rec[key]])
+        value = xy if track else xy[0]
+    except _CONVERSION_ERRORS as err:
+        shape = "a list of coordinate pairs" if track else "one coordinate pair"
+        raise ParseError(f"line {lineno}: '{key}' must be {shape} "
+                         f"({type(err).__name__}: {err})") from err
+    if not np.isfinite(xy).all():
+        raise ValidationError(f"line {lineno}: '{key}' must be finite")
+    if key.endswith("_latlon") and not (np.abs(xy) <= (90.0, 360.0)).all():
+        raise ValidationError(f"line {lineno}: '{key}' must hold [lat, lon] pairs with "
+                              "|lat| <= 90 and |lon| <= 360 degrees")
+    return value
 
 
 # A cycle record is "dt_s", an optional "drift_m" and exactly one of these
@@ -262,19 +281,11 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
             f"record is 'dt_s', an optional 'drift_m' and one pair of {list(_POSITION_KEYS)}, "
             'a header exactly {"origin_latlon": [lat, lon]}'
         )
-    try:
-        dr = frozen_xy(rec[track_key])
-        fix = _pair(rec[fix_key])
-        stated = _pair(rec["drift_m"]) if "drift_m" in rec else None
-    except _CONVERSION_ERRORS as err:
-        raise ParseError(
-            f"line {lineno}: '{track_key}' must be a list of coordinate pairs and "
-            f"'{fix_key}' and 'drift_m' one pair each ({type(err).__name__}: {err})"
-        ) from err
-    for key, value in ((track_key, dr), (fix_key, fix), ("drift_m", stated)):
-        if value is not None and not np.isfinite(value).all():
-            raise ValidationError(f"line {lineno}: '{key}' must be finite")
-    if fix_key == "gps_fix_latlon":
+    dr = _coords(rec, track_key, lineno)
+    fix = _coords(rec, fix_key, lineno)
+    stated = _coords(rec, "drift_m", lineno) if "drift_m" in rec else None
+    # an empty track has no first point to project about; Cycle rejects it below
+    if fix_key == "gps_fix_latlon" and len(dr):
         if origin is None:
             # project about the first fix when no header named an origin
             origin = (float(dr[0, 0]), float(dr[0, 1]))
@@ -320,14 +331,7 @@ def ingest_cycles(path) -> MissionLog:
                         f"line {lineno}: 'origin_latlon' must be the log's one header, "
                         "before every cycle"
                     )
-                try:
-                    origin = tuple(_pair(rec["origin_latlon"]).tolist())
-                except _CONVERSION_ERRORS as err:
-                    raise ParseError(
-                        f"line {lineno}: 'origin_latlon' must be a [lat, lon] pair ({err})"
-                    ) from err
-                if not np.isfinite(origin).all():
-                    raise ValidationError(f"line {lineno}: 'origin_latlon' must be finite")
+                origin = tuple(_coords(rec, "origin_latlon", lineno).tolist())
                 continue
             cycle, origin = _cycle_from_record(rec, lineno, origin)
             cycles.append(cycle)

@@ -288,11 +288,9 @@ class TestEstimate:
              "grid_origin_m"),
             (OVERFLOWING_GRID, "grid of 20x2 points spaced 1e+307 m from (0.0, 0.0) leaves"),
             ("grid_nx = 3\ngrid_ny = 3\n", "got ['grid_nx', 'grid_ny']"),
-            ("pseudo_target_spacing_m = 1e200\n",
-             "pseudo_target_spacing 1e+200 out of range: its square must be finite"),
         ],
         ids=["em_tol_nan", "em_tol_inf", "grid_spacing_nan", "grid_origin_nan", "grid_overflow",
-             "partial_grid", "spacing_overflow"],
+             "partial_grid"],
     )
     def test_non_finite_config_exits_2(self, tmp_path, capsys, conf, expected):
         hyper = tmp_path / "hyper.conf"
@@ -306,6 +304,33 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_spacing_keeps_one_target_per_cycle(self, tmp_path, capsys):
+        # thinning compares distances, so a spacing whose square overflows
+        # still thins each cycle to its first point
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text("pseudo_target_spacing_m = 1e200\n")
+        _small_log(tmp_path / "cycles.jsonl")
+        out = tmp_path / "out"
+        rc = main(["estimate", "--cycles", str(tmp_path / "cycles.jsonl"), "--hyper", str(hyper),
+                   "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert GpModel.from_json((out / "model.json").read_text()).num_targets == 3
+
+    def test_far_track_exits_2_naming_the_grid_keys(self, tmp_path, capsys):
+        # the default grid's box, 2e308 m wide, leaves the float range
+        hyper = tmp_path / "hyper.conf"
+        hyper.write_text("lengthscale_m = 35000\n")
+        log = tmp_path / "cycles.jsonl"
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[-1e308, 0.0], [1e308, 0.0]], "gps_fix_m": [1e308, 1.0]}
+        log.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper), "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, "default grid", *GRID_KEY_NAMES)
         assert not out.exists()
 
     def test_overflowing_innovation_exits_2(self, tmp_path, capsys):
@@ -348,30 +373,58 @@ class TestEstimate:
 
 
 class TestLengthscaleRange:
-    """A lengthscale whose square leaves the normal float range."""
+    """Lengthscales at the ends of the accepted range and beyond."""
 
-    @pytest.mark.parametrize("value", ["1e160", "1e-160"])
-    @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
-    def test_exits_2_with_one_line(self, tmp_path, capsys, command, value):
+    @staticmethod
+    def _argv(tmp_path, command, line):
         conf = tmp_path / "c.conf"
-        line = f"lengthscale_m = {value}\n"
         out = tmp_path / "out"
         if command == "estimate":
             conf.write_text(line)
             log = tmp_path / "cycles.jsonl"
             rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0], [42, 0]], "gps_fix_m": [44, 1]}
             log.write_text(json.dumps(rec) + "\n")
-            argv = ["estimate", "--cycles", str(log), "--hyper", str(conf), "--out", str(out)]
-        else:
-            conf.write_text(MC_CONF + line)
-            argv = ["montecarlo", "--config", str(conf), "--out", str(out)]
-        assert main(argv) == 2
+            return ["estimate", "--cycles", str(log), "--hyper", str(conf), "--out", str(out)]
+        conf.write_text(MC_CONF + line)
+        return ["montecarlo", "--config", str(conf), "--out", str(out), "--fields"]
+
+    @pytest.mark.parametrize("value", ["1e-160"])
+    @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, value):
+        # its square is below the normal floats
+        assert main(self._argv(tmp_path, command, f"lengthscale_m = {value}\n")) == 2
         _one_line_error(capsys, "lengthscale")
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1e160"])
+    @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+    def test_fits_a_finite_field(self, tmp_path, capsys, command, value):
+        # its square is beyond the float range
+        assert main(self._argv(tmp_path, command, f"lengthscale_m = {value}\n")) == 0
+        assert capsys.readouterr().err == ""
+        fields = [tmp_path / "out" / "field.csv"] if command == "estimate" else \
+            sorted((tmp_path / "out" / "fields").glob("*.csv"))
+        assert fields
+        for path in fields:
+            assert np.isfinite(read_field_csv(path)[1]).all()
+
+    def test_float_max_needs_grid_keys(self, tmp_path, capsys):
+        # the default grid pads by half of it, and its last point overflows
+        line = f"lengthscale_m = {sys.float_info.max!r}\n"
+        argv = self._argv(tmp_path, "estimate", line)
+        assert main(argv) == 2
+        _one_line_error(capsys, "default grid", *GRID_KEY_NAMES)
+        (tmp_path / "c.conf").write_text(line + "grid_origin_m = 0,0\ngrid_spacing_m = 20\n"
+                                         "grid_nx = 3\ngrid_ny = 2\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert np.isfinite(read_field_csv(tmp_path / "out" / "field.csv")[1]).all()
 
 
-# The lengthscales HyperParams accepts: lengthscale^2 a normal float
-ACCEPTED_LENGTHSCALES = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+GRID_KEY_NAMES = ("grid_origin_m", "grid_spacing_m", "grid_nx", "grid_ny")
+
+# The lengthscales HyperParams accepts: lengthscale^2 a normal float or above
+ACCEPTED_LENGTHSCALES = (math.sqrt(sys.float_info.min), sys.float_info.max)
 
 
 def _small_log(path):

@@ -321,19 +321,16 @@ class TestSerialization:
 
 
 def reference_downsample(positions, currents, min_spacing):
-    # The per-point numpy loop `downsample_targets` replaced, kept as the
-    # oracle: the plain-float pass must keep exactly these survivors.
+    # The per-point loop `downsample_targets` replaced, kept as the oracle:
+    # a point survives when its distance to every earlier survivor is at
+    # least the spacing, the rule of the mission oracle's thinning.
     p = np.asarray(positions, dtype=float).reshape(-1, 2)
     c = np.asarray(currents, dtype=float).reshape(-1, 2)
     if min_spacing <= 0 or p.shape[0] == 0:
         return p, c
     kept = []
     for i in range(p.shape[0]):
-        if not kept:
-            kept.append(i)
-            continue
-        d2 = np.sum((p[kept] - p[i]) ** 2, axis=1)
-        if np.min(d2) >= min_spacing**2:
+        if all(np.hypot(*(p[i] - p[k])) >= min_spacing for k in kept):
             kept.append(i)
     idx = np.array(kept, dtype=int)
     return p[idx], c[idx]
@@ -369,17 +366,16 @@ class TestDownsample:
         ref_p, ref_y = reference_downsample(pts, ys, spacing)
         assert np.array_equal(kept_p, ref_p) and np.array_equal(kept_y, ref_y)
 
-        def d2(a, b):
-            return np.sum((a - b) ** 2, axis=-1)
+        def dist(a, b):
+            return np.hypot(*np.moveaxis(a - b, -1, 0))
 
-        s2 = spacing**2
-        pair = d2(kept_p[:, None, :], kept_p[None, :, :])
-        assert (pair[~np.eye(len(kept_p), dtype=bool)] >= s2).all()
+        pair = dist(kept_p[:, None, :], kept_p[None, :, :])
+        assert (pair[~np.eye(len(kept_p), dtype=bool)] >= spacing).all()
         kept = set(kept_y[:, 0].astype(int).tolist())
         for i in range(len(pts)):
             if i not in kept:
                 earlier = pts[sorted(k for k in kept if k < i)]
-                assert (d2(earlier, pts[i]) < s2).any()
+                assert (dist(earlier, pts[i]) < spacing).any()
 
     def test_mismatched_shapes_raise(self):
         with pytest.raises(ValueError, match=r"positions \(3, 2\) vs currents \(2, 2\)"):
@@ -393,15 +389,18 @@ class TestDownsample:
         np.testing.assert_array_equal(kept_y, [[0.0, 1.0], [4.0, 5.0], [8.0, 9.0]])
 
     def test_overflowing_lags_match_the_plain_float_loop(self):
-        # (1e200 - 0)^2 overflows to inf and inf - inf is NaN, which compares
-        # false, as in a loop over Python floats; no warning is raised
+        # inf - inf is NaN, which compares false, as in a loop over Python
+        # floats; no warning is raised
         pts = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 5.0], [np.inf, 0.0], [np.inf, 1.0], [10.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             kept_p, _ = downsample_targets(pts, pts, 100.0)
-            # a spacing whose square underflows to 0 keeps every point but inf - inf
+            # a spacing below every distance keeps every point but inf - inf
             tiny_p, _ = downsample_targets(pts, pts, 1e-170)
+            # a spacing whose square overflows: 1e200 from the origin is far enough
+            huge_p, _ = downsample_targets(pts, pts, 1e200)
         np.testing.assert_array_equal(kept_p, [[0.0, 0.0], [1e200, 0.0], [np.inf, 0.0]])
+        np.testing.assert_array_equal(huge_p, kept_p)
         np.testing.assert_array_equal(tiny_p, np.delete(pts, 4, axis=0))
 
     def test_zero_spacing_keeps_all(self):

@@ -93,6 +93,14 @@ class TestDefaultGrid:
         np.testing.assert_allclose(np.diff(ys), g.spacing)
 
 
+    def test_box_beyond_the_float_range_names_the_grid_keys(self):
+        with pytest.raises(ValueError, match="grid_origin_m, grid_spacing_m, grid_nx and grid_ny"):
+            default_grid([[-1e308, 0.0], [1e308, 0.0]], lengthscale=35000.0)
+        # the sum of the corners overflows, but the grid does not
+        g = default_grid([[1e308, 0.0], [1.5e308, 0.0]], lengthscale=35000.0)
+        assert np.isfinite(g.points()).all()
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         cfg = small_config()
@@ -214,6 +222,15 @@ class TestReportEmission:
         assert (tmp_path / "convergence.csv").read_text() == "trial,cycle,kernel,normalized_error\n"
         s = json.loads((tmp_path / "summary.json").read_text())
         assert s["excluded_trials"] == 1
+
+    def test_report_without_kernels(self, tmp_path):
+        rep = ConvergenceReport(errors={}, kept_trial_indices=[], excluded=[], grid=GRID,
+                                final_fields={})
+        assert rep.num_cycles == 0
+        emit_report(rep, tmp_path, include_fields=True)
+        assert (tmp_path / "convergence.csv").read_text() == "trial,cycle,kernel,normalized_error\n"
+        s = json.loads((tmp_path / "summary.json").read_text())
+        assert s == {"excluded": [], "excluded_trials": 0, "kept_trials": 0}
 
     def test_field_csvs_on_request(self, tmp_path):
         from driftfield.flowfield import read_field_csv

@@ -357,6 +357,32 @@ class TestCycleLogIO:
         with pytest.raises(ValidationError, match="^line 1: 'origin_latlon' must be finite$"):
             ingest_cycles(path)
 
+    LATLON = {"dt_s": 60.0, "dead_reckoned_latlon": [[0, 0], [0, 1e-3]], "gps_fix_latlon": [0, 1e-3]}
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ([{**LATLON, "gps_fix_latlon": [1e307, 1e-3]}], "gps_fix_latlon"),
+            ([{**LATLON, "gps_fix_latlon": [100.0, 20.0]}], "gps_fix_latlon"),
+            ([{"origin_latlon": [95.0, 20.0]}, LATLON], "origin_latlon"),
+            ([{**LATLON, "dead_reckoned_latlon": [[0, 0], [0, 400.0]]}], "dead_reckoned_latlon"),
+        ],
+        ids=["fix_lat_1e307", "fix_lat_100", "origin_lat_95", "track_lon_400"],
+    )
+    def test_degrees_out_of_range_raise_validation_error_naming_key(self, tmp_path, lines, key):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        with pytest.raises(ValidationError, match=rf"^line 1: '{key}' must hold \[lat, lon\] pairs"):
+            ingest_cycles(path)
+
+    def test_degrees_at_the_bounds_load(self, tmp_path):
+        path = tmp_path / "edge.jsonl"
+        rec = {"dt_s": 60.0, "dead_reckoned_latlon": [[90.0, -360.0], [90.0, -359.999]],
+               "gps_fix_latlon": [90.0, -359.999]}
+        path.write_text(json.dumps({"origin_latlon": [-90.0, 360.0]}) + "\n" + json.dumps(rec) + "\n")
+        (cycle,) = ingest_cycles(path).cycles
+        assert np.isfinite(cycle.dead_reckoned).all()
+
     @pytest.mark.parametrize("first", ["cycle", "header"])
     def test_origin_header_after_first_line_raises_parse_error(self, tmp_path, first):
         # a late header would re-project every later cycle about a new origin
@@ -505,6 +531,9 @@ class TestIngestFuzz:
     @example(header=None, rec={**GOOD, "dead_reckoned_m": [[0, 0], [math.nan, 0]]})
     @example(header=[10**400, 0], rec={"dt_s": 60.0, "dead_reckoned_latlon": [[0, 0], [0, 1e-3]],
                                        "gps_fix_latlon": [0, 1e-3]})
+    @example(header=None, rec={**GOOD, "gps_fix_m": []})
+    # no header and no track point to project about
+    @example(header=None, rec={"dt_s": 60.0, "dead_reckoned_latlon": [], "gps_fix_latlon": [0, 1e-3]})
     def test_only_ingestion_errors_escape(self, tmp_path, header, rec):
         # a log either loads into finite cycles or fails with an error
         # naming the line; nothing else escapes
