@@ -4,15 +4,26 @@ Gaussian process regression on current observations.
 A `GpModel` holds pseudo-targets (position, current) pairs and the fixed
 hyperparameters, and predicts the posterior current at query points.
 Targets carry a small fixed noise floor so repeated conditioning at the
-same location stays well posed. Each model keeps the lower Cholesky
-factor L of its training covariance and reuses it across predictions.
-Models are immutable: conditioning on new targets returns a new model
-whose factor is the parent's grown by one block (block Cholesky, Golub &
-Van Loan, *Matrix Computations*, section 4.2), so appending n targets to
-N costs O(N^2 n) instead of a fresh O(N^3) factorisation:
+same location stays well posed. Each model keeps R = L^-1, the inverse
+of the lower Cholesky factor L of its training covariance K, and reuses
+it across predictions: L^-1 b = R b and K^-1 b = R^T (R b) are matrix
+products, so numpy alone serves, with no triangular solve. Models are
+immutable: conditioning on new targets returns a new model whose R is
+the parent's grown block by block (block Cholesky, Golub & Van Loan,
+*Matrix Computations*, section 4.2), so appending n targets to N costs
+O(N^2 n) instead of a fresh O(N^3) factorisation. For the old targets
+(1) and a block of new ones (2):
 
-    L = [L11   0 ]    L21 = K21 L11^-T,    L22 L22^T = K22 - L21 L21^T.
-        [L21  L22]
+    R = [R11   0 ]    Z = R11 K12,   G = R11^T Z = K11^-1 K12,
+        [R21  R22]    L22 L22^T = K22 - Z^T Z,
+                      R22 = L22^-1,  R21 = -R22 G^T.
+
+R is stored rather than K^-1 = R^T R. R's condition number is the
+square root of K's, and products with it stay within the cond(K) * eps
+tolerances the dense-factor tests set for triangular solves. An explicit
+K^-1 updated by Schur complements did not: it missed the mission
+oracle's tolerance (3e-7 against 100 cond(K) eps) and two estimator
+tests.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import copy
 import json
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from numpy.linalg import cholesky, inv
 
 from driftfield.flowfield import as_xy
 from driftfield.kernels import (
@@ -43,6 +54,37 @@ __all__ = [
 # factorisable with near-duplicate target positions.
 DEFAULT_TARGET_NOISE_VAR = 1e-4
 
+# Entries of R in one row block of `_solve` (1 MiB of float64): each
+# block's non-zero prefix is read once for R b and once for R^T z while
+# it sits in L2.
+SOLVE_BLOCK_ENTRIES = 131072
+
+# Targets per block by which `_grow` extends R. numpy inverts each
+# block's L22 through a pivoted LU, about 6 times the work of its
+# Cholesky, so a large append goes in small blocks: a model built with
+# 560 targets at once took 190 ms in one block and 58 ms in blocks of 32
+# (1 BLAS thread), and its temporaries peaked at 14 MB instead of 21 MB.
+GROW_BLOCK_TARGETS = 32
+
+
+def _solve(r: np.ndarray, b: np.ndarray):
+    """
+    (R b, R^T R b) = (L^-1 b, K^-1 b) for the lower triangular R = L^-1
+    and b of shape (n,) or (n, k). R is walked in blocks of whole rows
+    [i, j) of about SOLVE_BLOCK_ENTRIES entries, reading only their
+    non-zero prefix R[i:j, :j].
+    """
+    n = r.shape[0]
+    z = np.empty_like(b)
+    x = np.zeros_like(b)
+    rows = max(1, SOLVE_BLOCK_ENTRIES // max(n, 1))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        block = r[i:j, :j]
+        z[i:j] = block @ b[:j]
+        x[:j] += block.T @ z[i:j]
+    return z, x
+
 
 class GpModel:
     """
@@ -51,8 +93,8 @@ class GpModel:
     Zero-mean prior; the posterior is conditioned on the stored targets.
     Construct empty via `GpModel(hp, kind)` and grow with
     `add_targets`, which returns a new model. A model built with targets
-    grows the empty model's 0x0 factor by all of them at once, so an
-    empty model predicts the prior by the same formulas.
+    grows the empty model's 0x0 factor by all of them, as one append,
+    so an empty model predicts the prior by the same formulas.
     """
 
     target_noise_var = DEFAULT_TARGET_NOISE_VAR
@@ -70,7 +112,7 @@ class GpModel:
         self.currents = as_xy(currents if currents is not None else [])
         if self.positions.shape != self.currents.shape:
             raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
-        self._l = np.zeros((0, 0))
+        self._r = np.zeros((0, 0))
         self._grow(0)
 
     @property
@@ -79,36 +121,38 @@ class GpModel:
 
     def _grow(self, n_old: int):
         """
-        Extend `_l`, the lower factor of Gram + noise at the first `n_old`
-        targets, by the block of the rest, then solve for `_alpha` against
-        `self.currents`. The old factor is reused exactly. The noise
-        floor keeps the Schur complement positive definite (Rasmussen &
-        Williams 2006, *GPML*, Algorithm 2.1); one that is not raises
-        `cho_factor`'s `LinAlgError`, and the parent model is untouched.
+        Extend `_r`, the inverse lower factor of Gram + noise at the first
+        `n_old` targets, by blocks of at most GROW_BLOCK_TARGETS of the
+        rest, then solve for `_alpha` against `self.currents`. The old
+        block is reused exactly. The noise floor keeps each Schur
+        complement positive definite (Rasmussen & Williams 2006, *GPML*,
+        Algorithm 2.1); one that is not raises `cholesky`'s
+        `LinAlgError`, and the parent model is untouched.
         """
-        n1, n2 = 2 * n_old, 2 * (self.num_targets - n_old)
-        k2 = build_block_matrix(self.hp, self.kind, self.positions[n_old:], self.positions)
-        # L11 is finite by construction; a non-finite position makes
-        # the Schur complement non-finite, which cho_factor rejects.
-        l21 = solve_triangular(self._l, k2[:, :n1].T, lower=True, check_finite=False).T
-        schur = k2[:, n1:]
-        schur -= l21 @ l21.T
-        schur[np.diag_indices_from(schur)] += self.target_noise_var
-        l22 = cho_factor(schur, lower=True)[0]
-        # Free the Gram block before the new factor is allocated: when a
-        # model is built with all its targets, each is (2N, 2N).
-        del k2, schur
-        # Fortran order, as LAPACK takes it, so no solve copies the factor.
-        l = np.zeros((n1 + n2, n1 + n2), order="F")
-        l[:n1, :n1] = self._l
-        l[n1:, :n1] = l21
-        # cho_factor leaves the strict upper triangle of l22 unspecified.
-        np.copyto(l[n1:, n1:], l22, where=np.tri(n2, dtype=bool))
-        self._l = l
-        # Only the currents can be non-finite here; scanning the factor too
-        # would cost as much as the solve.
+        n1 = 2 * n_old
+        r = np.zeros((2 * self.num_targets, 2 * self.num_targets))
+        r[:n1, :n1] = self._r
+        for start in range(n_old, self.num_targets, GROW_BLOCK_TARGETS):
+            stop = min(start + GROW_BLOCK_TARGETS, self.num_targets)
+            i, j = 2 * start, 2 * stop
+            k2 = build_block_matrix(self.hp, self.kind, self.positions[start:stop], self.positions[:stop])
+            z, g = _solve(r[:i, :i], k2[:, :i].T)  # L11^-1 K12 and K11^-1 K12
+            schur = k2[:, i:]
+            schur -= z.T @ z
+            schur[np.diag_indices_from(schur)] += self.target_noise_var
+            # R11 is finite by construction; a non-finite position makes the
+            # Schur complement non-finite, which cholesky would not reject.
+            r22 = inv(cholesky(np.asarray_chkfinite(schur)))
+            # inv works through a pivoted LU, which leaves rounding above
+            # the diagonal of L22^-1.
+            r22[np.triu_indices_from(r22, 1)] = 0.0
+            r[i:j, :i] = r22 @ -g.T
+            r[i:j, i:j] = r22
+        self._r = r
+        # Only the currents can be non-finite here; scanning R too would
+        # cost as much as the solve.
         y = np.asarray_chkfinite(self.currents.reshape(-1))
-        self._alpha = cho_solve((l, True), y, check_finite=False)
+        self._alpha = _solve(r, y)[1]
 
     def predict(self, query_points):
         """Posterior (mean (M, 2), joint covariance (2M, 2M) over [u0, v0, u1, v1, ...])."""
@@ -116,7 +160,7 @@ class GpModel:
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
-        v = solve_triangular(self._l, k_dq, lower=True)
+        v = self._r @ k_dq
         cov = k_qq - v.T @ v
         cov = 0.5 * (cov + cov.T)
         return mean.reshape(-1, 2), cov
@@ -138,11 +182,9 @@ class GpModel:
         k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, q)  # each (N, M)
         s11, s12, s22 = k11.sum(axis=1), k12.sum(axis=1), k22.sum(axis=1)
         k_dsum = np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2)  # (2N, 2)
-        # The factor is finite by construction; a non-finite query point
-        # comes out as NaN in `cross`, as it does for an empty model.
-        rhs = np.column_stack(
-            [self._alpha, cho_solve((self._l, True), k_dsum, check_finite=False)]
-        )
+        # R is finite by construction; a non-finite query point comes out
+        # as NaN in `cross`, as it does for an empty model.
+        rhs = np.column_stack([self._alpha, _solve(self._r, k_dsum)[1]])
         even, odd = rhs[0::2], rhs[1::2]  # rows of the u and v target components
         out = np.stack([k11.T @ even + k12.T @ odd, k12.T @ even + k22.T @ odd], axis=1)
         return out[:, :, 0], prior - out[:, :, 1:]

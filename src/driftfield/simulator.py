@@ -37,6 +37,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -240,13 +241,19 @@ def latlon_to_local(latlon, origin_lat: float, origin_lon: float) -> np.ndarray:
 # Wrong types, shapes or lengths, and integers too large for a float.
 _CONVERSION_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
 
+# The types a JSON number parses to. np.array(..., dtype=float) also takes
+# numeric strings, booleans and null, so each value's type is compared
+# exactly (bool is a subclass of int).
+_NUMBER_TYPES = frozenset({int, float})
+
 
 def _coords(rec: dict, key: str, lineno: int) -> np.ndarray:
     """
     `rec[key]` as floats: an (N, 2) track for a 'dead_reckoned' key, one
     (2,) pair for any other. Raises ParseError for a value of another
-    shape, ValidationError for a non-finite one and, for a '_latlon'
-    key, for |lat| > 90 or |lon| > 360 degrees.
+    shape, ValidationError for a string, boolean or null coordinate, for
+    a non-finite one and, for a '_latlon' key, for |lat| > 90 or
+    |lon| > 360 degrees.
     """
     track = key.startswith("dead_reckoned")
     try:
@@ -256,6 +263,10 @@ def _coords(rec: dict, key: str, lineno: int) -> np.ndarray:
         shape = "a list of coordinate pairs" if track else "one coordinate pair"
         raise ParseError(f"line {lineno}: '{key}' must be {shape} "
                          f"({type(err).__name__}: {err})") from err
+    # the conversion passed, so the value is a list of pairs, or one pair
+    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(rec[key]) if track else rec[key])):
+        raise ValidationError(f"line {lineno}: '{key}' must hold numbers, "
+                              "not strings, booleans or null")
     if not np.isfinite(xy).all():
         raise ValidationError(f"line {lineno}: '{key}' must be finite")
     if key.endswith("_latlon") and not (np.abs(xy) <= (90.0, 360.0)).all():
@@ -281,6 +292,8 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
             f"record is 'dt_s', an optional 'drift_m' and one pair of {list(_POSITION_KEYS)}, "
             'a header exactly {"origin_latlon": [lat, lon]}'
         )
+    if type(rec["dt_s"]) not in _NUMBER_TYPES:
+        raise ValidationError(f"line {lineno}: 'dt_s' must be a number, got {rec['dt_s']!r}")
     dr = _coords(rec, track_key, lineno)
     fix = _coords(rec, fix_key, lineno)
     stated = _coords(rec, "drift_m", lineno) if "drift_m" in rec else None

@@ -239,6 +239,10 @@ class TestEstimate:
             ({"dt_s": float("inf")}, "dt must be positive"),
             ({"dt_s": 10**400}, "line 1"),
             ({"dead_reckoned_m": [[0.0, 0.0], [10**400, 0.0]]}, "line 1"),
+            # strings and booleans are not numbers
+            ({"dt_s": True, "dead_reckoned_m": [[0, 0], ["21", False]], "gps_fix_m": ["44", 1]},
+             "'dt_s' must be a number"),
+            ({"dead_reckoned_m": [[0, 0], ["21", False]]}, "'dead_reckoned_m' must hold numbers"),
         ],
     )
     def test_malformed_log_exits_2_with_one_line(self, tmp_path, hyper_conf, capsys,

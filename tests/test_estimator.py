@@ -418,7 +418,7 @@ class TestProcessMission:
         # failure there yields an error state and keeps the old model
         import driftfield.gp as gp_mod
 
-        real = gp_mod.cho_factor
+        real = gp_mod.cholesky
 
         def fail_nonempty(a, *args, **kwargs):
             if a.size:
@@ -427,12 +427,12 @@ class TestProcessMission:
 
         cfg = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(6000.0, 0.0)), gps_noise_std=0.0)
         log = run_mission(cfg, AnalyticField(current=(0.05, 0.0)), seed=0)
-        monkeypatch.setattr(gp_mod, "cho_factor", fail_nonempty)
+        monkeypatch.setattr(gp_mod, "cholesky", fail_nonempty)
         steps = iter_process_mission(log, HP_EXACT)
         model, state = next(steps)
         assert state.error is not None and "LinAlgError" in state.error
         assert model.num_targets == 0
-        monkeypatch.setattr(gp_mod, "cho_factor", real)
+        monkeypatch.setattr(gp_mod, "cholesky", real)
         model, state = next(steps)
         assert state.error is None and model.num_targets > 0
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftfield import gp
 from driftfield.flowfield import AnalyticField, Vec2, eval_field_many, random_gyre
 from driftfield.gp import (
     DEFAULT_TARGET_NOISE_VAR,
@@ -189,19 +190,22 @@ def assert_matches_dense_factor(model: GpModel, query: np.ndarray):
     alpha = np.linalg.solve(l_dense.T, np.linalg.solve(l_dense, model.currents.reshape(-1)))
     k_dq = build_block_matrix(model.hp, model.kind, model.positions, query)
     v = np.linalg.solve(l_dense, k_dq)
+    r_dense = np.linalg.inv(l_dense)
     mean = (k_dq.T @ alpha).reshape(-1, 2)
     cov = build_block_matrix(model.hp, model.kind, query, query) - v.T @ v
     got_mean, got_cov = model.predict(query)
+    assert np.array_equal(model._r, np.tril(model._r))
     # Both sides are backward stable, so they agree to about cond * eps
     # relative to each array's scale (cond <= 1 + 2N var / noise < 3e5
     # here), not entry by entry: small entries come from cancellation.
     for got, want, scale in [
-        (model._l, l_dense, np.abs(l_dense).max(initial=0.0)),
+        (model._r, r_dense, np.abs(r_dense).max(initial=0.0)),
         (model._alpha, alpha, np.abs(alpha).max(initial=0.0)),
         (got_mean, mean, np.abs(model.currents).max(initial=0.0)),
         (got_cov, cov, model.hp.current_variance),
     ]:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+    return mean, cov
 
 
 @st.composite
@@ -228,8 +232,29 @@ class TestFactorGrowth:
         model = GpModel(HP, kind)
         for pts, ys in blocks:
             model = model.add_targets(pts, ys)
-            assert np.array_equal(model._l, np.tril(model._l))
             assert_matches_dense_factor(model, query)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("entries", [1, 60, 100, 170])
+    def test_small_blocks_match_dense_factor(self, kind, entries, monkeypatch):
+        # Appends of 3, 5 and 4 targets end at rows 6, 16 and 24, where
+        # these entries make row blocks of 1, 2, 4 and 7 rows: blocks that
+        # end mid-append. Grow blocks of 2 targets split each append.
+        monkeypatch.setattr(gp, "SOLVE_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", 2)
+        rng = np.random.default_rng(18)
+        query = rng.uniform(-5e4, 5e4, size=(4, 2))
+        model = GpModel(HP, kind)
+        for size in (3, 5, 4):
+            model = model.add_targets(rng.uniform(-4e4, 4e4, size=(size, 2)),
+                                      rng.normal(0.0, 0.3, size=(size, 2)))
+            mean, cov = assert_matches_dense_factor(model, query)
+            got_mean, got_cross = model.predict_sum(query)
+            # block i of the cross-covariance is the sum of cov's blocks (i, j)
+            cross = cov.reshape(4, 2, 4, 2).sum(axis=2)
+            scale = np.abs(model.currents).max()
+            np.testing.assert_allclose(got_mean, mean, rtol=1e-9, atol=1e-9 * scale)
+            np.testing.assert_allclose(got_cross, cross, rtol=1e-9, atol=1e-9 * 4 * HP.current_variance)
 
     def test_two_children_of_one_parent(self):
         rng = np.random.default_rng(16)
@@ -249,15 +274,13 @@ class TestFactorGrowth:
 
     def test_failed_factor_propagates_and_leaves_the_parent(self, monkeypatch):
         # one Cholesky attempt per append: a Schur complement that will not
-        # factor raises scipy's LinAlgError, and the parent is untouched
-        import driftfield.gp as gp_mod
-
+        # factor raises numpy's LinAlgError, and the parent is untouched
         rng = np.random.default_rng(17)
         pts = rng.uniform(-4e4, 4e4, size=(7, 2))
         ys = rng.normal(0.0, 0.3, size=(7, 2))
         query = rng.uniform(-5e4, 5e4, size=(3, 2))
         parent = GpModel(HP).add_targets(pts[:4], ys[:4])
-        l_before = parent._l.copy()
+        r_before = parent._r.copy()
         before = parent.predict(query)
         calls = []
 
@@ -265,11 +288,11 @@ class TestFactorGrowth:
             calls.append(args)
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(gp_mod, "cho_factor", always_fail)
+        monkeypatch.setattr(gp, "cholesky", always_fail)
         with pytest.raises(np.linalg.LinAlgError, match="forced"):
             parent.add_targets(pts[4:], ys[4:])
         assert len(calls) == 1
-        np.testing.assert_array_equal(parent._l, l_before)
+        np.testing.assert_array_equal(parent._r, r_before)
         for want, got in zip(before, parent.predict(query)):
             np.testing.assert_array_equal(got, want)
 

@@ -5,9 +5,11 @@ thinning, over chained dives.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftfield import gp
 from driftfield.flowfield import Vec2
 from driftfield.gp import DEFAULT_TARGET_NOISE_VAR
 from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
@@ -18,13 +20,10 @@ from oracles import dense_process_mission
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 
 
-@st.composite
-def missions(draw):
-    """2-5 chained dives of 3-12 steps of 100-1000 m, each starting at the last fix."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def chained_dives(rng, step_counts):
+    """Dives of the given step counts, 100-1000 m a step, each starting at the last fix."""
     cycles, start = [], np.zeros(2)
-    for _ in range(draw(st.integers(2, 5))):
-        n = draw(st.integers(3, 12))
+    for n in step_counts:
         dt = rng.uniform(60.0, 600.0)
         heading = rng.uniform(0.0, 2.0 * np.pi, n)
         steps = rng.uniform(100.0, 1000.0, (n, 1)) * np.column_stack([np.cos(heading), np.sin(heading)])
@@ -33,6 +32,13 @@ def missions(draw):
         cycles.append(Cycle(dt, dr, Vec2(*fix.tolist())))
         start = fix
     return MissionLog(cycles)
+
+
+@st.composite
+def missions(draw):
+    """2-5 chained dives of 3-12 steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return chained_dives(rng, draw(st.lists(st.integers(3, 12), min_size=2, max_size=5)))
 
 
 @given(
@@ -46,6 +52,21 @@ def test_matches_dense_mission(log, kind, spacing, max_iters):
     # No delta but an exact 0 falls below this tolerance, so both sides run
     # max_iters iterations unless one lands on an exact fixed point.
     cfg = EmConfig(max_iters=max_iters, convergence_tol=5e-324, pseudo_target_spacing=spacing)
+    assert_matches_dense_mission(log, kind, cfg)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_matches_dense_mission_in_small_blocks(kind, monkeypatch):
+    # Every step becomes a target, so the factor grows from 24 to 80 rows
+    # in row blocks of 4 down to 1 row, and in grow blocks of 3 targets.
+    monkeypatch.setattr(gp, "SOLVE_BLOCK_ENTRIES", 100)
+    monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", 3)
+    log = chained_dives(np.random.default_rng(19), [12, 7, 12, 9])
+    cfg = EmConfig(max_iters=3, convergence_tol=5e-324, pseudo_target_spacing=0.0)
+    assert_matches_dense_mission(log, kind, cfg)
+
+
+def assert_matches_dense_mission(log, kind, cfg):
     model, states = process_mission(log, HP, kind, cfg)
     pos, cur, dense_states = dense_process_mission(log, HP, kind, cfg)
     # Both sides are backward stable, so they agree to about cond * eps

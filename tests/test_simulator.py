@@ -325,6 +325,27 @@ class TestCycleLogIO:
         with pytest.raises(ParseError, match="line 1"):
             ingest_cycles(path)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"dt_s": True, "dead_reckoned_m": [[0, 0], ["21", False]], "gps_fix_m": ["44", 1]}, "dt_s"),
+            ({"dt_s": "60"}, "dt_s"),
+            ({"dt_s": None}, "dt_s"),
+            ({"dead_reckoned_m": [[0, 0], ["21", 0]]}, "dead_reckoned_m"),
+            ({"dead_reckoned_m": [[0, 0], [21, False]]}, "dead_reckoned_m"),
+            ({"gps_fix_m": ["44", 1]}, "gps_fix_m"),
+            ({"gps_fix_m": [True, 1]}, "gps_fix_m"),
+            ({"drift_m": [1, None]}, "drift_m"),
+        ],
+    )
+    def test_non_number_raises_validation_error_naming_key(self, tmp_path, overrides, key):
+        # np.array(..., dtype=float) reads "21" as 21.0, False as 0.0 and None as NaN
+        rec = {"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": [22, 1], **overrides}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValidationError, match=f"^line 1: '{key}' must "):
+            ingest_cycles(path)
+
     # JSON text rather than json.dumps, which cannot write the float literal 1e400
     @pytest.mark.parametrize(
         "positions, key",
