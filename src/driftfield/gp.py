@@ -18,6 +18,14 @@ O(N^2 n) instead of a fresh O(N^3) factorisation. For the old targets
         [R21  R22]    L22 L22^T = K22 - Z^T Z,
                       R22 = L22^-1,  R21 = -R22 G^T.
 
+An append leaves R11 as it is and only adds rows below it, so R is
+stored as a tuple of read-only row blocks R[i:j, :j], each holding the
+non-zero prefix of its rows, and a child shares every full block of its
+parent. Only the last block may hold fewer than GROW_BLOCK_TARGETS
+targets; an append extends it into a new array with the new rows and
+leaves the parent's block as it was, so a parent may be appended to any
+number of times and no append copies the whole factor.
+
 R is stored rather than K^-1 = R^T R. R's condition number is the
 square root of K's, and products with it stay within the cond(K) * eps
 tolerances the dense-factor tests set for triangular solves. An explicit
@@ -54,33 +62,29 @@ __all__ = [
 # factorisable with near-duplicate target positions.
 DEFAULT_TARGET_NOISE_VAR = 1e-4
 
-# Entries of R in one row block of `_solve` (1 MiB of float64): each
-# block's non-zero prefix is read once for R b and once for R^T z while
-# it sits in L2.
-SOLVE_BLOCK_ENTRIES = 131072
-
-# Targets per block by which `_grow` extends R. numpy inverts each
-# block's L22 through a pivoted LU, about 6 times the work of its
-# Cholesky, so a large append goes in small blocks: a model built with
-# 560 targets at once took 190 ms in one block and 58 ms in blocks of 32
-# (1 BLAS thread), and its temporaries peaked at 14 MB instead of 21 MB.
+# Targets per row block of R. numpy inverts each block's L22 through a
+# pivoted LU, about 6 times the work of its Cholesky, so a large append
+# goes in small blocks: a model built with 560 targets at once took
+# 190 ms in one block and 58 ms in blocks of 32 (1 BLAS thread), and its
+# temporaries peaked at 14 MB instead of 21 MB. Appends of a few targets
+# fill the last block up to this size instead of adding a block each: a
+# mission's 100 appends of about 6 targets as 100 tiny blocks gave back
+# all the time saved by not copying the factor.
 GROW_BLOCK_TARGETS = 32
 
 
-def _solve(r: np.ndarray, b: np.ndarray):
+def _solve(blocks, b: np.ndarray):
     """
     (R b, R^T R b) = (L^-1 b, K^-1 b) for the lower triangular R = L^-1
-    and b of shape (n,) or (n, k). R is walked in blocks of whole rows
-    [i, j) of about SOLVE_BLOCK_ENTRIES entries, reading only their
-    non-zero prefix R[i:j, :j].
+    stored as row blocks R[i:j, :j] (see the module docstring) and b of
+    shape (n,) or (n, k). Each block is read once for R b and once for
+    R^T z while it sits in cache.
     """
-    n = r.shape[0]
     z = np.empty_like(b)
     x = np.zeros_like(b)
-    rows = max(1, SOLVE_BLOCK_ENTRIES // max(n, 1))
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        block = r[i:j, :j]
+    for block in blocks:
+        rows, j = block.shape
+        i = j - rows
         z[i:j] = block @ b[:j]
         x[:j] += block.T @ z[i:j]
     return z, x
@@ -112,7 +116,7 @@ class GpModel:
         self.currents = as_xy(currents if currents is not None else [])
         if self.positions.shape != self.currents.shape:
             raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
-        self._r = np.zeros((0, 0))
+        self._blocks = ()
         self._grow(0)
 
     @property
@@ -121,22 +125,27 @@ class GpModel:
 
     def _grow(self, n_old: int):
         """
-        Extend `_r`, the inverse lower factor of Gram + noise at the first
-        `n_old` targets, by blocks of at most GROW_BLOCK_TARGETS of the
-        rest, then solve for `_alpha` against `self.currents`. The old
-        block is reused exactly. The noise floor keeps each Schur
-        complement positive definite (Rasmussen & Williams 2006, *GPML*,
-        Algorithm 2.1); one that is not raises `cholesky`'s
-        `LinAlgError`, and the parent model is untouched.
+        Extend `_blocks`, the row blocks of the inverse lower factor of
+        Gram + noise at the first `n_old` targets, by the rest, then
+        solve for `_alpha` against `self.currents`. Every full block is
+        shared with the parent; a last block of fewer than
+        GROW_BLOCK_TARGETS targets is extended into a new array. The
+        noise floor keeps each Schur complement positive definite
+        (Rasmussen & Williams 2006, *GPML*, Algorithm 2.1); one that is
+        not raises `cholesky`'s `LinAlgError`, and the parent model is
+        untouched.
         """
-        n1 = 2 * n_old
-        r = np.zeros((2 * self.num_targets, 2 * self.num_targets))
-        r[:n1, :n1] = self._r
-        for start in range(n_old, self.num_targets, GROW_BLOCK_TARGETS):
-            stop = min(start + GROW_BLOCK_TARGETS, self.num_targets)
-            i, j = 2 * start, 2 * stop
+        blocks = list(self._blocks)
+        start = n_old
+        while start < self.num_targets:
+            i = 2 * start
+            head = np.zeros((0, i))
+            if blocks and blocks[-1].shape[0] < 2 * GROW_BLOCK_TARGETS:
+                head = blocks.pop()
+            stop = min(start - len(head) // 2 + GROW_BLOCK_TARGETS, self.num_targets)
+            j = 2 * stop
             k2 = build_block_matrix(self.hp, self.kind, self.positions[start:stop], self.positions[:stop])
-            z, g = _solve(r[:i, :i], k2[:, :i].T)  # L11^-1 K12 and K11^-1 K12
+            z, g = _solve(blocks + [head], k2[:, :i].T)  # L11^-1 K12 and K11^-1 K12
             schur = k2[:, i:]
             schur -= z.T @ z
             schur[np.diag_indices_from(schur)] += self.target_noise_var
@@ -146,13 +155,15 @@ class GpModel:
             # inv works through a pivoted LU, which leaves rounding above
             # the diagonal of L22^-1.
             r22[np.triu_indices_from(r22, 1)] = 0.0
-            r[i:j, :i] = r22 @ -g.T
-            r[i:j, i:j] = r22
-        self._r = r
+            block = np.block([[head, np.zeros((len(head), j - i))], [r22 @ -g.T, r22]])
+            block.flags.writeable = False
+            blocks.append(block)
+            start = stop
+        self._blocks = tuple(blocks)
         # Only the currents can be non-finite here; scanning R too would
         # cost as much as the solve.
         y = np.asarray_chkfinite(self.currents.reshape(-1))
-        self._alpha = _solve(r, y)[1]
+        self._alpha = _solve(self._blocks, y)[1]
 
     def predict(self, query_points):
         """Posterior (mean (M, 2), joint covariance (2M, 2M) over [u0, v0, u1, v1, ...])."""
@@ -160,8 +171,7 @@ class GpModel:
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
-        v = self._r @ k_dq
-        cov = k_qq - v.T @ v
+        cov = k_qq - k_dq.T @ _solve(self._blocks, k_dq)[1]
         cov = 0.5 * (cov + cov.T)
         return mean.reshape(-1, 2), cov
 
@@ -184,7 +194,7 @@ class GpModel:
         k_dsum = np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2)  # (2N, 2)
         # R is finite by construction; a non-finite query point comes out
         # as NaN in `cross`, as it does for an empty model.
-        rhs = np.column_stack([self._alpha, _solve(self._r, k_dsum)[1]])
+        rhs = np.column_stack([self._alpha, _solve(self._blocks, k_dsum)[1]])
         even, odd = rhs[0::2], rhs[1::2]  # rows of the u and v target components
         out = np.stack([k11.T @ even + k12.T @ odd, k12.T @ even + k22.T @ odd], axis=1)
         return out[:, :, 0], prior - out[:, :, 1:]

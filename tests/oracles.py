@@ -40,6 +40,24 @@ def divergence_fd(f, p: Vec2, h: float) -> float:
     return (fx_p - fx_m + fy_p - fy_m) / (2.0 * h)
 
 
+def dense_inverse_factor(model) -> np.ndarray:
+    """
+    A `GpModel`'s inverse factor R = L^-1 as one dense (2N, 2N) array,
+    assembled from its row blocks R[i:j, :j] after checking that they
+    tile the rows in order.
+    """
+    n = 2 * model.num_targets
+    r = np.zeros((n, n))
+    i = 0
+    for block in model._blocks:
+        rows, j = block.shape
+        assert j - rows == i, f"a block of rows [{j - rows}, {j}) follows row {i}"
+        r[i:j, :j] = block
+        i = j
+    assert i == n, f"the blocks end at row {i} of {n}"
+    return r
+
+
 def dense_process_mission(log, hp, kind, cfg):
     """
     `estimator.process_mission` from dense linear algebra, for missions

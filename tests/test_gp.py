@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from driftfield.gp import (
     downsample_targets,
 )
 from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
-from oracles import divergence_fd
+from oracles import dense_inverse_factor, divergence_fd
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 
@@ -194,12 +195,13 @@ def assert_matches_dense_factor(model: GpModel, query: np.ndarray):
     mean = (k_dq.T @ alpha).reshape(-1, 2)
     cov = build_block_matrix(model.hp, model.kind, query, query) - v.T @ v
     got_mean, got_cov = model.predict(query)
-    assert np.array_equal(model._r, np.tril(model._r))
+    r = dense_inverse_factor(model)
+    assert np.array_equal(r, np.tril(r))
     # Both sides are backward stable, so they agree to about cond * eps
     # relative to each array's scale (cond <= 1 + 2N var / noise < 3e5
     # here), not entry by entry: small entries come from cancellation.
     for got, want, scale in [
-        (model._r, r_dense, np.abs(r_dense).max(initial=0.0)),
+        (r, r_dense, np.abs(r_dense).max(initial=0.0)),
         (model._alpha, alpha, np.abs(alpha).max(initial=0.0)),
         (got_mean, mean, np.abs(model.currents).max(initial=0.0)),
         (got_cov, cov, model.hp.current_variance),
@@ -235,13 +237,12 @@ class TestFactorGrowth:
             assert_matches_dense_factor(model, query)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
-    @pytest.mark.parametrize("entries", [1, 60, 100, 170])
-    def test_small_blocks_match_dense_factor(self, kind, entries, monkeypatch):
-        # Appends of 3, 5 and 4 targets end at rows 6, 16 and 24, where
-        # these entries make row blocks of 1, 2, 4 and 7 rows: blocks that
-        # end mid-append. Grow blocks of 2 targets split each append.
-        monkeypatch.setattr(gp, "SOLVE_BLOCK_ENTRIES", entries)
-        monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", 2)
+    @pytest.mark.parametrize("grow", [1, 2, 3, 5])
+    def test_small_blocks_match_dense_factor(self, kind, grow, monkeypatch):
+        # Appends of 3, 5 and 4 targets end at targets 3, 8 and 12. Blocks
+        # of 2, 3 and 5 targets split appends and leave a part-filled last
+        # block that the next append extends; blocks of 1 never do.
+        monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", grow)
         rng = np.random.default_rng(18)
         query = rng.uniform(-5e4, 5e4, size=(4, 2))
         model = GpModel(HP, kind)
@@ -272,6 +273,30 @@ class TestFactorGrowth:
         np.testing.assert_array_equal(left.positions, pts[:8])
         np.testing.assert_array_equal(right.positions, np.vstack([pts[:6], pts[8:]]))
 
+    def test_append_shares_the_parent_blocks(self):
+        # 560 targets fill 17 blocks of 32 and leave 16 in the last one. An
+        # append of 8 extends that block into a new array of 24 and shares
+        # the 17 full ones: the (2N)^2 factor alone would be 10 MB.
+        rng = np.random.default_rng(20)
+        pts = rng.uniform(-4e5, 4e5, size=(568, 2))
+        ys = rng.normal(0.0, 0.3, size=(568, 2))
+        parent = GpModel(HP, KernelKind.INCOMPRESSIBLE, pts[:560], ys[:560])
+        before = [block.copy() for block in parent._blocks]
+        tracemalloc.start()
+        try:
+            child = parent.add_targets(pts[560:], ys[560:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(block) // 2 for block in parent._blocks] == [32] * 17 + [16]
+        assert [len(block) // 2 for block in child._blocks] == [32] * 17 + [24]
+        assert all(got is want for got, want in zip(child._blocks, parent._blocks[:17]))
+        np.testing.assert_array_equal(child._blocks[17][:32, :1120], parent._blocks[17])
+        for block, want in zip(parent._blocks, before):
+            assert not block.flags.writeable
+            np.testing.assert_array_equal(block, want)
+        assert peak < 2e6
+
     def test_failed_factor_propagates_and_leaves_the_parent(self, monkeypatch):
         # one Cholesky attempt per append: a Schur complement that will not
         # factor raises numpy's LinAlgError, and the parent is untouched
@@ -280,7 +305,7 @@ class TestFactorGrowth:
         ys = rng.normal(0.0, 0.3, size=(7, 2))
         query = rng.uniform(-5e4, 5e4, size=(3, 2))
         parent = GpModel(HP).add_targets(pts[:4], ys[:4])
-        r_before = parent._r.copy()
+        r_before = dense_inverse_factor(parent)
         before = parent.predict(query)
         calls = []
 
@@ -292,7 +317,7 @@ class TestFactorGrowth:
         with pytest.raises(np.linalg.LinAlgError, match="forced"):
             parent.add_targets(pts[4:], ys[4:])
         assert len(calls) == 1
-        np.testing.assert_array_equal(parent._r, r_before)
+        np.testing.assert_array_equal(dense_inverse_factor(parent), r_before)
         for want, got in zip(before, parent.predict(query)):
             np.testing.assert_array_equal(got, want)
 

@@ -57,9 +57,9 @@ def test_matches_dense_mission(log, kind, spacing, max_iters):
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_matches_dense_mission_in_small_blocks(kind, monkeypatch):
-    # Every step becomes a target, so the factor grows from 24 to 80 rows
-    # in row blocks of 4 down to 1 row, and in grow blocks of 3 targets.
-    monkeypatch.setattr(gp, "SOLVE_BLOCK_ENTRIES", 100)
+    # Every step becomes a target, so the factor grows by 12, 7, 12 and 9
+    # targets in blocks of 3: the second append leaves a last block of one
+    # target, which the third and fourth appends extend.
     monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", 3)
     log = chained_dives(np.random.default_rng(19), [12, 7, 12, 9])
     cfg = EmConfig(max_iters=3, convergence_tol=5e-324, pseudo_target_spacing=0.0)
