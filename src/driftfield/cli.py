@@ -86,12 +86,11 @@ GRID_ARGS = {
 }
 RUN_ARGS = {"trials": ("trials", int), "base_seed": ("base_seed", _seed)}
 # The keys each `field` value reads: `random_gyre` passes its one to
-# `random_gyre`, the others theirs to `AnalyticField`.
+# `random_gyre`, `analytic` its four to `AnalyticField`.
 FIELD_ARGS = {
     "random_gyre": {"field_seed": ("seed", _seed)},
-    "zero": {},
-    "uniform": {"field_current_mps": ("current", _pair)},
-    "double_gyre": {
+    "analytic": {
+        "field_current_mps": ("current", _pair),
         "field_amplitude": ("amplitude", float),
         "field_extent_m": ("domain_extent", _pair),
         "field_phase_rad": ("phase", _pair),
@@ -105,9 +104,6 @@ GRID_KEYS = set(GRID_ARGS)
 FIELD_KEYS = {"field"}.union(*FIELD_ARGS.values())
 RUN_KEYS = set(RUN_ARGS)
 ALL_KEYS = HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | FIELD_KEYS | RUN_KEYS
-
-# `estimate --kernel` values
-KERNELS = {"incompressible": KernelKind.INCOMPRESSIBLE, "standard": KernelKind.STANDARD_DIAGONAL}
 
 
 def parse_config(path, keys=ALL_KEYS) -> dict:
@@ -176,14 +172,10 @@ def grid_from_config(cfg: dict) -> Grid | None:
 def field_from_config(cfg: dict) -> AnalyticField:
     kind = cfg.get("field", "random_gyre")
     if kind not in FIELD_ARGS:
-        raise ValueError(f"unknown field {kind!r}")
+        raise ValueError(f"unknown field {kind!r}, expected one of {list(FIELD_ARGS)}")
     foreign = sorted((FIELD_KEYS - {"field"} - FIELD_ARGS[kind].keys()) & cfg.keys())
     if foreign:
         raise ValueError(f"a {kind} field does not read key {foreign[0]!r}")
-    if kind == "uniform" and "field_current_mps" not in cfg:
-        raise ValueError("uniform field needs field_current_mps (format: 'u,v')")
-    if kind == "double_gyre" and "field_amplitude" not in cfg:
-        raise ValueError("double_gyre field needs field_amplitude (m^2/s)")
     make = random_gyre if kind == "random_gyre" else AnalyticField
     return make(**_args(cfg, FIELD_ARGS[kind]))
 
@@ -207,7 +199,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = parse_config(args.hyper, HYPER_KEYS | EM_KEYS | GRID_KEYS)
     hp = hyper_from_config(cfg)
-    kind = KERNELS[args.kernel]
+    kind = KernelKind(args.kernel)
     emcfg = em_from_config(cfg)
     log = ingest_cycles(args.cycles)
     if not log.cycles:
@@ -272,7 +264,7 @@ def main(argv=None) -> int:
     p_est = sub.add_parser("estimate", help="fit the current field to a cycle log")
     p_est.add_argument("--cycles", required=True, help="cycle log (JSON Lines)")
     p_est.add_argument("--hyper", required=True, help="hyperparameter config file")
-    p_est.add_argument("--kernel", default="incompressible", choices=KERNELS)
+    p_est.add_argument("--kernel", default="incompressible", choices=[k.value for k in KernelKind])
     p_est.add_argument("--out", required=True, help="output directory")
     p_est.set_defaults(func=_cmd_estimate)
 

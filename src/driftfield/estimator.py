@@ -31,7 +31,6 @@ nearly coincident rows).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +169,7 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
     """
     dr = cycle.dead_reckoned
     x = dr.copy()
-    w = np.zeros((dr.shape[0] - 1, 2))
     converged = False
-    delta = math.inf
-    iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
         w, _ = m_step(model, x, cycle.drift, cycle.dt)
         # An overflow to inf or NaN in the trajectory is reported after
@@ -241,15 +237,9 @@ def iter_process_mission(
         except _NUMERICAL_FAILURES as err:
             state = _failed_state(cycle, err)
             logger.warning("cycle %d failed: %s", index, state.error)
-            yield model, state
-            continue
-        if not state.converged:
-            logger.warning(
-                "cycle %d stopped at the iteration cap (max_iters = %d), last delta %.3g m",
-                index,
-                state.iteration,
-                state.delta,
-            )
+        if state.error is None and not state.converged:
+            logger.warning("cycle %d stopped at the iteration cap (max_iters = %d), last delta %.3g m",
+                           index, state.iteration, state.delta)
         yield model, state
 
 

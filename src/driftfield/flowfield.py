@@ -70,6 +70,12 @@ def as_xy(points) -> np.ndarray:
     return out
 
 
+# The types a JSON number parses to. np.array(..., dtype=float) also takes
+# numeric strings, booleans and null, and float() the first two, so each
+# value's type is compared exactly (bool is a subclass of int).
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def positive(name: str, value) -> None:
     """Raise a ValueError naming `name` unless `value` is positive and finite."""
     if not (0 < value < math.inf):
@@ -207,10 +213,11 @@ def write_field_csv(path, grid: Grid, velocities) -> None:
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a field CSV back as (positions, velocities), both (N, 2) arrays."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    if header != FIELD_CSV_HEADER:
-        raise ValueError(f"unexpected field CSV header: {header}")
-    rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line]
-    data = np.array(rows, dtype=float).reshape(-1, 4)
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    if rows[:1] != [FIELD_CSV_HEADER]:
+        raise ValueError(f"{path}: expected the field CSV header {FIELD_CSV_HEADER}, got {rows[:1]}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if row != [""] and len(row) != len(FIELD_CSV_HEADER):
+            raise ValueError(f"{path}:{lineno}: expected {len(FIELD_CSV_HEADER)} values, got {len(row)}")
+    data = np.array([[float(c) for c in row] for row in rows[1:] if row != [""]]).reshape(-1, 4)
     return data[:, :2], data[:, 2:]

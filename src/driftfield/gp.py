@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import copy
 import json
+from itertools import chain
 
 import numpy as np
 from numpy.linalg import cholesky, inv
 
-from driftfield.flowfield import as_xy
+from driftfield.flowfield import _NUMBER_TYPES, as_xy
 from driftfield.kernels import (
     HyperParams,
     KernelKind,
@@ -171,8 +172,8 @@ class GpModel:
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
-        cov = k_qq - k_dq.T @ _solve(self._blocks, k_dq)[1]
-        cov = 0.5 * (cov + cov.T)
+        v = _solve(self._blocks, k_dq)[0]  # L^-1 k_dq
+        cov = k_qq - v.T @ v  # symmetric by construction (GPML, Algorithm 2.1)
         return mean.reshape(-1, 2), cov
 
     def predict_sum(self, query_points):
@@ -233,21 +234,36 @@ class GpModel:
 
     @staticmethod
     def from_json(text: str) -> "GpModel":
+        """
+        Load a `to_json` snapshot, read as a cycle log is: anything but a
+        JSON object with exactly its keys, the kernel a `KernelKind` value
+        and the rest JSON numbers, raises a ValueError naming the key.
+        """
         d = json.loads(text)
-        if d["target_noise_var_m2s2"] != DEFAULT_TARGET_NOISE_VAR:
+        keys = {"kernel", "lengthscale_m", "current_variance_m2s2", "gps_noise_std_m",
+                "target_noise_var_m2s2", "positions_m", "currents_mps"}
+        if not isinstance(d, dict) or d.keys() != keys:
+            got = sorted(d) if isinstance(d, dict) else f"a JSON {type(d).__name__}"
+            raise ValueError(f"a model snapshot is a JSON object with the keys {sorted(keys)}, got {got}")
+        if d["kernel"] not in [k.value for k in KernelKind]:
+            raise ValueError(f"'kernel' must be a KernelKind value, got {d['kernel']!r}")
+        v = {}
+        for key in sorted(keys - {"kernel"}):
+            pairs = key in ("positions_m", "currents_mps")
+            try:
+                v[key] = np.array(d[key], dtype=float).reshape(len(d[key]), 2) if pairs else float(d[key])
+                # the conversion passed, so a pairs value is a list of pairs
+                numbers = chain.from_iterable(d[key]) if pairs else [d[key]]
+            except (TypeError, ValueError, OverflowError):
+                numbers = [None]
+            if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+                raise ValueError(f"{key!r} must hold {'[x, y] pairs of ' if pairs else ''}JSON numbers "
+                                 "within the float range")
+        if v["target_noise_var_m2s2"] != DEFAULT_TARGET_NOISE_VAR:
             raise ValueError(f"target_noise_var_m2s2 must be {DEFAULT_TARGET_NOISE_VAR}, "
                              f"got {d['target_noise_var_m2s2']!r}")
-        hp = HyperParams(
-            lengthscale=d["lengthscale_m"],
-            current_variance=d["current_variance_m2s2"],
-            gps_noise_std=d["gps_noise_std_m"],
-        )
-        return GpModel(
-            hp,
-            KernelKind(d["kernel"]),
-            np.array(d["positions_m"], dtype=float).reshape(-1, 2),
-            np.array(d["currents_mps"], dtype=float).reshape(-1, 2),
-        )
+        hp = HyperParams(v["lengthscale_m"], v["current_variance_m2s2"], v["gps_noise_std_m"])
+        return GpModel(hp, KernelKind(d["kernel"]), v["positions_m"], v["currents_mps"])
 
 
 def downsample_targets(positions, currents, min_spacing: float):

@@ -117,9 +117,6 @@ class TrialResult:
     excluded: str | None = None
 
 
-KERNEL_ORDER = (KernelKind.INCOMPRESSIBLE, KernelKind.STANDARD_DIAGONAL)
-
-
 def _run_trial(cfg: RunConfig, t: int) -> TrialResult:
     fld = random_gyre(cfg.base_seed + 2 * t)
     try:
@@ -131,9 +128,8 @@ def _run_trial(cfg: RunConfig, t: int) -> TrialResult:
     errors = {}
     finals = {}
     try:
-        for kind in KERNEL_ORDER:
+        for kind in KernelKind:
             per_cycle = []
-            est_uv = np.zeros_like(pts)
             for model, _state in iter_process_mission(log, cfg.hp, kind, cfg.em):
                 est_uv = model.predict_mean(pts)
                 per_cycle.append(normalized_error(est_uv, truth_uv))
@@ -200,7 +196,7 @@ def monte_carlo(cfg: RunConfig, workers: int = 1) -> ConvergenceReport:
     excluded = [(r.index, r.excluded) for r in results if r.excluded is not None]
     errors = {}
     finals = {}
-    for kind in KERNEL_ORDER:
+    for kind in KernelKind:
         if kept:
             errors[kind.value] = np.array([r.errors[kind.value] for r in kept], dtype=float)
         else:

@@ -41,7 +41,8 @@ from itertools import chain
 
 import numpy as np
 
-from driftfield.flowfield import AnalyticField, Vec2, as_xy, eval_field, frozen_xy, non_negative, positive
+from driftfield.flowfield import (_NUMBER_TYPES, AnalyticField, Vec2, as_xy, eval_field,
+                                  frozen_xy, non_negative, positive)
 
 __all__ = [
     "VehicleConfig",
@@ -240,11 +241,6 @@ def latlon_to_local(latlon, origin_lat: float, origin_lon: float) -> np.ndarray:
 
 # Wrong types, shapes or lengths, and integers too large for a float.
 _CONVERSION_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
-
-# The types a JSON number parses to. np.array(..., dtype=float) also takes
-# numeric strings, booleans and null, so each value's type is compared
-# exactly (bool is a subclass of int).
-_NUMBER_TYPES = frozenset({int, float})
 
 
 def _coords(rec: dict, key: str, lineno: int) -> np.ndarray:

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftfield.cli import main, parse_config
-from driftfield.flowfield import read_field_csv
+from driftfield.flowfield import AnalyticField, Vec2, read_field_csv
 from driftfield.gp import GpModel
-from driftfield.simulator import ingest_cycles
+from driftfield.simulator import VehicleConfig, ingest_cycles, run_mission, write_cycles
 
 MISSION_CONF = """
 # small uniform-current mission
-field = uniform
+field = analytic
 field_current_mps = 0.08,-0.05
 waypoints_m = 2000,0; 2000,2000
 gps_noise_std_m = 0
@@ -98,28 +98,49 @@ class TestSimulate:
 
     def test_aborted_mission_writes_partial_log(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
-        conf.write_text("field = zero\nwaypoints_m = 90000,0\nmax_steps_per_cycle = 5\n")
+        conf.write_text("field = analytic\nwaypoints_m = 90000,0\nmax_steps_per_cycle = 5\n")
         out = tmp_path / "cycles.jsonl"
         rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(out)])
         assert rc == 2
         _one_line_error(capsys, "mission aborted", "partial log written to")
         assert len(ingest_cycles(out).cycles) == 1
 
-    def test_config_error_reported(self, tmp_path, capsys):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("field = uniform\nwaypoints_m = 1000,0\n")  # missing current
-        rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "field_current_mps" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "lines, args",
+        [
+            ("", {}),
+            ("field_current_mps = 0.1,0\n", {"current": (0.1, 0.0)}),
+            ("field_amplitude = 4000\n", {"amplitude": 4000.0}),
+            ("field_current_mps = 0.1,0\nfield_amplitude = 4000\nfield_extent_m = 3e4,4e4\n"
+             "field_phase_rad = 0.3,1.1\n",
+             {"current": (0.1, 0.0), "amplitude": 4000.0, "domain_extent": (3e4, 4e4),
+              "phase": (0.3, 1.1)}),
+        ],
+        ids=["still", "current", "gyre", "current_and_gyre"],
+    )
+    def test_analytic_field_is_the_library_field(self, tmp_path, lines, args):
+        # each key is optional and takes the AnalyticField default
+        conf = tmp_path / "m.conf"
+        conf.write_text("field = analytic\nwaypoints_m = 3000,0; 3000,3000\n" + lines)
+        out = tmp_path / "cli.jsonl"
+        assert main(["simulate", "--config", str(conf), "--seed", "5", "--out", str(out)]) == 0
+        vehicle = VehicleConfig(waypoints=(Vec2(3000.0, 0.0), Vec2(3000.0, 3000.0)))
+        write_cycles(run_mission(vehicle, AnalyticField(**args), 5), tmp_path / "lib.jsonl")
+        assert out.read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
         "conf, words",
         [
-            ("field = uniform\nfield_current_mps = 0,0\n", ["waypoints_m"]),
+            ("field = analytic\nfield_current_mps = 0,0\n", ["waypoints_m"]),
             ("field = foo\nwaypoints_m = 1000,0\n", ["field", "'foo'"]),
-            ("field = double_gyre\nwaypoints_m = 1000,0\n", ["double_gyre", "field_amplitude"]),
+            ("field = zero\nwaypoints_m = 1000,0\n", ["field", "'zero'"]),
+            ("field = uniform\nfield_current_mps = 0.1,0\nwaypoints_m = 1000,0\n",
+             ["field", "'uniform'"]),
+            ("field = double_gyre\nfield_amplitude = 4000\nwaypoints_m = 1000,0\n",
+             ["field", "'double_gyre'"]),
         ],
-        ids=["no_waypoints", "unknown_field", "double_gyre_without_amplitude"],
+        ids=["no_waypoints", "unknown_field", "retired_zero", "retired_uniform",
+             "retired_double_gyre"],
     )
     def test_missing_or_unknown_value_exits_2_naming_it(self, tmp_path, capsys, conf, words):
         path = tmp_path / "bad.conf"
@@ -155,7 +176,7 @@ class TestSimulate:
         # to inf, and the next field evaluation fails; no numpy warning
         # may print (or, under pytest, escape) before the error line
         conf = tmp_path / "hostile.conf"
-        conf.write_text("field = double_gyre\nfield_amplitude = 1e5\n"
+        conf.write_text("field = analytic\nfield_amplitude = 1e5\n"
                         "field_extent_m = 1e-300,1e-300\nwaypoints_m = 5000,0\n")
         rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -164,7 +185,7 @@ class TestSimulate:
     def test_overflowing_gyre_speed_names_amplitude(self, tmp_path, capsys):
         # amplitude*pi/L itself overflows: the field is rejected before the mission
         conf = tmp_path / "hostile.conf"
-        conf.write_text("field = double_gyre\nfield_amplitude = 1e10\n"
+        conf.write_text("field = analytic\nfield_amplitude = 1e10\n"
                         "field_extent_m = 1e-300,1e-300\nwaypoints_m = 5000,0\n")
         out = tmp_path / "x"
         rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(out)])
@@ -200,7 +221,7 @@ class TestEstimate:
         main(["simulate", "--config", str(mission_conf), "--seed", "3", "--out", str(cycles)])
         out = tmp_path / "fit_std"
         rc = main(["estimate", "--cycles", str(cycles), "--hyper", str(hyper_conf),
-                   "--kernel", "standard", "--out", str(out)])
+                   "--kernel", "standard_diagonal", "--out", str(out)])
         assert rc == 0
         model = json.loads((out / "model.json").read_text())
         assert model["kernel"] == "standard_diagonal"
@@ -368,7 +389,7 @@ class TestEstimate:
         log.write_text(json.dumps(rec) + "\n")
         out = tmp_path / "out"
         rc = main(["estimate", "--cycles", str(log), "--hyper", str(hyper),
-                   "--kernel", "standard", "--out", str(out)])
+                   "--kernel", "standard_diagonal", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: all 1 cycles failed")
@@ -512,7 +533,7 @@ class TestMonteCarlo:
     def test_kernel_key_rejected(self, tmp_path, capsys):
         # the study always runs both kernels, so a kernel key is unknown
         conf = tmp_path / "mc.conf"
-        conf.write_text(MC_CONF + "kernel = standard\n")
+        conf.write_text(MC_CONF + "kernel = standard_diagonal\n")
         rc = main(["montecarlo", "--config", str(conf), "--out", str(tmp_path / "report")])
         assert rc == 2
         assert "unknown key 'kernel'" in capsys.readouterr().err
@@ -549,7 +570,7 @@ class TestKeysPerCommand:
 
     def test_montecarlo_rejects_field_keys(self, tmp_path, capsys):
         conf = tmp_path / "mc.conf"
-        conf.write_text(MC_CONF + "field = uniform\nfield_current_mps = 0.1,0\n")
+        conf.write_text(MC_CONF + "field = analytic\nfield_current_mps = 0.1,0\n")
         rc = main(["montecarlo", "--config", str(conf), "--out", str(tmp_path / "report")])
         assert rc == 2
         _one_line_error(capsys, "'field'", ":9:")
@@ -580,7 +601,7 @@ class TestKeysPerCommand:
 
     def test_repeated_key_names_both_lines(self, tmp_path, capsys):
         conf = tmp_path / "m.conf"
-        conf.write_text("field = zero\nspeed_mps = 0.5\nwaypoints_m = 1000,0\nspeed_mps = 0.1\n")
+        conf.write_text("field = analytic\nspeed_mps = 0.5\nwaypoints_m = 1000,0\nspeed_mps = 0.1\n")
         rc = main(["simulate", "--config", str(conf), "--seed", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
         _one_line_error(capsys, "'speed_mps'", ":4:", "line 2")
@@ -601,7 +622,7 @@ class TestKeysPerCommand:
 
     def test_negative_simulate_seed_names_its_option(self, tmp_path, capsys):
         conf = tmp_path / "m.conf"
-        conf.write_text("field = zero\nwaypoints_m = 1000,0\n")
+        conf.write_text("field = analytic\nwaypoints_m = 1000,0\n")
         out = tmp_path / "cycles.jsonl"
         rc = main(["simulate", "--config", str(conf), "--seed", "-1", "--out", str(out)])
         assert rc == 2

@@ -254,6 +254,19 @@ class TestFieldCsv:
         with pytest.raises(ValueError):
             read_field_csv(path)
 
+    def test_row_of_wrong_width_names_its_line(self, tmp_path):
+        # two short rows must not read back as one point
+        path = tmp_path / "short.csv"
+        path.write_text("x_m,y_m,u_mps,v_mps\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match=r"short\.csv:2: expected 4 values, got 2"):
+            read_field_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="header"):
+            read_field_csv(path)
+
     def test_length_mismatch_rejected(self, tmp_path):
         g = Grid(Vec2(0.0, 0.0), 1.0, 2, 2)
         with pytest.raises(ValueError):

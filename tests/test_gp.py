@@ -64,6 +64,12 @@ class TestPosterior:
         np.testing.assert_allclose(mean, mean_o, atol=1e-8)
         np.testing.assert_allclose(cov, cov_o, atol=1e-6)
 
+    def test_covariance_is_exactly_symmetric(self, trained_model):
+        rng = np.random.default_rng(14)
+        _, cov = trained_model.predict(rng.uniform(-5e4, 5e4, size=(30, 2)))
+        assert cov.shape == (60, 60)
+        np.testing.assert_array_equal(cov, cov.T)
+
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_predict_mean_matches_full_predict(self, trained_model, kind):
         model = GpModel(HP, kind, trained_model.positions, trained_model.currents)
@@ -357,6 +363,31 @@ class TestSerialization:
             d["target_noise_var_m2s2"] = bad
             with pytest.raises(ValueError, match="target_noise_var_m2s2"):
                 GpModel.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: {}, "lengthscale_m"),
+            (lambda d: [], "JSON list"),
+            (lambda d: {**d, "extra": 1}, "extra"),
+            (lambda d: {**d, "lengthscale_m": "35000"}, "lengthscale_m"),
+            (lambda d: {**d, "lengthscale_m": True}, "lengthscale_m"),
+            (lambda d: {**d, "gps_noise_std_m": None}, "gps_noise_std_m"),
+            (lambda d: {**d, "positions_m": [[True, 0.0]] + d["positions_m"][1:]}, "positions_m"),
+            (lambda d: {**d, "currents_mps": [[0.1, 0.2, 0.3]]}, "currents_mps"),
+            (lambda d: {**d, "currents_mps": [[10**400, 0.0]]}, "currents_mps"),
+            (lambda d: {**d, "positions_m": [[], []], "currents_mps": [[]]}, "currents_mps"),
+            (lambda d: {**d, "kernel": "standard"}, "kernel"),
+        ],
+        ids=["empty_object", "list", "extra_key", "string_number", "boolean", "null",
+             "boolean_coordinate", "triple", "huge_integer", "empty_pairs", "unknown_kernel"],
+    )
+    def test_from_json_rejects_a_malformed_snapshot(self, trained_model, edit, key):
+        import json
+
+        text = json.dumps(edit(json.loads(trained_model.to_json())))
+        with pytest.raises(ValueError, match=key):
+            GpModel.from_json(text)
 
     def test_snapshot_contains_no_factorisation(self, trained_model):
         import json

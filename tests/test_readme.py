@@ -91,4 +91,4 @@ def test_configuration_defaults_are_the_constructors():
         for make, (arg, parse) in entries:
             assert parse(default.strip("`")) == inspect.signature(make).parameters[arg].default, key
             checked += 1
-    assert checked >= 14
+    assert checked >= 17
