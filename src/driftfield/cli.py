@@ -97,13 +97,8 @@ FIELD_ARGS = {
     },
 }
 
-HYPER_KEYS = set(HYPER_ARGS)
-VEHICLE_KEYS = set(VEHICLE_ARGS)
-EM_KEYS = set(EM_ARGS)
-GRID_KEYS = set(GRID_ARGS)
 FIELD_KEYS = {"field"}.union(*FIELD_ARGS.values())
-RUN_KEYS = set(RUN_ARGS)
-ALL_KEYS = HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | FIELD_KEYS | RUN_KEYS
+ALL_KEYS = FIELD_KEYS.union(HYPER_ARGS, VEHICLE_ARGS, EM_ARGS, GRID_ARGS, RUN_ARGS)
 
 
 def parse_config(path, keys=ALL_KEYS) -> dict:
@@ -161,11 +156,11 @@ def em_from_config(cfg: dict) -> EmConfig:
 
 
 def grid_from_config(cfg: dict) -> Grid | None:
-    present = GRID_KEYS & cfg.keys()
+    present = GRID_ARGS.keys() & cfg.keys()
     if not present:
         return None
-    if present != GRID_KEYS:
-        raise ValueError(f"grid needs all of {sorted(GRID_KEYS)}, got {sorted(present)}")
+    if present != GRID_ARGS.keys():
+        raise ValueError(f"grid needs all of {sorted(GRID_ARGS)}, got {sorted(present)}")
     return Grid(**_args(cfg, GRID_ARGS))
 
 
@@ -183,7 +178,7 @@ def field_from_config(cfg: dict) -> AnalyticField:
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed {args.seed}: expected a non-negative integer")
-    cfg = parse_config(args.config, VEHICLE_KEYS | FIELD_KEYS)
+    cfg = parse_config(args.config, FIELD_KEYS.union(VEHICLE_ARGS))
     vehicle = vehicle_from_config(cfg)
     fld = field_from_config(cfg)
     try:
@@ -197,7 +192,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = parse_config(args.hyper, HYPER_KEYS | EM_KEYS | GRID_KEYS)
+    cfg = parse_config(args.hyper, set().union(HYPER_ARGS, EM_ARGS, GRID_ARGS))
     hp = hyper_from_config(cfg)
     kind = KernelKind(args.kernel)
     emcfg = em_from_config(cfg)
@@ -234,7 +229,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    cfg = parse_config(args.config, HYPER_KEYS | VEHICLE_KEYS | EM_KEYS | GRID_KEYS | RUN_KEYS)
+    cfg = parse_config(args.config, set().union(HYPER_ARGS, VEHICLE_ARGS, EM_ARGS, GRID_ARGS, RUN_ARGS))
     hp = hyper_from_config(cfg)
     vehicle = vehicle_from_config(cfg)
     # without grid keys, over the tour and its start at the origin

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,10 +71,44 @@ def as_xy(points) -> np.ndarray:
     return out
 
 
+class ParseError(ValueError):
+    """JSON input that does not parse, misses required keys or has the wrong shape."""
+
+
+class ValidationError(ValueError):
+    """JSON input of the right shape whose values are not finite numbers or break an invariant."""
+
+
 # The types a JSON number parses to. np.array(..., dtype=float) also takes
-# numeric strings, booleans and null, and float() the first two, so each
-# value's type is compared exactly (bool is a subclass of int).
+# numeric strings, booleans and null, so each value's type is compared
+# exactly (bool is a subclass of int).
 _NUMBER_TYPES = frozenset({int, float})
+_SHAPE_NAMES = {(): "a number", (2,): "one coordinate pair", (-1, 2): "a list of coordinate pairs"}
+
+
+def json_floats(value, shape: tuple, place: str):
+    """
+    A parsed JSON value as floats: for `shape` () a float, for (2,) an
+    [x, y] pair and for (-1, 2) a list of pairs ([] too), as read-only
+    arrays. ParseError if it does not convert to that shape, ValidationError
+    if it holds a string, boolean, null or non-finite number; both start with `place`.
+    """
+    try:
+        out = np.array(value, dtype=float)
+        if shape == (-1, 2) and out.shape == (0,):
+            out = out.reshape(0, 2)
+        if out.shape != (out.shape[:1] + (2,) if shape == (-1, 2) else shape):
+            raise ValueError(f"got shape {out.shape}")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ParseError(f"{place} must be {_SHAPE_NAMES[shape]} ({type(err).__name__}: {err})") from err
+    # the conversion passed, so a (-1, 2) value is a list of lists
+    numbers = chain.from_iterable(value) if len(shape) == 2 else value if shape else [value]
+    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+        raise ValidationError(f"{place} must hold numbers, not strings, booleans or null")
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{place} must be finite")
+    out.flags.writeable = False
+    return out if shape else float(out)
 
 
 def positive(name: str, value) -> None:
@@ -216,8 +251,15 @@ def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
         rows = [line.split(",") for line in fh.read().splitlines()]
     if rows[:1] != [FIELD_CSV_HEADER]:
         raise ValueError(f"{path}: expected the field CSV header {FIELD_CSV_HEADER}, got {rows[:1]}")
+    data = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if row != [""] and len(row) != len(FIELD_CSV_HEADER):
+        if row == [""]:
+            continue
+        if len(row) != len(FIELD_CSV_HEADER):
             raise ValueError(f"{path}:{lineno}: expected {len(FIELD_CSV_HEADER)} values, got {len(row)}")
-    data = np.array([[float(c) for c in row] for row in rows[1:] if row != [""]]).reshape(-1, 4)
+        try:
+            data.append([float(c) for c in row])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
+    data = np.array(data).reshape(-1, 4)
     return data[:, :2], data[:, 2:]

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import copy
 import json
-from itertools import chain
 
 import numpy as np
 from numpy.linalg import cholesky, inv
 
-from driftfield.flowfield import _NUMBER_TYPES, as_xy
+from driftfield.flowfield import as_xy, json_floats
 from driftfield.kernels import (
     HyperParams,
     KernelKind,
@@ -115,8 +114,6 @@ class GpModel:
         self.kind = kind
         self.positions = as_xy(positions if positions is not None else [])
         self.currents = as_xy(currents if currents is not None else [])
-        if self.positions.shape != self.currents.shape:
-            raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
         self._blocks = ()
         self._grow(0)
 
@@ -136,6 +133,11 @@ class GpModel:
         not raises `cholesky`'s `LinAlgError`, and the parent model is
         untouched.
         """
+        if self.positions.shape != self.currents.shape:
+            raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
+        # checked before any kernel is formed, where inf - inf would warn
+        if not np.isfinite(self.positions[n_old:]).all():
+            raise ValueError("positions must be finite")
         blocks = list(self._blocks)
         start = n_old
         while start < self.num_targets:
@@ -150,8 +152,8 @@ class GpModel:
             schur = k2[:, i:]
             schur -= z.T @ z
             schur[np.diag_indices_from(schur)] += self.target_noise_var
-            # R11 is finite by construction; a non-finite position makes the
-            # Schur complement non-finite, which cholesky would not reject.
+            # R11 and the kernels are finite; an overflowing product still makes
+            # the Schur complement non-finite, which cholesky would not reject.
             r22 = inv(cholesky(np.asarray_chkfinite(schur)))
             # inv works through a pivoted LU, which leaves rounding above
             # the diagonal of L22^-1.
@@ -208,12 +210,9 @@ class GpModel:
 
     def add_targets(self, positions, currents) -> "GpModel":
         """New model conditioned on the union of old and new targets."""
-        new_p, new_c = as_xy(positions), as_xy(currents)
-        if new_p.shape != new_c.shape:
-            raise ValueError(f"positions {new_p.shape} vs currents {new_c.shape}")
         child = copy.copy(self)
-        child.positions = np.vstack([self.positions, new_p])
-        child.currents = np.vstack([self.currents, new_c])
+        child.positions = np.vstack([self.positions, as_xy(positions)])
+        child.currents = np.vstack([self.currents, as_xy(currents)])
         child._grow(self.num_targets)
         return child
 
@@ -235,9 +234,9 @@ class GpModel:
     @staticmethod
     def from_json(text: str) -> "GpModel":
         """
-        Load a `to_json` snapshot, read as a cycle log is: anything but a
-        JSON object with exactly its keys, the kernel a `KernelKind` value
-        and the rest JSON numbers, raises a ValueError naming the key.
+        Load a `to_json` snapshot: a JSON object with exactly its keys, the
+        kernel a `KernelKind` value and the rest read by `json_floats`, as a
+        cycle log's numbers are. Anything else raises a ValueError naming the key.
         """
         d = json.loads(text)
         keys = {"kernel", "lengthscale_m", "current_variance_m2s2", "gps_noise_std_m",
@@ -247,18 +246,9 @@ class GpModel:
             raise ValueError(f"a model snapshot is a JSON object with the keys {sorted(keys)}, got {got}")
         if d["kernel"] not in [k.value for k in KernelKind]:
             raise ValueError(f"'kernel' must be a KernelKind value, got {d['kernel']!r}")
-        v = {}
-        for key in sorted(keys - {"kernel"}):
-            pairs = key in ("positions_m", "currents_mps")
-            try:
-                v[key] = np.array(d[key], dtype=float).reshape(len(d[key]), 2) if pairs else float(d[key])
-                # the conversion passed, so a pairs value is a list of pairs
-                numbers = chain.from_iterable(d[key]) if pairs else [d[key]]
-            except (TypeError, ValueError, OverflowError):
-                numbers = [None]
-            if not _NUMBER_TYPES.issuperset(map(type, numbers)):
-                raise ValueError(f"{key!r} must hold {'[x, y] pairs of ' if pairs else ''}JSON numbers "
-                                 "within the float range")
+        pairs = ("positions_m", "currents_mps")
+        v = {key: json_floats(d[key], (-1, 2) if key in pairs else (), repr(key))
+             for key in sorted(keys - {"kernel"})}
         if v["target_noise_var_m2s2"] != DEFAULT_TARGET_NOISE_VAR:
             raise ValueError(f"target_noise_var_m2s2 must be {DEFAULT_TARGET_NOISE_VAR}, "
                              f"got {d['target_noise_var_m2s2']!r}")

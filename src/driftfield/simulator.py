@@ -37,12 +37,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from driftfield.flowfield import (_NUMBER_TYPES, AnalyticField, Vec2, as_xy, eval_field,
-                                  frozen_xy, non_negative, positive)
+from driftfield.flowfield import (AnalyticField, ParseError, ValidationError, Vec2, as_xy,
+                                  eval_field, frozen_xy, json_floats, non_negative, positive)
 
 __all__ = [
     "VehicleConfig",
@@ -70,14 +69,6 @@ class MissionAborted(Exception):
     def __init__(self, message: str, log: "MissionLog"):
         super().__init__(message)
         self.log = log
-
-
-class ParseError(ValueError):
-    """Cycle-log line is not valid JSON or misses required fields."""
-
-
-class ValidationError(ValueError):
-    """Cycle-log contents violate a cycle invariant."""
 
 
 @dataclass(frozen=True)
@@ -239,36 +230,14 @@ def latlon_to_local(latlon, origin_lat: float, origin_lon: float) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-# Wrong types, shapes or lengths, and integers too large for a float.
-_CONVERSION_ERRORS = (TypeError, ValueError, LookupError, OverflowError)
-
-
 def _coords(rec: dict, key: str, lineno: int) -> np.ndarray:
-    """
-    `rec[key]` as floats: an (N, 2) track for a 'dead_reckoned' key, one
-    (2,) pair for any other. Raises ParseError for a value of another
-    shape, ValidationError for a string, boolean or null coordinate, for
-    a non-finite one and, for a '_latlon' key, for |lat| > 90 or
-    |lon| > 360 degrees.
-    """
-    track = key.startswith("dead_reckoned")
-    try:
-        xy = frozen_xy(rec[key] if track else [rec[key]])
-        value = xy if track else xy[0]
-    except _CONVERSION_ERRORS as err:
-        shape = "a list of coordinate pairs" if track else "one coordinate pair"
-        raise ParseError(f"line {lineno}: '{key}' must be {shape} "
-                         f"({type(err).__name__}: {err})") from err
-    # the conversion passed, so the value is a list of pairs, or one pair
-    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(rec[key]) if track else rec[key])):
-        raise ValidationError(f"line {lineno}: '{key}' must hold numbers, "
-                              "not strings, booleans or null")
-    if not np.isfinite(xy).all():
-        raise ValidationError(f"line {lineno}: '{key}' must be finite")
+    """`rec[key]` as a track or one pair; a '_latlon' one within +-90 and +-360 degrees."""
+    shape = (-1, 2) if key.startswith("dead_reckoned") else (2,)
+    xy = json_floats(rec[key], shape, f"line {lineno}: '{key}'")
     if key.endswith("_latlon") and not (np.abs(xy) <= (90.0, 360.0)).all():
         raise ValidationError(f"line {lineno}: '{key}' must hold [lat, lon] pairs with "
                               "|lat| <= 90 and |lon| <= 360 degrees")
-    return value
+    return xy
 
 
 # A cycle record is "dt_s", an optional "drift_m" and exactly one of these
@@ -288,8 +257,7 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
             f"record is 'dt_s', an optional 'drift_m' and one pair of {list(_POSITION_KEYS)}, "
             'a header exactly {"origin_latlon": [lat, lon]}'
         )
-    if type(rec["dt_s"]) not in _NUMBER_TYPES:
-        raise ValidationError(f"line {lineno}: 'dt_s' must be a number, got {rec['dt_s']!r}")
+    dt = json_floats(rec["dt_s"], (), f"line {lineno}: 'dt_s'")
     dr = _coords(rec, track_key, lineno)
     fix = _coords(rec, fix_key, lineno)
     stated = _coords(rec, "drift_m", lineno) if "drift_m" in rec else None
@@ -301,13 +269,12 @@ def _cycle_from_record(rec: dict, lineno: int, origin: tuple | None):
         dr = latlon_to_local(dr, *origin)
         fix = latlon_to_local(fix[None], *origin)[0]
     try:
-        cycle = Cycle(float(rec["dt_s"]), dr, Vec2(*fix.tolist()))
-        stated = Vec2(*stated.tolist()) if stated is not None else None
-    except (TypeError, ValueError, OverflowError) as err:
+        cycle = Cycle(dt, dr, Vec2(*fix.tolist()))
+    except ValueError as err:
         raise ValidationError(f"line {lineno}: {err}") from err
-    if stated is not None and math.dist((stated.x, stated.y), (cycle.drift.x, cycle.drift.y)) > 1e-6:
+    if stated is not None and math.dist(stated.tolist(), (cycle.drift.x, cycle.drift.y)) > 1e-6:
         raise ValidationError(
-            f"line {lineno}: stated drift {stated} disagrees with "
+            f"line {lineno}: stated drift {Vec2(*stated.tolist())} disagrees with "
             f"fix minus last dead-reckoned point {cycle.drift}"
         )
     return cycle, origin

@@ -256,13 +256,13 @@ class TestEstimate:
             ({"gps_fix_m": [1]}, "line 1"),
             ({"dead_reckoned_m": 5}, "line 1"),
             ({"dt_s": -1e-300}, "dt must be positive"),
-            ({"dt_s": float("nan")}, "dt must be positive"),
-            ({"dt_s": float("inf")}, "dt must be positive"),
+            ({"dt_s": float("nan")}, "'dt_s' must be finite"),
+            ({"dt_s": float("inf")}, "'dt_s' must be finite"),
             ({"dt_s": 10**400}, "line 1"),
             ({"dead_reckoned_m": [[0.0, 0.0], [10**400, 0.0]]}, "line 1"),
             # strings and booleans are not numbers
             ({"dt_s": True, "dead_reckoned_m": [[0, 0], ["21", False]], "gps_fix_m": ["44", 1]},
-             "'dt_s' must be a number"),
+             "'dt_s' must hold numbers"),
             ({"dead_reckoned_m": [[0, 0], ["21", False]]}, "'dead_reckoned_m' must hold numbers"),
         ],
     )

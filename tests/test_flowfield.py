@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from driftfield.flowfield import (
     Vec2,
     eval_field,
     eval_field_many,
+    json_floats,
     random_gyre,
     read_field_csv,
     write_field_csv,
 )
+from driftfield.gp import GpModel
+from driftfield.kernels import HyperParams
+from driftfield.simulator import ParseError, ValidationError, ingest_cycles
 from oracles import divergence_fd
 
 
@@ -261,6 +267,12 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match=r"short\.csv:2: expected 4 values, got 2"):
             read_field_csv(path)
 
+    def test_value_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "word.csv"
+        path.write_text("x_m,y_m,u_mps,v_mps\n1,2,3,4\n1,2,a,4\n")
+        with pytest.raises(ValueError, match=r"word\.csv:3: could not convert string to float: 'a'"):
+            read_field_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -271,3 +283,38 @@ class TestFieldCsv:
         g = Grid(Vec2(0.0, 0.0), 1.0, 2, 2)
         with pytest.raises(ValueError):
             write_field_csv(tmp_path / "x.csv", g, np.zeros((3, 2)))
+
+
+class TestJsonFloats:
+    def test_empty_list_reads_as_no_pairs(self):
+        out = json_floats([], (-1, 2), "'track'")
+        assert out.shape == (0, 2)
+        assert not out.flags.writeable
+        with pytest.raises(ParseError, match=r"^'track' must be a list of coordinate pairs"):
+            json_floats([[], []], (-1, 2), "'track'")
+
+    # JSON text, since json.dumps cannot write 1e400. A coordinate replaces
+    # one number of a pair and is a ValidationError; a shape replaces the
+    # whole value and is a ParseError.
+    @pytest.mark.parametrize(
+        "value, error",
+        [('"21"', ValidationError), ("true", ValidationError), ("null", ValidationError),
+         ("NaN", ValidationError), ("Infinity", ValidationError), ("1e400", ValidationError),
+         ("[1]", ParseError), ("[[1, 2, 3]]", ParseError)],
+        ids=["string", "boolean", "null", "nan", "infinity", "1e400", "one_number", "triple"],
+    )
+    def test_cycle_log_and_model_json_read_a_value_alike(self, tmp_path, value, error):
+        whole = error is ParseError
+        log = tmp_path / "bad.jsonl"
+        log.write_text('{"dt_s": 60.0, "dead_reckoned_m": [[0, 0], [21, 0]], "gps_fix_m": '
+                       + (value if whole else f"[{value}, 1]") + "}\n")
+        model = GpModel(HyperParams(), positions=[[0.0, 0.0]], currents=[[0.1, 0.0]])
+        snapshot = json.dumps({**json.loads(model.to_json()), "positions_m": "@"})
+        snapshot = snapshot.replace('"@"', value if whole else f"[[{value}, 0.0]]")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match="^line 1: 'gps_fix_m' must "):
+                ingest_cycles(log)
+            with pytest.raises(error, match="^'positions_m' must "):
+                GpModel.from_json(snapshot)
+        assert caught == []

@@ -346,6 +346,17 @@ class TestNumericalRobustness:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 GpModel(HP).add_targets([[0.0, 0.0]], [[0.1, bad]])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_position_named_before_any_kernel(self, bad):
+        # an infinite lag would warn in the kernel, and a NaN one surface
+        # only as an unnamed non-finite Schur complement
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            GpModel(HP, positions=[[bad, 0.0]], currents=[[0.1, 0.0]])
+        parent = GpModel(HP, positions=[[0.0, 0.0]], currents=[[0.1, 0.0]])
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            parent.add_targets([[1.0, 2.0], [0.0, bad]], [[0.1, 0.0], [0.1, 0.0]])
+        assert parent.num_targets == 1
+
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, trained_model):
