@@ -174,7 +174,10 @@ class GpModel:
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
-        v = _solve(self._blocks, k_dq)[0]  # L^-1 k_dq
+        v = np.empty_like(k_dq)  # L^-1 k_dq, one walk over R's row blocks
+        for block in self._blocks:
+            rows, j = block.shape
+            v[j - rows : j] = block @ k_dq[:j]
         cov = k_qq - v.T @ v  # symmetric by construction (GPML, Algorithm 2.1)
         return mean.reshape(-1, 2), cov
 

@@ -21,6 +21,7 @@ constraint) is provided for comparison runs.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -36,9 +37,9 @@ __all__ = [
     "block_row_sums",
 ]
 
-# Entries of the pairwise exponential that `block_row_sums` holds at once
-# (256 KiB of float64), against 2.8 MB for the whole (M, M) array of a
-# 587-point dive. The one buffer of this size per call is the only large
+# Entries of the pairwise exponential that the rank-4 row sums hold at
+# once (256 KiB of float64), against 2.8 MB for the whole (M, M) array of
+# a 587-point set. The one buffer of this size per call is the only large
 # array: glibc mmaps it on the first call, and freeing it raises the
 # dynamic mmap threshold, so later calls take it from the heap (0 minor
 # page faults per call at M = 389). 8192 entries ran about 30% slower there.
@@ -134,6 +135,58 @@ def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.nd
     return out
 
 
+@functools.cache
+def _monomials(order: int):
+    """
+    The exponents a and b of the F = (K+1)(K+2)/2 monomials x^a y^b with
+    a + b <= K = `order`, as two (F,) arrays, and the column (K, 1) of
+    sqrt(1), ..., sqrt(K). Each order's tables are built on its first use
+    and shared, read-only, by every later call.
+    """
+    a, b = np.array([(a, n - a) for n in range(order + 1) for a in range(n, -1, -1)]).T
+    tables = (a, b, np.sqrt(np.arange(1.0, order + 1))[:, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _series_order(r2, m: int):
+    """
+    The smallest order K whose remainder bound r2^(K+1) e^r2 / (K+1)! is
+    below 2^-53, or None if its F = (K+1)(K+2)/2 monomials are not fewer
+    than the m points. A non-finite r2 never meets the bound.
+    """
+    k, bound = 0, r2 * np.exp(r2)
+    while (k + 1) * (k + 2) // 2 < m:
+        if bound < 2.0**-53:
+            return k
+        k += 1
+        bound *= r2 / (k + 1)
+    return None
+
+
+def _rank4_row_sums(x, y, h, moments):
+    """
+    e @ moments for e_ij = exp(p_i . p_j - h_i - h_j), formed a block of
+    whole rows at a time from the rank-4 exponent (see `block_row_sums`).
+    """
+    m = x.shape[0]
+    one = np.ones_like(x)
+    left = np.column_stack([x, y, -h, one])
+    right = np.stack([x, y, one, -h])
+    sums = np.empty((m, moments.shape[1]))
+    rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
+    buf = np.empty((min(rows, m), m))
+    for i in range(0, m, rows):
+        e = np.matmul(left[i : i + rows], right, out=buf[: min(rows, m - i)])
+        np.fill_diagonal(e[:, i:], 0.0)
+        np.fmax(e, -np.inf, out=e)  # NaN, from inf - inf, to -inf
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        np.matmul(e, moments, out=sums[i : i + rows])
+    return sums
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     """
@@ -151,10 +204,28 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
         sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i,
 
     with m0 = e @ 1, my = e @ y and myy = e @ y^2. The points are first
-    centred on their centroid and scaled to lengthscale units, where each
-    exponent is a rank-4 product,
+    centred on their centroid and scaled to lengthscale units, where
 
-        -|p_i - p_j|^2 / 2 = p_i . p_j - h_i - h_j,   h = |p|^2 / 2,
+        e_ij = exp(-h_i) exp(-h_j) exp(p_i . p_j),   h = |p|^2 / 2.
+
+    With r the largest |p|, the series of exp(p_i . p_j) to order K is
+    sum_{a+b<=K} x_i^a y_i^b x_j^a y_j^b / (a! b!), and its remainder is
+    at most r^(2(K+1)) e^(r^2) / (K+1)!, times e^(-h_i - h_j) <= 1 (the
+    Taylor expansion behind the fast Gauss transform, Greengard & Strain
+    1991). K is the smallest order whose bound is below 2^-53. Over the
+    F = (K+1)(K+2)/2 monomial rows phi_k = x^a y^b / sqrt(a! b!), the
+    sums are then w * (phi^T @ (phi @ (w * moments))) with w = exp(-h),
+    two thin products and no (M, M) array. The series runs only when
+    F < M: r = 0.1 needs K = 6 and F = 28, r = 1 needs K = 18 and
+    F = 190, and r = 2 needs K = 33 and F = 595. Scaled as below, its
+    error was 1.5e-15 to 6.0e-15 over r = 0.01 to 2 (600 points), within
+    a factor of 2 of the rank-4 rows' on the same points.
+
+    Otherwise, and for a non-finite r, e is formed a block of whole rows
+    at a time in one buffer of about ROW_SUM_BLOCK_ENTRIES entries, where
+    each exponent is a rank-4 product,
+
+        -|p_i - p_j|^2 / 2 = p_i . p_j - h_i - h_j,
 
     the rows of [x, y, -h, 1] times the columns of [x, y, 1, -h]. Three
     guards hold where that rounds badly: e_ii is exactly 1, a NaN
@@ -163,13 +234,13 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     cancel: against the dense sum, each error scaled by its row's absolute
     sum is about eps * (extent / l)^2, measured at 1.5e-15, 3.7e-14,
     1.6e-12 and 4.9e-11 over 1, 10, 100 and 1000 lengthscales of extent
-    (200 points). A dive spans about one lengthscale or less. e is formed
-    a block of whole rows at a time in one buffer of about
-    ROW_SUM_BLOCK_ENTRIES entries. A point more than about 1e154
-    lengthscales from the centroid makes the incompressible sums
-    non-finite, with no warning. A dense sum over `_kernel_blocks` makes a
-    dozen passes over three blocks instead: at M = 389 on one BLAS thread
-    (2-core Xeon) it took 6.4 ms against 0.71 ms here, and direct lags
+    (200 points). A point more than about 1e154 lengthscales from the
+    centroid makes the incompressible sums non-finite, with no warning.
+
+    At M = 389 on a 7 km leg (r = 0.1) on one BLAS thread (2-core Xeon),
+    the incompressible sums took 0.20 ms by the series against 0.64 ms
+    by the rank-4 rows. A dense sum over `_kernel_blocks` makes a dozen
+    passes over three blocks instead and took 6.4 ms, and direct lags
     with these moments 1.4 ms.
     """
     p = as_xy(pts)
@@ -182,18 +253,18 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     else:
         moments = np.column_stack([one, x, y, xx, yy, x * y])
     h = 0.5 * (xx + yy)
-    left = np.column_stack([x, y, -h, one])
-    right = np.stack([x, y, one, -h])
-    sums = np.empty((m, moments.shape[1]))
-    rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
-    buf = np.empty((min(rows, m), m))
-    for i in range(0, m, rows):
-        e = np.matmul(left[i : i + rows], right, out=buf[: min(rows, m - i)])
-        np.fill_diagonal(e[:, i:], 0.0)
-        np.fmax(e, -np.inf, out=e)  # NaN, from inf - inf, to -inf
-        np.minimum(e, 0.0, out=e)
-        np.exp(e, out=e)
-        np.matmul(e, moments, out=sums[i : i + rows])
+    order = _series_order(2.0 * h.max(initial=0.0), m)
+    if order is None:
+        sums = _rank4_row_sums(x, y, h, moments)
+    else:
+        a, b, scale = _monomials(order)
+        w = np.exp(-h)
+        # rows x^a / sqrt(a!) and y^b / sqrt(b!)
+        xs = np.cumprod(np.vstack([one, x / scale]), axis=0)
+        ys = np.cumprod(np.vstack([one, y / scale]), axis=0)
+        phi = xs[a]
+        phi *= ys[b]
+        sums = w[:, None] * (phi.T @ (phi @ (w[:, None] * moments)))
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
         return s * sums[:, 0, None, None] * np.eye(2)

@@ -158,14 +158,39 @@ class TestBlockRowSums:
         sums = block_row_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)))
         assert sums.shape == (0, 2, 2)
 
+    @pytest.mark.parametrize("step", [40.0, 4000.0], ids=["dive", "several_lengthscales"])
     @pytest.mark.parametrize("kind", list(KernelKind))
-    def test_dive_sized_prior_spans_several_row_blocks(self, kind):
-        # a 587-point dive, the longest in the acceptance study
-        rng = np.random.default_rng(4)
-        q = np.cumsum(rng.normal(0.0, 40.0, size=(587, 2)), axis=0)
+    def test_dive_sized_prior_spans_several_row_blocks(self, kind, step):
+        # a 587-point dive, the longest in the acceptance study; with 4 km
+        # steps the walk spans several lengthscales, too wide for the
+        # series, and its sums come from the rank-4 row blocks
+        q = _walk(step)
         assert 587 * 587 > 2 * kernels.ROW_SUM_BLOCK_ENTRIES
         sums = block_row_sums(HP, kind, q)
         np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(587))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_dive_sized_prior_takes_the_series(self, kind, monkeypatch):
+        # the same 587-point dive, a few km across, never forms (M, M)
+        # exponentials: a later change must not fall back to them unseen
+        def no_rank4(*args):
+            raise AssertionError("the rank-4 row sums ran")
+
+        monkeypatch.setattr(kernels, "_rank4_row_sums", no_rank4)
+        q = _walk(40.0)
+        sums = block_row_sums(HP, kind, q)
+        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(587))
+
+    def test_nan_point_goes_to_the_rank4_rows(self):
+        # a NaN point makes r^2 NaN, which never meets the series' bound:
+        # the incompressible sums come out NaN, and the diagonal kernel's
+        # NaN exponents count as far pairs, leaving each point its own
+        # variance
+        q = np.cumsum(np.full((50, 2), 100.0), axis=0)
+        q[17] = np.nan
+        assert np.isnan(block_row_sums(HP, KernelKind.INCOMPRESSIBLE, q)).all()
+        sums = block_row_sums(HP, KernelKind.STANDARD_DIAGONAL, q)
+        np.testing.assert_array_equal(sums, np.broadcast_to(0.5 * np.eye(2), (50, 2, 2)))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("entries", [1, 5, 33, 60])
@@ -206,6 +231,12 @@ def dense_row_sums(kind, q):
     return dense.reshape(-1, 2, 2)
 
 
+def _walk(step: float) -> np.ndarray:
+    """A 587-point random walk of normal steps with standard deviation `step` metres."""
+    rng = np.random.default_rng(4)
+    return np.cumsum(rng.normal(0.0, step, size=(587, 2)), axis=0)
+
+
 def _points_apart(seed: int) -> np.ndarray:
     """300 points of a 25 m grid, each moved by up to 2 m: at least 21 m apart."""
     rng = np.random.default_rng(seed)
@@ -229,7 +260,38 @@ def row_sum_problems(draw):
     return kind, q
 
 
+@st.composite
+def dive_problems(draw):
+    """
+    A kernel and an (M, 2) dive, M up to 600: a random walk or a straight
+    leg at an offset, scaled so that its farthest point lies 0 to 2.5
+    lengthscales from its centroid. The series reaches 2 lengthscales only
+    at about 600 points, so wide or short dives take the rank-4 rows.
+    """
+    kind = draw(st.sampled_from(list(KernelKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 600))
+    if draw(st.booleans()):
+        q = np.cumsum(rng.normal(size=(m, 2)), axis=0)
+    else:
+        q = np.linspace(0.0, 1.0, m)[:, None] * rng.normal(size=2) + 1e-3 * rng.normal(size=(m, 2))
+    q -= q.sum(axis=0) / max(m, 1)
+    radius = np.sqrt((q * q).sum(axis=1)).max(initial=0.0)
+    if radius > 0.0:
+        q *= draw(st.floats(0.0, 2.5)) * HP.lengthscale / radius
+    offset = np.array([draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))])
+    return kind, offset + q
+
+
 class TestBlockRowSumsProperties:
+    @given(dive_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_dives_match_dense_oracle(self, problem):
+        kind, q = problem
+        sums = block_row_sums(HP, kind, q)
+        assert sums.shape == (len(q), 2, 2)
+        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(len(q)))
+
     @given(row_sum_problems())
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_oracle(self, problem):
