@@ -37,13 +37,14 @@ __all__ = [
     "block_row_sums",
 ]
 
-# Entries of the pairwise exponential that the rank-4 row sums hold at
-# once (256 KiB of float64), against 2.8 MB for the whole (M, M) array of
-# a 587-point set. The one buffer of this size per call is the only large
-# array: glibc mmaps it on the first call, and freeing it raises the
-# dynamic mmap threshold, so later calls take it from the heap (0 minor
-# page faults per call at M = 389). 8192 entries ran about 30% slower there.
-ROW_SUM_BLOCK_ENTRIES = 32768
+# Pairs per row block when `block_row_sums` sums `_kernel_blocks` (a set
+# too wide for its series), which bounds that path's temporaries: six
+# arrays of this many float64 (64 KiB each), against 2.8 MB for one (M, M)
+# array of a 587-point set. Below glibc's default 128 KiB mmap threshold
+# they come from the heap: at M = 389 on 1 BLAS thread a call faulted no
+# pages and took 2.0-2.8 ms, against 1404 minor faults and 3.9-4.5 ms
+# at 32768 entries.
+ROW_SUM_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,9 @@ class HyperParams:
         positive("lengthscale", self.lengthscale)
         positive("current_variance", self.current_variance)
         non_negative("gps_noise_std", self.gps_noise_std)
-        # Below a normal l^2, a km-scale dive overflows the row sums' centred
-        # coordinates and every cycle fails: a config error says it better.
+        # Input validation only: lags are clipped, so the kernel and its row
+        # sums stay finite below this bound too, but a lengthscale whose
+        # square is subnormal is no sensible model of a current field.
         if self.lengthscale * self.lengthscale < sys.float_info.min:
             raise ValueError(f"lengthscale {self.lengthscale!r} out of range: "
                              "its square must be a normal float")
@@ -165,28 +167,6 @@ def _series_order(r2, m: int):
     return None
 
 
-def _rank4_row_sums(x, y, h, moments):
-    """
-    e @ moments for e_ij = exp(p_i . p_j - h_i - h_j), formed a block of
-    whole rows at a time from the rank-4 exponent (see `block_row_sums`).
-    """
-    m = x.shape[0]
-    one = np.ones_like(x)
-    left = np.column_stack([x, y, -h, one])
-    right = np.stack([x, y, one, -h])
-    sums = np.empty((m, moments.shape[1]))
-    rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
-    buf = np.empty((min(rows, m), m))
-    for i in range(0, m, rows):
-        e = np.matmul(left[i : i + rows], right, out=buf[: min(rows, m - i)])
-        np.fill_diagonal(e[:, i:], 0.0)
-        np.fmax(e, -np.inf, out=e)  # NaN, from inf - inf, to -inf
-        np.minimum(e, 0.0, out=e)
-        np.exp(e, out=e)
-        np.matmul(e, moments, out=sums[i : i + rows])
-    return sums
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     """
@@ -217,54 +197,47 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     sums are then w * (phi^T @ (phi @ (w * moments))) with w = exp(-h),
     two thin products and no (M, M) array. The series runs only when
     F < M: r = 0.1 needs K = 6 and F = 28, r = 1 needs K = 18 and
-    F = 190, and r = 2 needs K = 33 and F = 595. Scaled as below, its
-    error was 1.5e-15 to 6.0e-15 over r = 0.01 to 2 (600 points), within
-    a factor of 2 of the rank-4 rows' on the same points.
+    F = 190, and r = 2 needs K = 33 and F = 595. Against the dense sum,
+    each error scaled by its row's absolute sum was 1.5e-15 to 6.0e-15
+    over r = 0.01 to 2 (600 points).
 
-    Otherwise, and for a non-finite r, e is formed a block of whole rows
-    at a time in one buffer of about ROW_SUM_BLOCK_ENTRIES entries, where
-    each exponent is a rank-4 product,
-
-        -|p_i - p_j|^2 / 2 = p_i . p_j - h_i - h_j,
-
-    the rows of [x, y, -h, 1] times the columns of [x, y, 1, -h]. Three
-    guards hold where that rounds badly: e_ii is exactly 1, a NaN
-    exponent (from an h that overflowed) counts as a far pair, and a
-    positive one is clamped to 0, so no e exceeds 1. Both expansions
-    cancel: against the dense sum, each error scaled by its row's absolute
-    sum is about eps * (extent / l)^2, measured at 1.5e-15, 3.7e-14,
-    1.6e-12 and 4.9e-11 over 1, 10, 100 and 1000 lengthscales of extent
-    (200 points). A point more than about 1e154 lengthscales from the
-    centroid makes the incompressible sums non-finite, with no warning.
+    Otherwise, and for a non-finite r, the sums are those of the
+    `_kernel_blocks` blocks themselves, taken over row blocks of about
+    ROW_SUM_BLOCK_ENTRIES pairs: O(M^2) work, but with the dense kernel's
+    one rule for lags, so a coincident pair's e is exactly 1, a far pair's
+    exactly 0, and a NaN point makes every row's sums NaN (but for the
+    diagonal kernel's cross blocks, which are 0 at any lag).
 
     At M = 389 on a 7 km leg (r = 0.1) on one BLAS thread (2-core Xeon),
-    the incompressible sums took 0.20 ms by the series against 0.64 ms
-    by the rank-4 rows. A dense sum over `_kernel_blocks` makes a dozen
-    passes over three blocks instead and took 6.4 ms, and direct lags
-    with these moments 1.4 ms.
+    the incompressible sums took 0.20 ms by the series. The row blocks of
+    `_kernel_blocks` took 2.8 ms at that size and 6.4 ms at M = 587.
     """
     p = as_xy(pts)
     m = p.shape[0]
     x, y = (p - p.sum(axis=0) / max(m, 1)).T / hp.lengthscale
-    one = np.ones_like(x)
     xx, yy = x * x, y * y
+    h = 0.5 * (xx + yy)
+    order = _series_order(2.0 * h.max(initial=0.0), m)
+    if order is None:
+        k = np.empty((3, m))
+        rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
+        for i in range(0, m, rows):
+            k[:, i : i + rows] = _kernel_blocks(hp, kind, p[i : i + rows], p).sum(axis=2)
+        k11, k12, k22 = k
+        return np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)
+    one = np.ones_like(x)
     if kind is KernelKind.STANDARD_DIAGONAL:
         moments = one[:, None]
     else:
         moments = np.column_stack([one, x, y, xx, yy, x * y])
-    h = 0.5 * (xx + yy)
-    order = _series_order(2.0 * h.max(initial=0.0), m)
-    if order is None:
-        sums = _rank4_row_sums(x, y, h, moments)
-    else:
-        a, b, scale = _monomials(order)
-        w = np.exp(-h)
-        # rows x^a / sqrt(a!) and y^b / sqrt(b!)
-        xs = np.cumprod(np.vstack([one, x / scale]), axis=0)
-        ys = np.cumprod(np.vstack([one, y / scale]), axis=0)
-        phi = xs[a]
-        phi *= ys[b]
-        sums = w[:, None] * (phi.T @ (phi @ (w[:, None] * moments)))
+    a, b, scale = _monomials(order)
+    w = np.exp(-h)
+    # rows x^a / sqrt(a!) and y^b / sqrt(b!)
+    xs = np.cumprod(np.vstack([one, x / scale]), axis=0)
+    ys = np.cumprod(np.vstack([one, y / scale]), axis=0)
+    phi = xs[a]
+    phi *= ys[b]
+    sums = w[:, None] * (phi.T @ (phi @ (w[:, None] * moments)))
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
         return s * sums[:, 0, None, None] * np.eye(2)

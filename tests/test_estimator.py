@@ -307,11 +307,20 @@ class TestRunEmCycle:
         np.testing.assert_array_equal(a.currents, b.currents)
 
     def test_non_finite_result_is_a_numerical_failure(self):
-        # finite inputs whose kernel distances overflow: the failure must
-        # be raised as a numerical one, not stored as NaN currents
-        cycle = Cycle(60.0, [[-1e308, 0.0], [1e308, 0.0], [1e308, 1.0]], Vec2(1e308, 5.0))
+        # finite inputs whose E-step overflows: the failure must be raised
+        # as a numerical one, not stored as NaN currents
+        cycle = Cycle(60.0, [[0.0, 0.0], [1e308, 0.0], [-7e307, 0.0]], Vec2(1e308, 0.0))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
             run_em_cycle(GpModel(HP), cycle, EmConfig())
+
+    def test_overflowing_lag_is_a_far_pair(self):
+        # the first two points lie 2e308 m apart, a lag that overflows to
+        # inf and clips to 40 lengthscales like any far one; the 4 m drift
+        # over 120 s gives a finite current in v
+        cycle = Cycle(60.0, [[-1e308, 0.0], [1e308, 0.0], [1e308, 1.0]], Vec2(1e308, 5.0))
+        state = run_em_cycle(GpModel(HP), cycle, EmConfig())
+        assert state.converged and state.error is None
+        np.testing.assert_allclose(state.currents, [[0.0, 0.0333], [0.0, 0.0333]], rtol=0, atol=5e-4)
 
     def test_iteration_cap_respected(self):
         cycle = uniform_cycle()

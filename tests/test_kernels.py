@@ -163,7 +163,7 @@ class TestBlockRowSums:
     def test_dive_sized_prior_spans_several_row_blocks(self, kind, step):
         # a 587-point dive, the longest in the acceptance study; with 4 km
         # steps the walk spans several lengthscales, too wide for the
-        # series, and its sums come from the rank-4 row blocks
+        # series, and its sums come from row blocks of `_kernel_blocks`
         q = _walk(step)
         assert 587 * 587 > 2 * kernels.ROW_SUM_BLOCK_ENTRIES
         sums = block_row_sums(HP, kind, q)
@@ -173,24 +173,25 @@ class TestBlockRowSums:
     def test_dive_sized_prior_takes_the_series(self, kind, monkeypatch):
         # the same 587-point dive, a few km across, never forms (M, M)
         # exponentials: a later change must not fall back to them unseen
-        def no_rank4(*args):
-            raise AssertionError("the rank-4 row sums ran")
+        def no_dense_blocks(*args):
+            raise AssertionError("the dense kernel blocks were summed")
 
-        monkeypatch.setattr(kernels, "_rank4_row_sums", no_rank4)
         q = _walk(40.0)
+        dense = dense_row_sums(kind, q)
+        monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
         sums = block_row_sums(HP, kind, q)
-        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(587))
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(587))
 
-    def test_nan_point_goes_to_the_rank4_rows(self):
-        # a NaN point makes r^2 NaN, which never meets the series' bound:
-        # the incompressible sums come out NaN, and the diagonal kernel's
-        # NaN exponents count as far pairs, leaving each point its own
-        # variance
+    def test_nan_point_makes_every_sum_nan(self):
+        # a NaN point makes r^2 NaN, which never meets the series' bound,
+        # and its NaN lags reach every row of the dense blocks' sums; the
+        # diagonal kernel's cross blocks are 0 whatever the lag
         q = np.cumsum(np.full((50, 2), 100.0), axis=0)
         q[17] = np.nan
         assert np.isnan(block_row_sums(HP, KernelKind.INCOMPRESSIBLE, q)).all()
         sums = block_row_sums(HP, KernelKind.STANDARD_DIAGONAL, q)
-        np.testing.assert_array_equal(sums, np.broadcast_to(0.5 * np.eye(2), (50, 2, 2)))
+        assert np.isnan(sums[:, [0, 1], [0, 1]]).all()
+        np.testing.assert_array_equal(sums[:, [0, 1], [1, 0]], 0.0)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("entries", [1, 5, 33, 60])
@@ -204,24 +205,25 @@ class TestBlockRowSums:
     @pytest.mark.parametrize(
         ("kind", "lengthscale"),
         [(kind, lengthscale) for kind in KernelKind for lengthscale in (1e-6, 1e-30)]
-        + [(KernelKind.STANDARD_DIAGONAL, 1.5e-154)],
+        + [(kind, 1.5e-154) for kind in KernelKind],
     )
     def test_far_apart_points_leave_only_their_own_variance(self, kind, lengthscale):
-        # every exponent but a point's own is far below -800, and at
+        # every lag but a point's own clips to 40 lengthscales, and at
         # 1.5e-154 m |p|^2 / 2 overflows to inf
         q = _points_apart(6)
         hp = HyperParams(lengthscale, 0.5, 3.0)
         sums = block_row_sums(hp, kind, q)
         np.testing.assert_array_equal(sums, np.broadcast_to(0.5 * np.eye(2), (300, 2, 2)))
 
-    def test_coincident_points_keep_each_exponential_at_most_1(self):
-        # at 1e-30 m a coincident pair's exponent is known only to within
-        # about 1e49, but each e is still at most 1
+    @pytest.mark.parametrize("lengthscale", [1e-6, 1e-30])
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_coincident_points_keep_each_exponential_at_most_1(self, kind, lengthscale):
+        # each point doubled: a pair at the same place has lag exactly 0 and
+        # e exactly 1, so every row is its own variance twice
         q = _points_apart(7)
-        hp = HyperParams(1e-30, 0.5, 3.0)
-        sums = block_row_sums(hp, KernelKind.STANDARD_DIAGONAL, np.concatenate([q, q]))
-        assert (sums[:, 0, 0] >= 0.5).all() and (sums[:, 0, 0] <= 1.0).all()
-        np.testing.assert_array_equal(sums[:, 0, 1], 0.0)
+        hp = HyperParams(lengthscale, 0.5, 3.0)
+        sums = block_row_sums(hp, kind, np.concatenate([q, q]))
+        np.testing.assert_array_equal(sums, np.broadcast_to(1.0 * np.eye(2), (600, 2, 2)))
 
 
 def dense_row_sums(kind, q):
@@ -266,7 +268,7 @@ def dive_problems(draw):
     A kernel and an (M, 2) dive, M up to 600: a random walk or a straight
     leg at an offset, scaled so that its farthest point lies 0 to 2.5
     lengthscales from its centroid. The series reaches 2 lengthscales only
-    at about 600 points, so wide or short dives take the rank-4 rows.
+    at about 600 points, so wide or short dives sum `_kernel_blocks`.
     """
     kind = draw(st.sampled_from(list(KernelKind)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
