@@ -26,6 +26,12 @@ targets; an append extends it into a new array with the new rows and
 leaves the parent's block as it was, so a parent may be appended to any
 number of times and no append copies the whole factor.
 
+The weights alpha = K^-1 y = R^T z, z = R y, grow with R. The old rows
+of R never change, so neither does the old part of z, and the new rows
+R2 = R[2N_old:, :] extend both: z2 = R2 y, and alpha, padded with
+zeros, gains R2^T z2. An append then reads only its new rows of R,
+O(N n) work, where a fresh solve reads all of them.
+
 R is stored rather than K^-1 = R^T R. R's condition number is the
 square root of K's, and products with it stay within the cond(K) * eps
 tolerances the dense-factor tests set for triangular solves. An explicit
@@ -47,8 +53,8 @@ from driftfield.kernels import (
     HyperParams,
     KernelKind,
     _kernel_blocks,
-    block_row_sums,
     build_block_matrix,
+    cross_sums,
 )
 
 __all__ = [
@@ -115,6 +121,7 @@ class GpModel:
         self.positions = as_xy(positions if positions is not None else [])
         self.currents = as_xy(currents if currents is not None else [])
         self._blocks = ()
+        self._z = self._alpha = np.zeros(0)
         self._grow(0)
 
     @property
@@ -124,9 +131,9 @@ class GpModel:
     def _grow(self, n_old: int):
         """
         Extend `_blocks`, the row blocks of the inverse lower factor of
-        Gram + noise at the first `n_old` targets, by the rest, then
-        solve for `_alpha` against `self.currents`. Every full block is
-        shared with the parent; a last block of fewer than
+        Gram + noise at the first `n_old` targets, by the rest, and
+        `_z` = R y and `_alpha` = R^T R y by the new rows of R. Every
+        full block is shared with the parent; a last block of fewer than
         GROW_BLOCK_TARGETS targets is extended into a new array. The
         noise floor keeps each Schur complement positive definite
         (Rasmussen & Williams 2006, *GPML*, Algorithm 2.1); one that is
@@ -138,6 +145,13 @@ class GpModel:
         # checked before any kernel is formed, where inf - inf would warn
         if not np.isfinite(self.positions[n_old:]).all():
             raise ValueError("positions must be finite")
+        # Only the currents can be non-finite here; scanning R too would
+        # cost as much as a solve.
+        y = np.asarray_chkfinite(self.currents.reshape(-1))
+        z = np.empty_like(y)
+        z[: 2 * n_old] = self._z
+        alpha = np.zeros_like(y)
+        alpha[: 2 * n_old] = self._alpha
         blocks = list(self._blocks)
         start = n_old
         while start < self.num_targets:
@@ -148,9 +162,9 @@ class GpModel:
             stop = min(start - len(head) // 2 + GROW_BLOCK_TARGETS, self.num_targets)
             j = 2 * stop
             k2 = build_block_matrix(self.hp, self.kind, self.positions[start:stop], self.positions[:stop])
-            z, g = _solve(blocks + [head], k2[:, :i].T)  # L11^-1 K12 and K11^-1 K12
+            zk, g = _solve(blocks + [head], k2[:, :i].T)  # L11^-1 K12 and K11^-1 K12
             schur = k2[:, i:]
-            schur -= z.T @ z
+            schur -= zk.T @ zk
             schur[np.diag_indices_from(schur)] += self.target_noise_var
             # R11 and the kernels are finite; an overflowing product still makes
             # the Schur complement non-finite, which cholesky would not reject.
@@ -158,15 +172,22 @@ class GpModel:
             # inv works through a pivoted LU, which leaves rounding above
             # the diagonal of L22^-1.
             r22[np.triu_indices_from(r22, 1)] = 0.0
-            block = np.block([[head, np.zeros((len(head), j - i))], [r22 @ -g.T, r22]])
+            # filled in place: np.block copies the new rows twice, which took
+            # about as long as the solve the alpha update below saves
+            block = np.empty((len(head) + j - i, j))
+            block[: len(head), :i] = head
+            block[: len(head), i:] = 0.0
+            new = block[len(head) :]  # rows i:j of R
+            np.matmul(r22, -g.T, out=new[:, :i])
+            new[:, i:] = r22
             block.flags.writeable = False
+            # the old rows of R are unchanged, so their share of R^T z is too
+            z[i:j] = new @ y[:j]
+            alpha[:j] += new.T @ z[i:j]
             blocks.append(block)
             start = stop
         self._blocks = tuple(blocks)
-        # Only the currents can be non-finite here; scanning R too would
-        # cost as much as the solve.
-        y = np.asarray_chkfinite(self.currents.reshape(-1))
-        self._alpha = _solve(self._blocks, y)[1]
+        self._z, self._alpha = z, alpha
 
     def predict(self, query_points):
         """Posterior (mean (M, 2), joint covariance (2M, 2M) over [u0, v0, u1, v1, ...])."""
@@ -188,21 +209,23 @@ class GpModel:
 
         Returns (mean, cross) with shapes (M, 2) and (M, 2, 2); block i
         of `cross` is the posterior covariance of query current i with
-        the sum, the block row sum of `predict(q)[1]`. Neither the
-        (2M, 2M) covariance nor the interleaved (2N, 2M) kernel is
-        formed, and the training factor is solved against 2 right-hand
-        sides instead of 2M.
+        the sum, the block row sum of `predict(q)[1]`. The (2M, 2M)
+        covariance is never formed, and the training factor is solved
+        against 2 right-hand sides instead of 2M: `kernels.cross_sums`
+        gives the prior row sums, each target's kernel sum over the
+        queries and the products of the query-to-target kernel with
+        those solves. For a dive, whose queries lie within a small
+        fraction of a lengthscale of their centroid, it sums them by a
+        Taylor series about that centroid, through its F monomial rows
+        of both point sets and no (N, M) array, whenever F is below
+        N M / (N + M). Otherwise it forms the (N, M) kernel blocks.
         """
         q = as_xy(query_points)
-        prior = block_row_sums(self.hp, self.kind, q)
-        k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, q)  # each (N, M)
-        s11, s12, s22 = k11.sum(axis=1), k12.sum(axis=1), k22.sum(axis=1)
-        k_dsum = np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2)  # (2N, 2)
+        prior, k_dsum, times_t = cross_sums(self.hp, self.kind, q, self.positions)
         # R is finite by construction; a non-finite query point comes out
         # as NaN in `cross`, as it does for an empty model.
-        rhs = np.column_stack([self._alpha, _solve(self._blocks, k_dsum)[1]])
-        even, odd = rhs[0::2], rhs[1::2]  # rows of the u and v target components
-        out = np.stack([k11.T @ even + k12.T @ odd, k12.T @ even + k22.T @ odd], axis=1)
+        rhs = np.column_stack([self._alpha, _solve(self._blocks, k_dsum.reshape(-1, 2))[1]])
+        out = times_t(rhs.reshape(-1, 2, 3))
         return out[:, :, 0], prior - out[:, :, 1:]
 
     def predict_mean(self, query_points) -> np.ndarray:

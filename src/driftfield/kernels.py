@@ -35,6 +35,7 @@ __all__ = [
     "KernelKind",
     "build_block_matrix",
     "block_row_sums",
+    "cross_sums",
 ]
 
 # Pairs per row block when `block_row_sums` sums `_kernel_blocks` (a set
@@ -152,19 +153,69 @@ def _monomials(order: int):
     return tables
 
 
-def _series_order(r2, m: int):
+def _series_order(r2, budget):
     """
     The smallest order K whose remainder bound r2^(K+1) e^r2 / (K+1)! is
     below 2^-53, or None if its F = (K+1)(K+2)/2 monomials are not fewer
-    than the m points. A non-finite r2 never meets the bound.
+    than `budget`. The caller sets the budget by cost: the series forms F
+    rows per point where the dense blocks form one entry per pair. A
+    non-finite r2, or one whose e^r2 overflows, never meets the bound.
     """
     k, bound = 0, r2 * np.exp(r2)
-    while (k + 1) * (k + 2) // 2 < m:
+    while (k + 1) * (k + 2) // 2 < budget:
         if bound < 2.0**-53:
             return k
         k += 1
         bound *= r2 / (k + 1)
     return None
+
+
+def _centred(p: np.ndarray, centre: np.ndarray, lengthscale: float):
+    """The x and y of (n, 2) points about `centre`, in lengthscale units."""
+    x, y = (p - centre).T / lengthscale
+    return x, y
+
+
+def _series_rows(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """
+    The (F, n) rows w x^a y^b / sqrt(a! b!), a + b <= K = `order`, at the
+    points (x, y), with w = e^(-(x^2 + y^2) / 2). The w is the y^0 row,
+    so every row of a point whose w underflows is exactly 0.
+    """
+    a, b, scale = _monomials(order)
+    xs = np.cumprod(np.vstack([np.ones_like(x), x / scale]), axis=0)
+    ys = np.cumprod(np.vstack([np.exp(-0.5 * (x * x + y * y)), y / scale]), axis=0)
+    rows = xs[a]
+    rows *= ys[b]
+    return rows
+
+
+def _moments(kind: KernelKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The moments [1, x, y, x^2, y^2, xy] of the points, or [1] for the diagonal kernel."""
+    one = np.ones_like(x)
+    if kind is KernelKind.STANDARD_DIAGONAL:
+        return one[:, None]
+    return np.column_stack([one, x, y, x * x, y * y, x * y])
+
+
+def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
+    """
+    The (n, 2, 2) block sums sum_j K(p_i, q_j) at the points p_i = (x_i,
+    y_i), from the rows of `sums`, sum_j e_ij times the `_moments` of q_j.
+    Each incompressible block is a quadratic in the lag times e_ij, so
+
+        sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i
+
+    and likewise for the other blocks.
+    """
+    s = hp.current_variance
+    if kind is KernelKind.STANDARD_DIAGONAL:
+        return s * sums[:, 0, None, None] * np.eye(2)
+    m0, mx, my, mxx, myy, mxy = sums.T
+    k11 = m0 - (y * y * m0 - 2.0 * y * my + myy)
+    k22 = m0 - (x * x * m0 - 2.0 * x * mx + mxx)
+    k12 = x * y * m0 - x * my - y * mx + mxy
+    return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -176,30 +227,24 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     covariance of the current at p_i with the sum of all M currents,
     without forming the (2M, 2M) `build_block_matrix(hp, kind, pts, pts)`.
 
-    Each incompressible block is a quadratic in the lag times one
-    Gaussian, so one exponential per pair, e_ij = exp(-|p_i - p_j|^2 / 2l^2),
-    and one product of e with the moments [1, x, y, x^2, y^2, xy] of
-    the points give every sum; for example
+    The points are centred on their centroid and scaled to lengthscale
+    units, where e_ij = exp(-|p_i - p_j|^2 / 2) factors as
 
-        sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i,
-
-    with m0 = e @ 1, my = e @ y and myy = e @ y^2. The points are first
-    centred on their centroid and scaled to lengthscale units, where
-
-        e_ij = exp(-h_i) exp(-h_j) exp(p_i . p_j),   h = |p|^2 / 2.
+        e_ij = w_i w_j exp(p_i . p_j),   w = exp(-|p|^2 / 2).
 
     With r the largest |p|, the series of exp(p_i . p_j) to order K is
     sum_{a+b<=K} x_i^a y_i^b x_j^a y_j^b / (a! b!), and its remainder is
-    at most r^(2(K+1)) e^(r^2) / (K+1)!, times e^(-h_i - h_j) <= 1 (the
-    Taylor expansion behind the fast Gauss transform, Greengard & Strain
-    1991). K is the smallest order whose bound is below 2^-53. Over the
-    F = (K+1)(K+2)/2 monomial rows phi_k = x^a y^b / sqrt(a! b!), the
-    sums are then w * (phi^T @ (phi @ (w * moments))) with w = exp(-h),
-    two thin products and no (M, M) array. The series runs only when
-    F < M: r = 0.1 needs K = 6 and F = 28, r = 1 needs K = 18 and
-    F = 190, and r = 2 needs K = 33 and F = 595. Against the dense sum,
-    each error scaled by its row's absolute sum was 1.5e-15 to 6.0e-15
-    over r = 0.01 to 2 (600 points).
+    at most r^(2(K+1)) e^(r^2) / (K+1)!, times w_i w_j <= 1 (the Taylor
+    expansion behind the fast Gauss transform, Greengard & Strain 1991).
+    K is the smallest order whose bound is below 2^-53. Over the
+    F = (K+1)(K+2)/2 rows phi_k = w x^a y^b / sqrt(a! b!), every block
+    sum is a quadratic in the point times the e-weighted moments
+    phi^T @ (phi @ moments) (`_moment_blocks`): two thin products and no
+    (M, M) array. The series runs only when F < M: r = 0.1 needs K = 6
+    and F = 28, r = 1 needs K = 18 and F = 190, and r = 2 needs K = 33
+    and F = 595. Against the dense sum, each error scaled by its row's
+    absolute sum was 1.5e-15 to 6.0e-15 over r = 0.01 to 2 (600 points).
+    `cross_sums` runs the same series between a dive and a GP's targets.
 
     Otherwise, and for a non-finite r, the sums are those of the
     `_kernel_blocks` blocks themselves, taken over row blocks of about
@@ -213,11 +258,13 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     `_kernel_blocks` took 2.8 ms at that size and 6.4 ms at M = 587.
     """
     p = as_xy(pts)
+    return _row_sums(hp, kind, p, *_centred(p, p.sum(axis=0) / max(len(p), 1), hp.lengthscale))
+
+
+def _row_sums(hp: HyperParams, kind: KernelKind, p: np.ndarray, x, y) -> np.ndarray:
+    """`block_row_sums` of the points p, given their centred coordinates x and y."""
     m = p.shape[0]
-    x, y = (p - p.sum(axis=0) / max(m, 1)).T / hp.lengthscale
-    xx, yy = x * x, y * y
-    h = 0.5 * (xx + yy)
-    order = _series_order(2.0 * h.max(initial=0.0), m)
+    order = _series_order((x * x + y * y).max(initial=0.0), m)
     if order is None:
         k = np.empty((3, m))
         rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
@@ -225,24 +272,84 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
             k[:, i : i + rows] = _kernel_blocks(hp, kind, p[i : i + rows], p).sum(axis=2)
         k11, k12, k22 = k
         return np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)
-    one = np.ones_like(x)
-    if kind is KernelKind.STANDARD_DIAGONAL:
-        moments = one[:, None]
-    else:
-        moments = np.column_stack([one, x, y, xx, yy, x * y])
-    a, b, scale = _monomials(order)
-    w = np.exp(-h)
-    # rows x^a / sqrt(a!) and y^b / sqrt(b!)
-    xs = np.cumprod(np.vstack([one, x / scale]), axis=0)
-    ys = np.cumprod(np.vstack([one, y / scale]), axis=0)
-    phi = xs[a]
-    phi *= ys[b]
-    sums = w[:, None] * (phi.T @ (phi @ (w[:, None] * moments)))
-    s = hp.current_variance
-    if kind is KernelKind.STANDARD_DIAGONAL:
-        return s * sums[:, 0, None, None] * np.eye(2)
-    m0, mx, my, mxx, myy, mxy = sums.T
-    k11 = m0 - (yy * m0 - 2.0 * y * my + myy)
-    k22 = m0 - (xx * m0 - 2.0 * x * mx + mxx)
-    k12 = x * y * m0 - x * my - y * mx + mxy
-    return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)
+    phi = _series_rows(x, y, order)
+    return _moment_blocks(hp, kind, x, y, phi.T @ (phi @ _moments(kind, x, y)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
+    """
+    The kernel sums a GP needs for the covariance of each of (M, 2)
+    points with the sum of their currents, given (N, 2) targets t.
+
+    Returns (prior, sums, times_t): prior is `block_row_sums(hp, kind,
+    pts)`, sums the (N, 2, 2) blocks sum_j K(t_i, p_j), and times_t(rhs)
+    maps an (N, 2, c) array to the (M, 2, c) array sum_i K(p_j, t_i) rhs_i.
+
+    The series of `block_row_sums`, centred on the points' centroid, also
+    serves the pairs of a point and a target: exp(t_i . p_j) has the same
+    expansion, and with r_p and r_t the largest centred |p| and |t| in
+    lengthscale units, the order K comes from the bound on
+    r_p max(r_p, r_t), which covers both. It runs when its F monomials
+    number fewer than N M / (N + M), so that F (N + M) rows cost less than
+    the N M pairs of the dense blocks. Then every sum goes through thin
+    products with the two sets' rows and no (N, M) array is formed: the
+    prior and `sums` from the points' moments (`_moment_blocks`), and
+    times_t from the target-side columns (1 - b^2) u + ab v,
+    ab u + (1 - a^2) v, u, au, bu, v, av and bv at each target (a, b),
+    recombined with the points' x and y. Otherwise, for a non-finite
+    point, and for no targets, the sums come from the `_kernel_blocks`
+    blocks.
+    """
+    p, t = as_xy(pts), as_xy(targets)
+    m, n = p.shape[0], t.shape[0]
+    centre = p.sum(axis=0) / max(m, 1)
+    x, y = _centred(p, centre, hp.lengthscale)
+    rp2 = (x * x + y * y).max(initial=0.0)
+    budget = n * m / max(n + m, 1)
+    # r_p^2 <= r_p max(r_p, r_t), so the points' own order is a lower bound
+    order = _series_order(rp2, budget)
+    if order is not None:
+        # Clipped as `_kernel_blocks` clips lags: past 38.6 units w is
+        # exactly 0, clipped or not, and clipped coordinates keep every
+        # monomial of the target rows and columns finite.
+        a, b = np.clip(_centred(t, centre, hp.lengthscale), -40.0, 40.0)
+        order = _series_order(np.sqrt(rp2 * np.maximum(rp2, (a * a + b * b).max(initial=0.0))), budget)
+    if order is None:
+        # The prior first, before the (N, M) blocks exist: with both alive
+        # the heap outgrew glibc's trim threshold, and at N = 13, M = 587
+        # every later prior faulted 86 pages instead of none.
+        prior = _row_sums(hp, kind, p, x, y)
+        k11, k12, k22 = k = _kernel_blocks(hp, kind, t, p)  # each (N, M)
+        s11, s12, s22 = k.sum(axis=2)
+
+        def times_t(rhs):
+            u, v = rhs[:, 0], rhs[:, 1]
+            return np.stack([k11.T @ u + k12.T @ v, k12.T @ u + k22.T @ v], axis=1)
+
+        return prior, np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2, 2), times_t
+    phi_p, phi_t = _series_rows(x, y, order), _series_rows(a, b, order)
+    inner = phi_p @ _moments(kind, x, y)
+    prior = _moment_blocks(hp, kind, x, y, phi_p.T @ inner)
+    sums = _moment_blocks(hp, kind, a, b, phi_t.T @ inner)
+
+    def times_t(rhs):
+        u, v = rhs[:, 0], rhs[:, 1]  # each (N, c)
+        if kind is KernelKind.STANDARD_DIAGONAL:
+            cols = [u, v]
+        else:
+            ta, tb = a[:, None], b[:, None]
+            cols = [(1.0 - tb * tb) * u + ta * tb * v, ta * tb * u + (1.0 - ta * ta) * v,
+                    u, ta * u, tb * u, v, ta * v, tb * v]
+        g = np.stack(cols, axis=1).reshape(n, -1)
+        s = (phi_p.T @ (phi_t @ g)).reshape(m, len(cols), -1)
+        s *= hp.current_variance
+        if kind is KernelKind.STANDARD_DIAGONAL:
+            return s
+        c0, c1, su, sau, sbu, sv, sav, sbv = s.transpose(1, 0, 2)
+        px, py = x[:, None], y[:, None]
+        out0 = c0 + py * (2.0 * sbu - py * su - sav) - px * (sbv - py * sv)
+        out1 = c1 - py * sau + px * (py * su - sbu + 2.0 * sav - px * sv)
+        return np.stack([out0, out1], axis=1)
+
+    return prior, sums, times_t

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftfield import gp
+from driftfield import gp, kernels
 from driftfield.flowfield import AnalyticField, Vec2, eval_field_many, random_gyre
 from driftfield.gp import (
     DEFAULT_TARGET_NOISE_VAR,
@@ -144,6 +144,147 @@ class TestPredictSum:
         np.testing.assert_allclose(cross, dense, rtol=1e-9, atol=1e-12 * HP.current_variance)
 
 
+def predict_sum_oracle(model: GpModel, query: np.ndarray):
+    # the mean and the block row sums of the full (2M, 2M) covariance
+    mean, cov = model.predict(query)
+    return mean, (cov @ np.tile(np.eye(2), (len(query), 1))).reshape(-1, 2, 2)
+
+
+def assert_matches_oracle(model: GpModel, got, want):
+    mean, cross = got
+    assert mean.shape == want[0].shape and cross.shape == want[1].shape
+    # Each mean is sum_i k_i alpha_i, which cancels: both paths, dense blocks
+    # or series, round to about eps * var * |alpha|_1 from `predict`'s
+    # product (at most 7e-17 times it on the 300-target dives below).
+    mean_atol = 1e-15 * model.hp.current_variance * np.abs(model._alpha).sum()
+    np.testing.assert_allclose(mean, want[0], rtol=1e-12, atol=max(mean_atol, 1e-15))
+    np.testing.assert_allclose(cross, want[1], rtol=1e-9, atol=1e-12 * model.hp.current_variance)
+
+
+def assert_predict_sum_matches_predict(model: GpModel, query: np.ndarray):
+    got = model.predict_sum(query)
+    assert_matches_oracle(model, got, predict_sum_oracle(model, query))
+    return got
+
+
+def dive_leg(num_points: int = 150, length: float = 3000.0) -> np.ndarray:
+    """A straight leg of `num_points` points, `length` metres long, off the origin."""
+    return np.linspace(0.0, 1.0, num_points)[:, None] * np.array([0.8, 0.6]) * length + [2e3, -4e3]
+
+
+def model_with_targets(kind, targets):
+    return GpModel(HP, kind, targets, eval_field_many(random_gyre(3), targets))
+
+
+def spy_on_kernel_blocks(monkeypatch):
+    """Record the sizes of the point sets each `_kernel_blocks` call pairs."""
+    calls, blocks = [], kernels._kernel_blocks
+
+    def recording(hp, kind, a, b):
+        calls.append((len(a), len(b)))
+        return blocks(hp, kind, a, b)
+
+    monkeypatch.setattr(kernels, "_kernel_blocks", recording)
+    return calls
+
+
+class TestPredictSumPaths:
+    # a dive's query points lie well within a lengthscale of their
+    # centroid, so its cross terms with the targets go through the
+    # dive-centred series whenever its F monomials are below N M / (N + M)
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_dive_takes_the_series(self, kind, monkeypatch):
+        # a 150-point, 3 km leg against 300 targets over 30 km
+        rng = np.random.default_rng(21)
+        model = model_with_targets(kind, rng.uniform(-1.5e4, 1.5e4, size=(300, 2)))
+        query = dive_leg()
+        want = predict_sum_oracle(model, query)
+
+        def no_dense_blocks(*args):
+            raise AssertionError("the dense kernel blocks were formed")
+
+        monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
+        assert_matches_oracle(model, model.predict_sum(query), want)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(
+        ("targets", "queries"),
+        [
+            # 29 lengthscales away: the series would need 231 monomials, and
+            # N M / (N + M) is 100
+            (np.random.default_rng(22).uniform(7e5, 7.3e5, size=(300, 2)), 150),
+            # 5 targets: N M / (N + M) is below 5, and the order needs 36
+            (np.random.default_rng(23).uniform(-1.5e4, 1.5e4, size=(5, 2)), 150),
+            # one query point: N M / (N + M) is below 1, order 0's F
+            (np.random.default_rng(24).uniform(-1.5e4, 1.5e4, size=(300, 2)), 1),
+        ],
+        ids=["far_targets", "few_targets", "one_query"],
+    )
+    def test_fallback_forms_the_dense_blocks(self, kind, targets, queries, monkeypatch):
+        model = model_with_targets(kind, targets)
+        query = dive_leg(queries)
+        calls = spy_on_kernel_blocks(monkeypatch)
+        assert_predict_sum_matches_predict(model, query)
+        assert (len(targets), queries) in calls
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_empty_model_gives_the_prior(self, kind):
+        query = dive_leg()
+        mean, cross = assert_predict_sum_matches_predict(GpModel(HP, kind), query)
+        np.testing.assert_array_equal(mean, np.zeros((150, 2)))
+        np.testing.assert_array_equal(cross, kernels.block_row_sums(HP, kind, query))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_nan_query_point_gives_nan_cross(self, kind, monkeypatch):
+        # a NaN centroid never meets the series bound, and the dense
+        # blocks' NaN column reaches every target's sum and so every solve
+        rng = np.random.default_rng(25)
+        model = model_with_targets(kind, rng.uniform(-1.5e4, 1.5e4, size=(300, 2)))
+        query = dive_leg()
+        query[17] = np.nan
+        calls = spy_on_kernel_blocks(monkeypatch)
+        mean, cross = model.predict_sum(query)
+        assert (300, 150) in calls
+        assert np.isnan(cross).all()
+        assert np.isnan(mean[17]).all()
+        assert np.isfinite(np.delete(mean, 17, axis=0)).all()
+
+
+@st.composite
+def dives_and_targets(draw):
+    """
+    A kernel, a dive of 1-150 points whose farthest point lies 0 to 0.15
+    lengthscales from its centroid (a straight leg or a random walk), and
+    0-150 targets spread over 0 to 1.5 lengthscales about a point within
+    0.5 lengthscales of the dive, all at an offset. About a third of such
+    draws take the series (96 of 300 when counted).
+    """
+    kind = draw(st.sampled_from(list(KernelKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 150))
+    if draw(st.booleans()):
+        q = np.cumsum(rng.normal(size=(m, 2)), axis=0)
+    else:
+        q = np.linspace(0.0, 1.0, m)[:, None] * rng.normal(size=2) + 1e-3 * rng.normal(size=(m, 2))
+    q -= q.mean(axis=0)
+    radius = np.sqrt((q * q).sum(axis=1)).max()
+    if radius > 0.0:
+        q *= draw(st.floats(0.0, 0.15)) * HP.lengthscale / radius
+    centre = rng.uniform(-0.5, 0.5, size=2) * HP.lengthscale
+    spread = draw(st.floats(0.0, 1.5)) * HP.lengthscale
+    t = centre + spread * rng.uniform(-0.5, 0.5, size=(draw(st.integers(0, 150)), 2))
+    offset = np.array([draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))])
+    return kind, q + offset, t + offset
+
+
+class TestPredictSumProperties:
+    @given(dives_and_targets())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_predict(self, problem):
+        kind, query, targets = problem
+        assert_predict_sum_matches_predict(model_with_targets(kind, targets), query)
+
+
 class TestModelGrowth:
     def test_add_targets_returns_new_model(self):
         m0 = GpModel(HP)
@@ -262,6 +403,25 @@ class TestFactorGrowth:
             scale = np.abs(model.currents).max()
             np.testing.assert_allclose(got_mean, mean, rtol=1e-9, atol=1e-9 * scale)
             np.testing.assert_allclose(got_cross, cross, rtol=1e-9, atol=1e-9 * 4 * HP.current_variance)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("grow", [1, 3, 32])
+    def test_alpha_extends_by_the_new_rows(self, kind, grow, monkeypatch):
+        # each append adds R_new^T (R_new y) to the parent's alpha instead of
+        # solving again; it agrees with a full solve to about cond * eps, and
+        # the parent's z and alpha stay as they were
+        monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", grow)
+        rng = np.random.default_rng(19)
+        model = GpModel(HP, kind)
+        for size in (3, 5, 4, 1, 7):
+            parent, before = model, (model._z.copy(), model._alpha.copy())
+            model = model.add_targets(rng.uniform(-4e4, 4e4, size=(size, 2)),
+                                      rng.normal(0.0, 0.3, size=(size, 2)))
+            z, alpha = gp._solve(model._blocks, model.currents.reshape(-1))
+            for got, want in [(model._z, z), (model._alpha, alpha)]:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+            np.testing.assert_array_equal(parent._z, before[0])
+            np.testing.assert_array_equal(parent._alpha, before[1])
 
     def test_two_children_of_one_parent(self):
         rng = np.random.default_rng(16)
