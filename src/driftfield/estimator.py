@@ -16,11 +16,21 @@ approximates it). EM untangles the two:
                 S = C Sigma C^T + sy^2 I
                 W = mu + Sigma C^T S^(-1) (drift - C mu)
 
-            Only Sigma C^T, n 2x2 blocks, and the 2x2 S are needed, and
-            both come from block row sums of the GP covariance, so the
-            (2n, 2n) trajectory covariance is never formed (the
-            linear-observation case of Jidling et al. 2017,
-            "Linearly constrained Gaussian processes").
+            With m and V the posterior mean and covariance of the summed
+            currents sum_j W_j, C mu = dt m and C Sigma C^T = dt^2 V, and
+            row i of Sigma C^T S^(-1) (drift - C mu) is Cov(W_i, sum_j W_j) v
+            for the one 2-vector v = dt S^(-1) (drift - C mu). With the
+            trajectory points P and the GP's targets T and weights alpha,
+            that is one weight vector on the targets:
+
+                W = K(P, T) (alpha - beta v) + K(P, P) (1 v)
+
+            where beta = K^(-1) K(T, P) 1 is one solve against two
+            right-hand sides and 1 stacks n identities. Each M-step
+            applies the trajectory-to-target kernel to one column; the
+            (2n, 2n) trajectory covariance and its n 2x2 block row sums
+            are never formed (the linear-observation case of Jidling et
+            al. 2017, "Linearly constrained Gaussian processes").
 
 Cycles are processed in order and past cycles are never revisited: the
 converged currents of each cycle become fixed pseudo-targets in the GP
@@ -137,12 +147,11 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     x = as_xy(trajectory)
     if x.shape[0] < 2:
         raise ValueError("trajectory needs at least two points")
-    # An overflow to inf or NaN in predict_sum's prior - out, the dt products or
+    # An overflow to inf or NaN in predict_sum's sums, the dt products or
     # np.square (where float ** would raise) is reported just below.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, cross = model.predict_sum(x[:-1])
-        sigma_ct = dt * cross  # Sigma C^T as n 2x2 blocks
-        c_sigma_ct = dt * sigma_ct.sum(axis=0)
+        mean_sum, cov_sum, update = model.predict_sum(x[:-1])
+        c_sigma_ct = dt * (dt * cov_sum)
         s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + np.square(model.hp.gps_noise_std) * np.eye(2)
     if not np.isfinite(s_mat).all():
         raise FloatingPointError(
@@ -150,16 +159,16 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
             f"GPS noise {model.hp.gps_noise_std} m, lengthscale {model.hp.lengthscale} m, "
             f"current variance {model.hp.current_variance} m^2/s^2)"
         )
-    innov = drift.as_array() - dt * mean.sum(axis=0)
+    innov = drift.as_array() - dt * mean_sum
     try:
-        # one (2n, 2) matrix-vector product: n stacked 2x2 ones take about 6x as long
-        w = mean + (sigma_ct.reshape(-1, 2) @ np.linalg.solve(s_mat, innov)).reshape(-1, 2)
+        v = dt * np.linalg.solve(s_mat, innov)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(
             "innovation covariance is singular; zero GPS noise with a "
             "degenerate predictive covariance"
         ) from err
-    return w, s_mat
+    # Sigma C^T S^-1 innov = Cov(W_i, sum_j W_j) v
+    return update(v), s_mat
 
 
 def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:

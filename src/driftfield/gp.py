@@ -161,9 +161,10 @@ class GpModel:
                 head = blocks.pop()
             stop = min(start - len(head) // 2 + GROW_BLOCK_TARGETS, self.num_targets)
             j = 2 * stop
-            k2 = build_block_matrix(self.hp, self.kind, self.positions[start:stop], self.positions[:stop])
-            zk, g = _solve(blocks + [head], k2[:, :i].T)  # L11^-1 K12 and K11^-1 K12
-            schur = k2[:, i:]
+            # K12 = k2[:i] is C-contiguous rows, as `_solve`'s products want
+            k2 = build_block_matrix(self.hp, self.kind, self.positions[:stop], self.positions[start:stop])
+            zk, g = _solve(blocks + [head], k2[:i])  # L11^-1 K12 and K11^-1 K12
+            schur = k2[i:]
             schur -= zk.T @ zk
             schur[np.diag_indices_from(schur)] += self.target_noise_var
             # R11 and the kernels are finite; an overflowing product still makes
@@ -204,29 +205,35 @@ class GpModel:
 
     def predict_sum(self, query_points):
         """
-        Posterior mean at the query points and the posterior covariance
-        of each query current with the sum of all of them.
+        The posterior of the sum of the currents f_i at M query points.
 
-        Returns (mean, cross) with shapes (M, 2) and (M, 2, 2); block i
-        of `cross` is the posterior covariance of query current i with
-        the sum, the block row sum of `predict(q)[1]`. The (2M, 2M)
-        covariance is never formed, and the training factor is solved
-        against 2 right-hand sides instead of 2M: `kernels.cross_sums`
-        gives the prior row sums, each target's kernel sum over the
-        queries and the products of the query-to-target kernel with
-        those solves. For a dive, whose queries lie within a small
-        fraction of a lengthscale of their centroid, it sums them by a
-        Taylor series about that centroid, through its F monomial rows
-        of both point sets and no (N, M) array, whenever F is below
-        N M / (N + M). Otherwise it forms the (N, M) kernel blocks.
+        Returns (mean_sum, cov_sum, update): the posterior mean of
+        sum_i f_i as a 2-vector, its 2x2 posterior covariance, and
+        update(v), which maps a 2-vector v to the (M, 2) array
+        mean_i + Cov(f_i, sum_j f_j) v. With P the queries, T the targets,
+        1 the (2M, 2) stack of identities, ksum = K(T, P) 1 and
+        beta = K^-1 ksum (one solve against 2 right-hand sides):
+
+            mean_sum = ksum^T alpha
+            cov_sum  = 1^T K(P, P) 1 - ksum^T beta
+            update(v) = K(P, T) (alpha - beta v) + K(P, P) (1 v)
+
+        so an update applies the query-to-target kernel to one vector.
+        `kernels.cross_sums` gives the kernel sums and that application;
+        neither the (2M, 2M) covariance nor any per-query 2x2 block of it
+        is formed. For a dive, whose queries lie within a small fraction
+        of a lengthscale of their centroid, it sums them by a Taylor
+        series about that centroid, with no (N, M) array, whenever its F
+        monomial rows cost less than the dense blocks by the measured rule
+        in `cross_sums`.
         """
         q = as_xy(query_points)
-        prior, k_dsum, times_t = cross_sums(self.hp, self.kind, q, self.positions)
+        total, ksum, apply = cross_sums(self.hp, self.kind, q, self.positions)
         # R is finite by construction; a non-finite query point comes out
-        # as NaN in `cross`, as it does for an empty model.
-        rhs = np.column_stack([self._alpha, _solve(self._blocks, k_dsum.reshape(-1, 2))[1]])
-        out = times_t(rhs.reshape(-1, 2, 3))
-        return out[:, :, 0], prior - out[:, :, 1:]
+        # as NaN in cov_sum, as it does for an empty model.
+        beta = _solve(self._blocks, ksum)[1]
+        alpha = self._alpha
+        return ksum.T @ alpha, total - ksum.T @ beta, lambda v: apply(alpha - beta @ v, v)
 
     def predict_mean(self, query_points) -> np.ndarray:
         """Posterior mean only, skipping the query covariance. Shape (M, 2)."""

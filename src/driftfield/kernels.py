@@ -47,6 +47,15 @@ __all__ = [
 # at 32768 entries.
 ROW_SUM_BLOCK_ENTRIES = 8192
 
+# The cost of one (target, point) pair of the dense blocks in units of one
+# point's monomial row of the series, as `cross_sums` compares its paths.
+# A pair takes an exp and six passes over (N, M) arrays. Timed on both
+# paths (1 BLAS thread, 2-core Xeon) over 100 geometries per kernel, N 1
+# to 300, M 20 to 400 and F 21 to 595: at 3 the chosen path's total was
+# 2.5% (incompressible) and 1.0% (diagonal) above the faster path's, at 2
+# 3.5% and 4.8%, at 4 5.8% and 1.7%.
+SERIES_COST_RATIO = 3.0
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -158,7 +167,9 @@ def _series_order(r2, budget):
     The smallest order K whose remainder bound r2^(K+1) e^r2 / (K+1)! is
     below 2^-53, or None if its F = (K+1)(K+2)/2 monomials are not fewer
     than `budget`. The caller sets the budget by cost: the series forms F
-    rows per point where the dense blocks form one entry per pair. A
+    rows per point where the dense blocks form one entry per pair.
+    `block_row_sums` takes it when F < M; `cross_sums` when F (N + M) is
+    below what the dense fallback costs in the same units (see there). A
     non-finite r2, or one whose e^r2 overflows, never meets the bound.
     """
     k, bound = 0, r2 * np.exp(r2)
@@ -258,12 +269,8 @@ def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
     `_kernel_blocks` took 2.8 ms at that size and 6.4 ms at M = 587.
     """
     p = as_xy(pts)
-    return _row_sums(hp, kind, p, *_centred(p, p.sum(axis=0) / max(len(p), 1), hp.lengthscale))
-
-
-def _row_sums(hp: HyperParams, kind: KernelKind, p: np.ndarray, x, y) -> np.ndarray:
-    """`block_row_sums` of the points p, given their centred coordinates x and y."""
     m = p.shape[0]
+    x, y = _centred(p, p.sum(axis=0) / max(m, 1), hp.lengthscale)
     order = _series_order((x * x + y * y).max(initial=0.0), m)
     if order is None:
         k = np.empty((3, m))
@@ -279,77 +286,110 @@ def _row_sums(hp: HyperParams, kind: KernelKind, p: np.ndarray, x, y) -> np.ndar
 @np.errstate(over="ignore", invalid="ignore")
 def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
     """
-    The kernel sums a GP needs for the covariance of each of (M, 2)
-    points with the sum of their currents, given (N, 2) targets t.
+    The kernel sums behind the posterior of the summed currents at (M, 2)
+    points P, given a GP's (N, 2) targets T.
 
-    Returns (prior, sums, times_t): prior is `block_row_sums(hp, kind,
-    pts)`, sums the (N, 2, 2) blocks sum_j K(t_i, p_j), and times_t(rhs)
-    maps an (N, 2, c) array to the (M, 2, c) array sum_i K(p_j, t_i) rhs_i.
+    Returns (total, ksum, apply): total is the 2x2 prior covariance of the
+    sum, 1^T K(P, P) 1 with 1 the (2M, 2) stack of identities; ksum is the
+    (2N, 2) K(T, P) 1, whose rows 2i and 2i + 1 are sum_j K(t_i, p_j); and
+    apply(c, v) maps a (2N,) vector c and a 2-vector v to the (M, 2) array
+    K(P, T) c + K(P, P) (1 v), whose row j is
+    sum_i K(p_j, t_i) c_i + sum_i K(p_j, p_i) v.
 
     The series of `block_row_sums`, centred on the points' centroid, also
     serves the pairs of a point and a target: exp(t_i . p_j) has the same
     expansion, and with r_p and r_t the largest centred |p| and |t| in
     lengthscale units, the order K comes from the bound on
-    r_p max(r_p, r_t), which covers both. It runs when its F monomials
-    number fewer than N M / (N + M), so that F (N + M) rows cost less than
-    the N M pairs of the dense blocks. Then every sum goes through thin
-    products with the two sets' rows and no (N, M) array is formed: the
-    prior and `sums` from the points' moments (`_moment_blocks`), and
-    times_t from the target-side columns (1 - b^2) u + ab v,
-    ab u + (1 - a^2) v, u, au, bu, v, av and bv at each target (a, b),
-    recombined with the points' x and y. Otherwise, for a non-finite
-    point, and for no targets, the sums come from the `_kernel_blocks`
-    blocks.
+    r_p max(r_p, r_t), which covers both. Its F monomial rows over N + M
+    points are priced against the dense fallback, whose N M pairs cost
+    SERIES_COST_RATIO = 3 rows each and whose `block_row_sums` of the
+    points costs F_p M rows by their own series, or 3 M^2 without it:
+
+        F (N + M) < 3 N M + F_p M   (or 3 N M + 3 M^2).
+
+    A dive then takes the series unless its targets lie far enough out to
+    raise F well above F_p. Against the rule F (N + M) < N M it replaced,
+    the M-steps on the dense path fell from 35 to 2 of survey's 59 (the
+    two with no targets yet), from 12 to 2 of long_mission's 296 and from
+    100 to 10 of study's 100, one pass each.
+
+    On the series path nothing is formed per pair: ksum comes from the
+    points' moments (`_moment_blocks`), total from their 6x6 moment Gram
+    matrix, and apply from one product of the points' rows with F rows of
+    8 columns. Those are the target rows times the target-side columns
+    (1 - b^2) u + ab v, ab u + (1 - a^2) v, u, au, bu, v, av and bv of
+    c = (u, v) at each target (a, b), plus the points' moments times the
+    same columns of the constant weight v, recombined with the points' x
+    and y. Otherwise, for a non-finite point, and for no targets, the
+    sums come from the `_kernel_blocks` blocks and the points'
+    `block_row_sums`.
     """
     p, t = as_xy(pts), as_xy(targets)
     m, n = p.shape[0], t.shape[0]
     centre = p.sum(axis=0) / max(m, 1)
     x, y = _centred(p, centre, hp.lengthscale)
     rp2 = (x * x + y * y).max(initial=0.0)
-    budget = n * m / max(n + m, 1)
-    # r_p^2 <= r_p max(r_p, r_t), so the points' own order is a lower bound
-    order = _series_order(rp2, budget)
-    if order is not None:
+    order = None
+    if n:
+        # the fallback's `block_row_sums`: F_p rows per point, or M pairs
+        k = _series_order(rp2, m)
+        prior_cost = SERIES_COST_RATIO * m * m if k is None else (k + 1) * (k + 2) // 2 * m
         # Clipped as `_kernel_blocks` clips lags: past 38.6 units w is
         # exactly 0, clipped or not, and clipped coordinates keep every
         # monomial of the target rows and columns finite.
         a, b = np.clip(_centred(t, centre, hp.lengthscale), -40.0, 40.0)
-        order = _series_order(np.sqrt(rp2 * np.maximum(rp2, (a * a + b * b).max(initial=0.0))), budget)
+        order = _series_order(np.sqrt(rp2 * np.maximum(rp2, (a * a + b * b).max())),
+                              (SERIES_COST_RATIO * n * m + prior_cost) / (n + m))
     if order is None:
         # The prior first, before the (N, M) blocks exist: with both alive
         # the heap outgrew glibc's trim threshold, and at N = 13, M = 587
         # every later prior faulted 86 pages instead of none.
-        prior = _row_sums(hp, kind, p, x, y)
+        prior = block_row_sums(hp, kind, p)
         k11, k12, k22 = k = _kernel_blocks(hp, kind, t, p)  # each (N, M)
         s11, s12, s22 = k.sum(axis=2)
 
-        def times_t(rhs):
-            u, v = rhs[:, 0], rhs[:, 1]
-            return np.stack([k11.T @ u + k12.T @ v, k12.T @ u + k22.T @ v], axis=1)
+        def apply(c, v):
+            u, w = c[0::2], c[1::2]
+            out = np.column_stack([u @ k11 + w @ k12, u @ k12 + w @ k22])
+            out += prior @ v
+            return out
 
-        return prior, np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2, 2), times_t
+        return prior.sum(axis=0), np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2), apply
+    s = hp.current_variance
     phi_p, phi_t = _series_rows(x, y, order), _series_rows(a, b, order)
     inner = phi_p @ _moments(kind, x, y)
-    prior = _moment_blocks(hp, kind, x, y, phi_p.T @ inner)
-    sums = _moment_blocks(hp, kind, a, b, phi_t.T @ inner)
+    ksum = _moment_blocks(hp, kind, a, b, phi_t.T @ inner).reshape(-1, 2)
+    g = inner.T @ inner  # sum_i of the moments of p_i times sum_j e_ij moments of p_j
+    if kind is KernelKind.STANDARD_DIAGONAL:
 
-    def times_t(rhs):
-        u, v = rhs[:, 0], rhs[:, 1]  # each (N, c)
-        if kind is KernelKind.STANDARD_DIAGONAL:
-            cols = [u, v]
-        else:
-            ta, tb = a[:, None], b[:, None]
-            cols = [(1.0 - tb * tb) * u + ta * tb * v, ta * tb * u + (1.0 - ta * ta) * v,
-                    u, ta * u, tb * u, v, ta * v, tb * v]
-        g = np.stack(cols, axis=1).reshape(n, -1)
-        s = (phi_p.T @ (phi_t @ g)).reshape(m, len(cols), -1)
-        s *= hp.current_variance
-        if kind is KernelKind.STANDARD_DIAGONAL:
-            return s
-        c0, c1, su, sau, sbu, sv, sav, sbv = s.transpose(1, 0, 2)
-        px, py = x[:, None], y[:, None]
-        out0 = c0 + py * (2.0 * sbu - py * su - sav) - px * (sbv - py * sv)
-        out1 = c1 - py * sau + px * (py * su - sbu + 2.0 * sav - px * sv)
-        return np.stack([out0, out1], axis=1)
+        def apply(c, v):
+            return s * (phi_p.T @ (phi_t @ c.reshape(-1, 2) + inner @ v[None]))
 
-    return prior, sums, times_t
+        return s * g[0, 0] * np.eye(2), ksum, apply
+    # `_moment_blocks` summed over the points: with the moments indexed
+    # 1, x, y, x^2, y^2, xy as 0-5, sum_i y_i^2 m0_i is g[4, 0], and so on
+    t12 = 2.0 * (g[0, 5] - g[1, 2])
+    total = s * np.array([[g[0, 0] + 2.0 * (g[2, 2] - g[0, 4]), t12],
+                          [t12, g[0, 0] + 2.0 * (g[1, 1] - g[0, 3])]])
+
+    def apply(c, v):
+        u, w = c[0::2], c[1::2]
+        cols = np.column_stack([(1.0 - b * b) * u + a * b * w, a * b * u + (1.0 - a * a) * w,
+                                u, a * u, b * u, w, a * w, b * w])
+        # The same eight columns of the constant weight v at every point,
+        # as combinations of the point's moments 1, x, y, x^2, y^2 and xy.
+        v0, v1 = v
+        moment_cols = np.array([
+            [v0, v1, v0, 0.0, 0.0, v1, 0.0, 0.0],
+            [0.0, 0.0, 0.0, v0, 0.0, 0.0, v1, 0.0],
+            [0.0, 0.0, 0.0, 0.0, v0, 0.0, 0.0, v1],
+            [0.0, -v1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [v1, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        c0, c1, su, sau, sbu, sv, sav, sbv = s * (phi_p.T @ (phi_t @ cols + inner @ moment_cols)).T
+        out0 = c0 + y * (2.0 * sbu - sav - y * su) - x * (sbv - y * sv)
+        out1 = c1 - y * sau + x * (y * su - sbu + 2.0 * sav - x * sv)
+        return np.column_stack([out0, out1])
+
+    return total, ksum, apply

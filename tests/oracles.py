@@ -58,33 +58,43 @@ def dense_inverse_factor(model) -> np.ndarray:
     return r
 
 
+def dense_m_step(hp, kind, pos, cur, trajectory, drift, dt):
+    """
+    `estimator.m_step` from dense linear algebra: the Kalman update of the
+    currents at the trajectory's left endpoints on the drift, over their
+    full (2n, 2n) predictive covariance under a GP with targets `pos` and
+    currents `cur`, factored afresh by one dense Cholesky. Returns (W, S).
+    """
+    x = trajectory[:-1]
+    gram = build_block_matrix(hp, kind, pos, pos) + DEFAULT_TARGET_NOISE_VAR * np.eye(2 * len(pos))
+    chol = np.linalg.cholesky(gram)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, cur.reshape(-1)))
+    c = dt * np.tile(np.eye(2), len(x))  # drift = C W
+    k_dq = build_block_matrix(hp, kind, pos, x)
+    v = np.linalg.solve(chol, k_dq)
+    mu = k_dq.T @ alpha
+    sigma = build_block_matrix(hp, kind, x, x) - v.T @ v
+    s = c @ sigma @ c.T + hp.gps_noise_std**2 * np.eye(2)
+    w = mu + sigma @ c.T @ np.linalg.solve(s, drift.as_array() - c @ mu)
+    return w.reshape(-1, 2), s
+
+
 def dense_process_mission(log, hp, kind, cfg):
     """
     `estimator.process_mission` from dense linear algebra, for missions
-    where no cycle fails. Each cycle refactors the whole noisy Gram matrix
-    of the targets so far, runs EM with the dense Kalman update over the
-    (2n, 2n) predictive covariance, and thins its converged currents with
-    the plain greedy double loop. Returns (target positions, target
-    currents, [(trajectory, currents) per cycle]).
+    where no cycle fails. Each EM iteration runs `dense_m_step` against the
+    targets so far, and each cycle thins its converged currents with the
+    plain greedy double loop. Returns (target positions, target currents,
+    [(trajectory, currents) per cycle]).
     """
     pos, cur = np.empty((0, 2)), np.empty((0, 2))
     spacing = cfg.spacing_for(hp)
     states = []
     for cycle in log.cycles:
         dr, dt, n = cycle.dead_reckoned, cycle.dt, cycle.num_steps
-        gram = build_block_matrix(hp, kind, pos, pos) + DEFAULT_TARGET_NOISE_VAR * np.eye(2 * len(pos))
-        chol = np.linalg.cholesky(gram)
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, cur.reshape(-1)))
-        c = dt * np.tile(np.eye(2), n)  # drift = C W
         x = dr.copy()
         for _ in range(cfg.max_iters):
-            k_dq = build_block_matrix(hp, kind, pos, x[:-1])
-            v = np.linalg.solve(chol, k_dq)
-            mu = k_dq.T @ alpha
-            sigma = build_block_matrix(hp, kind, x[:-1], x[:-1]) - v.T @ v
-            s = c @ sigma @ c.T + hp.gps_noise_std**2 * np.eye(2)
-            w = mu + sigma @ c.T @ np.linalg.solve(s, cycle.drift.as_array() - c @ mu)
-            w = w.reshape(-1, 2)
+            w, _ = dense_m_step(hp, kind, pos, cur, x, cycle.drift, dt)
             x_new = dr + dt * np.vstack([np.zeros((1, 2)), np.cumsum(w, axis=0)])
             delta = np.linalg.norm(x_new - x, axis=1).max()
             x = x_new

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftfield import kernels
 from driftfield.flowfield import AnalyticField, Vec2, eval_field_many, random_gyre
-from driftfield.gp import GpModel
+from driftfield.gp import DEFAULT_TARGET_NOISE_VAR, GpModel
 from driftfield.kernels import HyperParams, KernelKind
 from driftfield.simulator import Cycle, MissionLog, VehicleConfig, run_mission
 from driftfield.estimator import (
@@ -19,6 +20,7 @@ from driftfield.estimator import (
     process_mission,
     run_em_cycle,
 )
+from oracles import dense_m_step
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 HP_EXACT = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=0.0)
@@ -70,7 +72,7 @@ class _DegenerateModel:
 
     def predict_sum(self, pts):
         n = np.asarray(pts, dtype=float).shape[0]
-        return np.zeros((n, 2)), np.zeros((n, 2, 2))
+        return np.zeros(2), np.zeros((2, 2)), lambda v: np.zeros((n, 2))
 
 
 class TestMStep:
@@ -167,6 +169,44 @@ class TestMStep:
         w_dense = (mu + gain @ (cycle.drift.as_array() - c @ mu)).reshape(-1, 2)
         w, _ = m_step(model, traj, cycle.drift, cycle.dt)
         np.testing.assert_allclose(w, w_dense, rtol=1e-10, atol=1e-10 * np.abs(w_dense).max())
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(
+        ("path", "targets"),
+        [
+            # 150 targets over 30 km about the leg: the series
+            ("series", np.random.default_rng(31).uniform(-1.5e4, 1.5e4, size=(150, 2))),
+            # 6 targets over 3.4 lengthscales: the series' 55 monomial rows
+            # a point cost more than the 6 pairs and the dive's own series
+            ("dense", np.random.default_rng(32).uniform(-6e4, 6e4, size=(6, 2))),
+            ("empty", np.empty((0, 2))),
+        ],
+        ids=["series", "dense", "empty"],
+    )
+    def test_matches_dense_oracle(self, kind, path, targets, monkeypatch):
+        # a 120-step dive on a 4 km leg, as `test_gp.py`'s paths
+        rng = np.random.default_rng(33)
+        cur = eval_field_many(random_gyre(3), targets)
+        model = GpModel(HP, kind, targets, cur)
+        traj = np.linspace(0.0, 1.0, 121)[:, None] * [3200.0, 2400.0] + [2e3, -4e3]
+        traj[1:-1] += rng.normal(0.0, 30.0, size=(119, 2))
+        drift, dt = Vec2(150.0, -90.0), 60.0
+        want_w, want_s = dense_m_step(HP, kind, targets, cur, traj, drift, dt)
+        calls, blocks = [], kernels._kernel_blocks
+
+        def recording(hp, kind, a, b):
+            calls.append((len(a), len(b)))
+            return blocks(hp, kind, a, b)
+
+        monkeypatch.setattr(kernels, "_kernel_blocks", recording)
+        w, s_mat = m_step(model, traj, drift, dt)
+        assert ((len(targets), 120) in calls) == (path != "series")
+        # Both sides are backward stable, so they agree to about cond * eps
+        # relative to each array's scale, as in the mission oracle.
+        cond = 1.0 + 2 * len(targets) * HP.current_variance / DEFAULT_TARGET_NOISE_VAR
+        tol = 100 * cond * np.finfo(float).eps
+        np.testing.assert_allclose(w, want_w, rtol=tol, atol=tol * np.abs(want_w).max())
+        np.testing.assert_allclose(s_mat, want_s, rtol=tol, atol=tol * np.abs(want_s).max())
 
     def test_non_finite_innovation_covariance_raises(self):
         # dt^2 times the prior variance, or the squared GPS noise, overflows

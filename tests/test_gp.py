@@ -128,7 +128,8 @@ class TestPosterior:
 
 
 class TestPredictSum:
-    # cross-covariance of each query current with the sum of all of them
+    # the posterior of the sum of the query currents, and each query
+    # current updated by its covariance with that sum
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("num_targets", [0, 15])
     def test_matches_full_predict(self, kind, num_targets):
@@ -136,34 +137,40 @@ class TestPredictSum:
         pts = rng.uniform(-4e4, 4e4, size=(num_targets, 2))
         model = GpModel(HP, kind, pts, eval_field_many(random_gyre(3), pts))
         query = rng.uniform(-5e4, 5e4, size=(9, 2))
-        mean, cross = model.predict_sum(query)
-        full_mean, full_cov = model.predict(query)
-        assert mean.shape == (9, 2) and cross.shape == (9, 2, 2)
-        np.testing.assert_allclose(mean, full_mean, rtol=1e-12, atol=1e-15)
-        dense = (full_cov @ np.tile(np.eye(2), (9, 1))).reshape(9, 2, 2)
-        np.testing.assert_allclose(cross, dense, rtol=1e-9, atol=1e-12 * HP.current_variance)
+        v = rng.normal(size=2)
+        mean_sum, cov_sum, update = got = model.predict_sum(query)
+        assert mean_sum.shape == (2,) and cov_sum.shape == (2, 2) and update(v).shape == (9, 2)
+        assert_matches_oracle(model, got, predict_sum_oracle(model, query, v), v)
 
 
-def predict_sum_oracle(model: GpModel, query: np.ndarray):
-    # the mean and the block row sums of the full (2M, 2M) covariance
+def predict_sum_oracle(model: GpModel, query: np.ndarray, v: np.ndarray):
+    # the sums of the mean and of the full (2M, 2M) covariance, and the
+    # mean plus the covariance's block row sums times v
     mean, cov = model.predict(query)
-    return mean, (cov @ np.tile(np.eye(2), (len(query), 1))).reshape(-1, 2, 2)
+    one = np.tile(np.eye(2), (len(query), 1))
+    return mean.sum(axis=0), one.T @ cov @ one, mean + (cov @ one @ v).reshape(-1, 2)
 
 
-def assert_matches_oracle(model: GpModel, got, want):
-    mean, cross = got
-    assert mean.shape == want[0].shape and cross.shape == want[1].shape
+def assert_matches_oracle(model: GpModel, got, want, v):
+    mean_sum, cov_sum, update = got
+    want_mean_sum, want_cov_sum, want_update = want
     # Each mean is sum_i k_i alpha_i, which cancels: both paths, dense blocks
     # or series, round to about eps * var * |alpha|_1 from `predict`'s
     # product (at most 7e-17 times it on the 300-target dives below).
-    mean_atol = 1e-15 * model.hp.current_variance * np.abs(model._alpha).sum()
-    np.testing.assert_allclose(mean, want[0], rtol=1e-12, atol=max(mean_atol, 1e-15))
-    np.testing.assert_allclose(cross, want[1], rtol=1e-9, atol=1e-12 * model.hp.current_variance)
+    mean_atol = max(1e-15 * model.hp.current_variance * np.abs(model._alpha).sum(), 1e-15)
+    cross_atol = 1e-12 * model.hp.current_variance
+    # the sums over M queries carry M times each query's rounding
+    m = len(want_update)
+    np.testing.assert_allclose(mean_sum, want_mean_sum, rtol=1e-12, atol=m * mean_atol)
+    np.testing.assert_allclose(cov_sum, want_cov_sum, rtol=1e-9, atol=m * cross_atol)
+    np.testing.assert_allclose(update(v), want_update, rtol=1e-9,
+                               atol=mean_atol + cross_atol * np.abs(v).sum())
 
 
-def assert_predict_sum_matches_predict(model: GpModel, query: np.ndarray):
+def assert_predict_sum_matches_predict(model: GpModel, query: np.ndarray, seed: int = 0):
+    v = np.random.default_rng(seed).normal(size=2)
     got = model.predict_sum(query)
-    assert_matches_oracle(model, got, predict_sum_oracle(model, query))
+    assert_matches_oracle(model, got, predict_sum_oracle(model, query, v), v)
     return got
 
 
@@ -188,51 +195,95 @@ def spy_on_kernel_blocks(monkeypatch):
     return calls
 
 
+def assert_takes_the_series(model: GpModel, query: np.ndarray, monkeypatch):
+    v = np.random.default_rng(0).normal(size=2)
+    want = predict_sum_oracle(model, query, v)
+
+    def no_dense_blocks(*args):
+        raise AssertionError("the dense kernel blocks were formed")
+
+    monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
+    assert_matches_oracle(model, model.predict_sum(query), want, v)
+
+
 class TestPredictSumPaths:
     # a dive's query points lie well within a lengthscale of their
     # centroid, so its cross terms with the targets go through the
-    # dive-centred series whenever its F monomials are below N M / (N + M)
+    # dive-centred series whenever its F monomial rows over N + M points
+    # cost less than the dense fallback: SERIES_COST_RATIO = 3 per pair,
+    # plus the F_p rows of the dive's own series (the dives below need
+    # F_p = 21)
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_dive_takes_the_series(self, kind, monkeypatch):
         # a 150-point, 3 km leg against 300 targets over 30 km
         rng = np.random.default_rng(21)
         model = model_with_targets(kind, rng.uniform(-1.5e4, 1.5e4, size=(300, 2)))
-        query = dive_leg()
-        want = predict_sum_oracle(model, query)
+        assert_takes_the_series(model, dive_leg(), monkeypatch)
 
-        def no_dense_blocks(*args):
-            raise AssertionError("the dense kernel blocks were formed")
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(
+        ("num_targets", "spread"),
+        [
+            # The order is 8 and F = 45, above N M / (N + M) = 44.3, so a
+            # rule that priced a monomial row as one pair would form the
+            # dense blocks.
+            (50, 0.54),
+            # F = 28 rows over 390 points against 3 x 2 x 388 pairs: only
+            # the dive's own 28 x 388 rows, which the dense path also
+            # forms, tip it to the series.
+            (2, 0.2),
+        ],
+        ids=["fifty_targets", "two_targets"],
+    )
+    def test_survey_dive_takes_the_series(self, kind, num_targets, spread, monkeypatch):
+        # A survey dive: 388 points 0.12 lengthscales from their centroid,
+        # against targets spread over `spread` lengthscales about it.
+        rng = np.random.default_rng(26)
+        targets = [2e3, -4e3] + spread * HP.lengthscale * rng.uniform(-0.5, 0.5, size=(num_targets, 2))
+        model = model_with_targets(kind, targets)
+        query = dive_leg(388, 0.24 * HP.lengthscale)
+        query += [2e3, -4e3] - query.mean(axis=0)
+        assert_takes_the_series(model, query, monkeypatch)
 
-        monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
-        assert_matches_oracle(model, model.predict_sum(query), want)
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_one_query_takes_order_zero(self, kind, monkeypatch):
+        # a single point is its own centroid, so the series is exact at
+        # order 0, whose one monomial costs less than the N pairs
+        rng = np.random.default_rng(24)
+        model = model_with_targets(kind, rng.uniform(-1.5e4, 1.5e4, size=(300, 2)))
+        assert_takes_the_series(model, dive_leg(1), monkeypatch)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize(
         ("targets", "queries"),
         [
-            # 29 lengthscales away: the series would need 231 monomials, and
-            # N M / (N + M) is 100
-            (np.random.default_rng(22).uniform(7e5, 7.3e5, size=(300, 2)), 150),
-            # 5 targets: N M / (N + M) is below 5, and the order needs 36
-            (np.random.default_rng(23).uniform(-1.5e4, 1.5e4, size=(5, 2)), 150),
-            # one query point: N M / (N + M) is below 1, order 0's F
-            (np.random.default_rng(24).uniform(-1.5e4, 1.5e4, size=(300, 2)), 1),
+            # 29 lengthscales away: 231 monomials over 360 points against
+            # 3 x 300 x 60 pairs and the dive's 21 x 60 rows
+            (np.random.default_rng(22).uniform(7e5, 7.3e5, size=(300, 2)), 60),
+            # 5 targets over 3.4 lengthscales: 55 monomials over 155 points
+            # against 3 x 5 x 150 pairs and the dive's 21 x 150 rows
+            (np.random.default_rng(23).uniform(-6e4, 6e4, size=(5, 2)), 150),
         ],
-        ids=["far_targets", "few_targets", "one_query"],
+        ids=["far_targets", "few_targets"],
     )
     def test_fallback_forms_the_dense_blocks(self, kind, targets, queries, monkeypatch):
         model = model_with_targets(kind, targets)
         query = dive_leg(queries)
+        v = np.random.default_rng(0).normal(size=2)
+        want = predict_sum_oracle(model, query, v)
         calls = spy_on_kernel_blocks(monkeypatch)
-        assert_predict_sum_matches_predict(model, query)
+        assert_matches_oracle(model, model.predict_sum(query), want, v)
         assert (len(targets), queries) in calls
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_empty_model_gives_the_prior(self, kind):
         query = dive_leg()
-        mean, cross = assert_predict_sum_matches_predict(GpModel(HP, kind), query)
-        np.testing.assert_array_equal(mean, np.zeros((150, 2)))
-        np.testing.assert_array_equal(cross, kernels.block_row_sums(HP, kind, query))
+        mean_sum, cov_sum, update = assert_predict_sum_matches_predict(GpModel(HP, kind), query)
+        prior = kernels.block_row_sums(HP, kind, query)
+        v = np.array([0.3, -1.7])
+        np.testing.assert_array_equal(mean_sum, np.zeros(2))
+        np.testing.assert_array_equal(cov_sum, prior.sum(axis=0))
+        np.testing.assert_array_equal(update(v), prior @ v)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_nan_query_point_gives_nan_cross(self, kind, monkeypatch):
@@ -243,11 +294,9 @@ class TestPredictSumPaths:
         query = dive_leg()
         query[17] = np.nan
         calls = spy_on_kernel_blocks(monkeypatch)
-        mean, cross = model.predict_sum(query)
+        _, cov_sum, _ = model.predict_sum(query)
         assert (300, 150) in calls
-        assert np.isnan(cross).all()
-        assert np.isnan(mean[17]).all()
-        assert np.isfinite(np.delete(mean, 17, axis=0)).all()
+        assert np.isnan(cov_sum).all()
 
 
 @st.composite
@@ -397,12 +446,16 @@ class TestFactorGrowth:
             model = model.add_targets(rng.uniform(-4e4, 4e4, size=(size, 2)),
                                       rng.normal(0.0, 0.3, size=(size, 2)))
             mean, cov = assert_matches_dense_factor(model, query)
-            got_mean, got_cross = model.predict_sum(query)
+            mean_sum, cov_sum, update = model.predict_sum(query)
             # block i of the cross-covariance is the sum of cov's blocks (i, j)
             cross = cov.reshape(4, 2, 4, 2).sum(axis=2)
+            v = rng.normal(size=2)
             scale = np.abs(model.currents).max()
-            np.testing.assert_allclose(got_mean, mean, rtol=1e-9, atol=1e-9 * scale)
-            np.testing.assert_allclose(got_cross, cross, rtol=1e-9, atol=1e-9 * 4 * HP.current_variance)
+            np.testing.assert_allclose(mean_sum, mean.sum(axis=0), rtol=1e-9, atol=1e-9 * 4 * scale)
+            np.testing.assert_allclose(cov_sum, cross.sum(axis=0), rtol=1e-9,
+                                       atol=1e-9 * 16 * HP.current_variance)
+            np.testing.assert_allclose(update(v), mean + cross @ v, rtol=1e-9,
+                                       atol=1e-9 * (scale + 4 * HP.current_variance * np.abs(v).sum()))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("grow", [1, 3, 32])
