@@ -224,8 +224,8 @@ class GpModel:
         is formed. For a dive, whose queries lie within a small fraction
         of a lengthscale of their centroid, it sums them by a Taylor
         series about that centroid, with no (N, M) array, whenever its F
-        monomial rows cost less than the dense blocks by the measured rule
-        in `cross_sums`.
+        monomial rows cost no more than the dense blocks by the measured
+        rule in `cross_sums`.
         """
         q = as_xy(query_points)
         total, ksum, apply = cross_sums(self.hp, self.kind, q, self.positions)

@@ -34,12 +34,11 @@ __all__ = [
     "HyperParams",
     "KernelKind",
     "build_block_matrix",
-    "block_row_sums",
     "cross_sums",
 ]
 
-# Pairs per row block when `block_row_sums` sums `_kernel_blocks` (a set
-# too wide for its series), which bounds that path's temporaries: six
+# Pairs per row block when `cross_sums` sums a dive's own `_kernel_blocks`
+# (a dive too wide for its own series), which bounds those temporaries: six
 # arrays of this many float64 (64 KiB each), against 2.8 MB for one (M, M)
 # array of a 587-point set. Below glibc's default 128 KiB mmap threshold
 # they come from the heap: at M = 389 on 1 BLAS thread a call faulted no
@@ -165,15 +164,16 @@ def _monomials(order: int):
 def _series_order(r2, budget):
     """
     The smallest order K whose remainder bound r2^(K+1) e^r2 / (K+1)! is
-    below 2^-53, or None if its F = (K+1)(K+2)/2 monomials are not fewer
-    than `budget`. The caller sets the budget by cost: the series forms F
-    rows per point where the dense blocks form one entry per pair.
-    `block_row_sums` takes it when F < M; `cross_sums` when F (N + M) is
-    below what the dense fallback costs in the same units (see there). A
-    non-finite r2, or one whose e^r2 overflows, never meets the bound.
+    below 2^-53, or None if its F = (K+1)(K+2)/2 monomials exceed
+    `budget`. The caller sets the budget by cost: the series forms F rows
+    per point where the dense blocks form one entry per pair. `cross_sums`
+    asks twice: for a dive's own series, with budget M, and for the joint
+    series of the dive and the targets, with F (N + M) at most what the
+    dense fallback costs in the same units (see there). A non-finite r2,
+    or one whose e^r2 overflows, never meets the bound.
     """
     k, bound = 0, r2 * np.exp(r2)
-    while (k + 1) * (k + 2) // 2 < budget:
+    while (k + 1) * (k + 2) // 2 <= budget:
         if bound < 2.0**-53:
             return k
         k += 1
@@ -211,9 +211,10 @@ def _moments(kind: KernelKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
     """
-    The (n, 2, 2) block sums sum_j K(p_i, q_j) at the points p_i = (x_i,
-    y_i), from the rows of `sums`, sum_j e_ij times the `_moments` of q_j.
-    Each incompressible block is a quadratic in the lag times e_ij, so
+    The (2n, 2) block sums sum_j K(p_i, q_j) at the points p_i = (x_i,
+    y_i), rows 2i and 2i + 1 for p_i, from the rows of `sums`, sum_j e_ij
+    times the `_moments` of q_j. Each incompressible block is a quadratic
+    in the lag times e_ij, so
 
         sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i
 
@@ -221,144 +222,30 @@ def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
     """
     s = hp.current_variance
     if kind is KernelKind.STANDARD_DIAGONAL:
-        return s * sums[:, 0, None, None] * np.eye(2)
+        return (s * sums[:, 0, None, None] * np.eye(2)).reshape(-1, 2)
     m0, mx, my, mxx, myy, mxy = sums.T
     k11 = m0 - (y * y * m0 - 2.0 * y * my + myy)
     k22 = m0 - (x * x * m0 - 2.0 * x * mx + mxx)
     k12 = x * y * m0 - x * my - y * mx + mxy
-    return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)
+    return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def block_row_sums(hp: HyperParams, kind: KernelKind, pts) -> np.ndarray:
+def _series_sums(hp: HyperParams, kind: KernelKind, x, y, a, b, order: int):
     """
-    Block row sums of the covariance of (M, 2) points with themselves.
-
-    Returns an (M, 2, 2) array whose block i is sum_j K(p_i, p_j), the
-    covariance of the current at p_i with the sum of all M currents,
-    without forming the (2M, 2M) `build_block_matrix(hp, kind, pts, pts)`.
-
-    The points are centred on their centroid and scaled to lengthscale
-    units, where e_ij = exp(-|p_i - p_j|^2 / 2) factors as
-
-        e_ij = w_i w_j exp(p_i . p_j),   w = exp(-|p|^2 / 2).
-
-    With r the largest |p|, the series of exp(p_i . p_j) to order K is
-    sum_{a+b<=K} x_i^a y_i^b x_j^a y_j^b / (a! b!), and its remainder is
-    at most r^(2(K+1)) e^(r^2) / (K+1)!, times w_i w_j <= 1 (the Taylor
-    expansion behind the fast Gauss transform, Greengard & Strain 1991).
-    K is the smallest order whose bound is below 2^-53. Over the
-    F = (K+1)(K+2)/2 rows phi_k = w x^a y^b / sqrt(a! b!), every block
-    sum is a quadratic in the point times the e-weighted moments
-    phi^T @ (phi @ moments) (`_moment_blocks`): two thin products and no
-    (M, M) array. The series runs only when F < M: r = 0.1 needs K = 6
-    and F = 28, r = 1 needs K = 18 and F = 190, and r = 2 needs K = 33
-    and F = 595. Against the dense sum, each error scaled by its row's
-    absolute sum was 1.5e-15 to 6.0e-15 over r = 0.01 to 2 (600 points).
-    `cross_sums` runs the same series between a dive and a GP's targets.
-
-    Otherwise, and for a non-finite r, the sums are those of the
-    `_kernel_blocks` blocks themselves, taken over row blocks of about
-    ROW_SUM_BLOCK_ENTRIES pairs: O(M^2) work, but with the dense kernel's
-    one rule for lags, so a coincident pair's e is exactly 1, a far pair's
-    exactly 0, and a NaN point makes every row's sums NaN (but for the
-    diagonal kernel's cross blocks, which are 0 at any lag).
-
-    At M = 389 on a 7 km leg (r = 0.1) on one BLAS thread (2-core Xeon),
-    the incompressible sums took 0.20 ms by the series. The row blocks of
-    `_kernel_blocks` took 2.8 ms at that size and 6.4 ms at M = 587.
+    `cross_sums`' (total, ksum, apply) for the centred points (x, y) and
+    targets (a, b), by the series of order `order`. Nothing is formed per
+    pair: ksum comes from the points' moments (`_moment_blocks`), total
+    from their 6x6 moment Gram matrix, and apply from one product of the
+    points' rows with F rows of 8 columns. Those are the target rows times
+    the target-side columns (1 - b^2) u + ab v, ab u + (1 - a^2) v, u, au,
+    bu, v, av and bv of c = (u, v) at each target (a, b), plus the points'
+    moments times the same columns of the constant weight v, recombined
+    with the points' x and y.
     """
-    p = as_xy(pts)
-    m = p.shape[0]
-    x, y = _centred(p, p.sum(axis=0) / max(m, 1), hp.lengthscale)
-    order = _series_order((x * x + y * y).max(initial=0.0), m)
-    if order is None:
-        k = np.empty((3, m))
-        rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
-        for i in range(0, m, rows):
-            k[:, i : i + rows] = _kernel_blocks(hp, kind, p[i : i + rows], p).sum(axis=2)
-        k11, k12, k22 = k
-        return np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2, 2)
-    phi = _series_rows(x, y, order)
-    return _moment_blocks(hp, kind, x, y, phi.T @ (phi @ _moments(kind, x, y)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
-    """
-    The kernel sums behind the posterior of the summed currents at (M, 2)
-    points P, given a GP's (N, 2) targets T.
-
-    Returns (total, ksum, apply): total is the 2x2 prior covariance of the
-    sum, 1^T K(P, P) 1 with 1 the (2M, 2) stack of identities; ksum is the
-    (2N, 2) K(T, P) 1, whose rows 2i and 2i + 1 are sum_j K(t_i, p_j); and
-    apply(c, v) maps a (2N,) vector c and a 2-vector v to the (M, 2) array
-    K(P, T) c + K(P, P) (1 v), whose row j is
-    sum_i K(p_j, t_i) c_i + sum_i K(p_j, p_i) v.
-
-    The series of `block_row_sums`, centred on the points' centroid, also
-    serves the pairs of a point and a target: exp(t_i . p_j) has the same
-    expansion, and with r_p and r_t the largest centred |p| and |t| in
-    lengthscale units, the order K comes from the bound on
-    r_p max(r_p, r_t), which covers both. Its F monomial rows over N + M
-    points are priced against the dense fallback, whose N M pairs cost
-    SERIES_COST_RATIO = 3 rows each and whose `block_row_sums` of the
-    points costs F_p M rows by their own series, or 3 M^2 without it:
-
-        F (N + M) < 3 N M + F_p M   (or 3 N M + 3 M^2).
-
-    A dive then takes the series unless its targets lie far enough out to
-    raise F well above F_p. Against the rule F (N + M) < N M it replaced,
-    the M-steps on the dense path fell from 35 to 2 of survey's 59 (the
-    two with no targets yet), from 12 to 2 of long_mission's 296 and from
-    100 to 10 of study's 100, one pass each.
-
-    On the series path nothing is formed per pair: ksum comes from the
-    points' moments (`_moment_blocks`), total from their 6x6 moment Gram
-    matrix, and apply from one product of the points' rows with F rows of
-    8 columns. Those are the target rows times the target-side columns
-    (1 - b^2) u + ab v, ab u + (1 - a^2) v, u, au, bu, v, av and bv of
-    c = (u, v) at each target (a, b), plus the points' moments times the
-    same columns of the constant weight v, recombined with the points' x
-    and y. Otherwise, for a non-finite point, and for no targets, the
-    sums come from the `_kernel_blocks` blocks and the points'
-    `block_row_sums`.
-    """
-    p, t = as_xy(pts), as_xy(targets)
-    m, n = p.shape[0], t.shape[0]
-    centre = p.sum(axis=0) / max(m, 1)
-    x, y = _centred(p, centre, hp.lengthscale)
-    rp2 = (x * x + y * y).max(initial=0.0)
-    order = None
-    if n:
-        # the fallback's `block_row_sums`: F_p rows per point, or M pairs
-        k = _series_order(rp2, m)
-        prior_cost = SERIES_COST_RATIO * m * m if k is None else (k + 1) * (k + 2) // 2 * m
-        # Clipped as `_kernel_blocks` clips lags: past 38.6 units w is
-        # exactly 0, clipped or not, and clipped coordinates keep every
-        # monomial of the target rows and columns finite.
-        a, b = np.clip(_centred(t, centre, hp.lengthscale), -40.0, 40.0)
-        order = _series_order(np.sqrt(rp2 * np.maximum(rp2, (a * a + b * b).max())),
-                              (SERIES_COST_RATIO * n * m + prior_cost) / (n + m))
-    if order is None:
-        # The prior first, before the (N, M) blocks exist: with both alive
-        # the heap outgrew glibc's trim threshold, and at N = 13, M = 587
-        # every later prior faulted 86 pages instead of none.
-        prior = block_row_sums(hp, kind, p)
-        k11, k12, k22 = k = _kernel_blocks(hp, kind, t, p)  # each (N, M)
-        s11, s12, s22 = k.sum(axis=2)
-
-        def apply(c, v):
-            u, w = c[0::2], c[1::2]
-            out = np.column_stack([u @ k11 + w @ k12, u @ k12 + w @ k22])
-            out += prior @ v
-            return out
-
-        return prior.sum(axis=0), np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2), apply
     s = hp.current_variance
     phi_p, phi_t = _series_rows(x, y, order), _series_rows(a, b, order)
     inner = phi_p @ _moments(kind, x, y)
-    ksum = _moment_blocks(hp, kind, a, b, phi_t.T @ inner).reshape(-1, 2)
+    ksum = _moment_blocks(hp, kind, a, b, phi_t.T @ inner)
     g = inner.T @ inner  # sum_i of the moments of p_i times sum_j e_ij moments of p_j
     if kind is KernelKind.STANDARD_DIAGONAL:
 
@@ -393,3 +280,98 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
         return np.column_stack([out0, out1])
 
     return total, ksum, apply
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
+    """
+    The kernel sums behind the posterior of the summed currents at (M, 2)
+    points P, given a GP's (N, 2) targets T, N >= 0.
+
+    Returns (total, ksum, apply): total is the 2x2 prior covariance of the
+    sum, 1^T K(P, P) 1 with 1 the (2M, 2) stack of identities; ksum is the
+    (2N, 2) K(T, P) 1, whose rows 2i and 2i + 1 are sum_j K(t_i, p_j); and
+    apply(c, v) maps a (2N,) vector c and a 2-vector v to the (M, 2) array
+    K(P, T) c + K(P, P) (1 v), whose row j is
+    sum_i K(p_j, t_i) c_i + sum_i K(p_j, p_i) v.
+
+    Points and targets are centred on the points' centroid and scaled to
+    lengthscale units, where e_ij = exp(-|q_i - p_j|^2 / 2) factors as
+
+        e_ij = w_i w_j exp(q_i . p_j),   w = exp(-|q|^2 / 2),
+
+    for q_i a point or a target. With r_p and r_t the largest |p| and |t|
+    and r^2 = r_p max(r_p, r_t), the series of exp(q_i . p_j) to order K is
+    sum_{a+b<=K} x_i^a y_i^b x_j^a y_j^b / (a! b!), and its remainder is at
+    most r^(2(K+1)) e^(r^2) / (K+1)!, times w_i w_j <= 1 (the Taylor
+    expansion behind the fast Gauss transform, Greengard & Strain 1991).
+    K is the smallest order whose bound is below 2^-53, over F =
+    (K+1)(K+2)/2 rows phi_k = w x^a y^b / sqrt(a! b!): r = 0.1 needs K = 6
+    and F = 28, r = 1 needs K = 18 and F = 190, and r = 2 needs K = 33 and
+    F = 595. Against the dense sums of 600 points with themselves, each
+    error scaled by its row's absolute sum was 1.5e-15 to 6.0e-15 over
+    r = 0.01 to 2.
+
+    The series' F rows over N + M points are priced against the dense
+    fallback, whose N M pairs cost SERIES_COST_RATIO = 3 rows each and
+    whose sums of the points with themselves cost P = F_p M rows by the
+    points' own series (order K_p from r_p alone, taken when F_p <= M),
+    or 3 M^2 without it. `_series_sums` runs iff
+
+        F (N + M) <= 3 N M + P.
+
+    With no targets that is the points' own series whenever F_p <= M,
+    and the series of a wider set when F <= 3 M. A dive with targets takes
+    the series unless they lie far enough out to raise F well above F_p.
+
+    Otherwise, and for a non-finite point, ksum and apply's K(P, T) c come
+    from the (N, M) `_kernel_blocks`, and the points' own sums from
+    `_series_sums` with no targets at order K_p or, too wide for that,
+    from their `_kernel_blocks` with themselves over row blocks of about
+    ROW_SUM_BLOCK_ENTRIES pairs: O(M^2) work, but with the dense kernel's
+    one rule for lags, so a coincident pair's e is exactly 1, a far pair's
+    exactly 0, and a NaN point makes every sum NaN (but for the diagonal
+    kernel's cross terms, which are 0 at any lag).
+    """
+    p, t = as_xy(pts), as_xy(targets)
+    m, n = p.shape[0], t.shape[0]
+    centre = p.sum(axis=0) / max(m, 1)
+    x, y = _centred(p, centre, hp.lengthscale)
+    rp2 = (x * x + y * y).max(initial=0.0)
+    own = _series_order(rp2, m)
+    own_cost = SERIES_COST_RATIO * m * m if own is None else (own + 1) * (own + 2) // 2 * m
+    # Clipped as `_kernel_blocks` clips lags: past 38.6 units w is exactly
+    # 0, clipped or not, and clipped coordinates keep every monomial of the
+    # target rows and columns finite.
+    a, b = np.clip(_centred(t, centre, hp.lengthscale), -40.0, 40.0)
+    order = _series_order(np.sqrt(rp2 * np.maximum(rp2, (a * a + b * b).max(initial=0.0))),
+                          (SERIES_COST_RATIO * n * m + own_cost) / max(n + m, 1))
+    if order is not None:
+        return _series_sums(hp, kind, x, y, a, b, order)
+    # The points' own sums first, before the (N, M) blocks exist: with both
+    # alive the heap outgrew glibc's trim threshold, and at N = 13, M = 587
+    # every later prior faulted 86 pages instead of none.
+    if own is None:
+        r = np.empty((3, m))
+        rows = max(1, ROW_SUM_BLOCK_ENTRIES // max(m, 1))
+        for i in range(0, m, rows):
+            r[:, i : i + rows] = _kernel_blocks(hp, kind, p[i : i + rows], p).sum(axis=2)
+        r11, r12, r22 = r
+        t11, t12, t22 = r.sum(axis=1)
+        total = np.array([[t11, t12], [t12, t22]])
+
+        def own_apply(c, v):
+            return np.column_stack([r11 * v[0] + r12 * v[1], r12 * v[0] + r22 * v[1]])
+    else:
+        total, _, own_apply = _series_sums(hp, kind, x, y, a[:0], b[:0], own)
+
+    k11, k12, k22 = k = _kernel_blocks(hp, kind, t, p)  # each (N, M)
+    s11, s12, s22 = k.sum(axis=2)
+
+    def apply(c, v):
+        u, w = c[0::2], c[1::2]
+        out = np.column_stack([u @ k11 + w @ k12, u @ k12 + w @ k22])
+        out += own_apply(c[:0], v)  # K(P, P) (1 v), with no targets
+        return out
+
+    return total, np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2), apply

@@ -10,8 +10,8 @@ from driftfield.flowfield import Vec2
 from driftfield.kernels import (
     HyperParams,
     KernelKind,
-    block_row_sums,
     build_block_matrix,
+    cross_sums,
 )
 from oracles import eval_scalar_kernel
 
@@ -146,41 +146,75 @@ class TestBlockMatrix:
 
 
 class TestBlockRowSums:
+    # the block row sums sum_j K(p_i, p_j) of a dive, as `cross_sums`
+    # gives them for no targets
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_matches_dense_block_sum(self, kind):
         rng = np.random.default_rng(3)
         q = rng.uniform(-5e4, 5e4, size=(7, 2))
-        sums = block_row_sums(HP, kind, q)
+        total, sums = own_sums(HP, kind, q)
         assert sums.shape == (7, 2, 2)
-        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=1e-12)
+        dense = dense_row_sums(kind, q)
+        np.testing.assert_allclose(sums, dense, rtol=1e-12)
+        np.testing.assert_allclose(total, dense.sum(axis=0), rtol=1e-12)
 
     def test_empty_inputs(self):
-        sums = block_row_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)))
-        assert sums.shape == (0, 2, 2)
+        total, ksum, apply = cross_sums(HP, KernelKind.INCOMPRESSIBLE, np.zeros((0, 2)), np.zeros((0, 2)))
+        np.testing.assert_array_equal(total, np.zeros((2, 2)))
+        assert ksum.shape == (0, 2)
+        assert apply(np.zeros(0), np.ones(2)).shape == (0, 2)
 
-    @pytest.mark.parametrize("step", [40.0, 4000.0], ids=["dive", "several_lengthscales"])
+    @pytest.mark.parametrize("step", [40.0, 8000.0], ids=["dive", "several_lengthscales"])
     @pytest.mark.parametrize("kind", list(KernelKind))
-    def test_dive_sized_prior_spans_several_row_blocks(self, kind, step):
-        # a 587-point dive, the longest in the acceptance study; with 4 km
-        # steps the walk spans several lengthscales, too wide for the
-        # series, and its sums come from row blocks of `_kernel_blocks`
+    def test_dive_sized_prior_spans_several_row_blocks(self, kind, step, monkeypatch):
+        # a 587-point dive, the longest in the acceptance study; with 8 km
+        # steps the walk spans 5.4 lengthscales, too wide for any series
+        # within 3 M rows, and its sums come from row blocks of
+        # `_kernel_blocks`
         q = _walk(step)
         assert 587 * 587 > 2 * kernels.ROW_SUM_BLOCK_ENTRIES
-        sums = block_row_sums(HP, kind, q)
-        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(587))
+        dense = dense_row_sums(kind, q)
+        calls = spy_on_kernel_blocks(monkeypatch)
+        total, sums = own_sums(HP, kind, q)
+        if step == 40.0:
+            assert calls == []
+        else:
+            # row blocks that cover the dive once, then the empty cross blocks
+            rows = kernels.ROW_SUM_BLOCK_ENTRIES // 587
+            assert calls == [(min(rows, 587 - i), 587) for i in range(0, 587, rows)] + [(0, 587)]
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(587))
+        np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=587 * _sum_tolerance(587))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_dive_sized_prior_takes_the_series(self, kind, monkeypatch):
         # the same 587-point dive, a few km across, never forms (M, M)
         # exponentials: a later change must not fall back to them unseen
-        def no_dense_blocks(*args):
-            raise AssertionError("the dense kernel blocks were summed")
-
         q = _walk(40.0)
         dense = dense_row_sums(kind, q)
         monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
-        sums = block_row_sums(HP, kind, q)
+        total, sums = own_sums(HP, kind, q)
         np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(587))
+        np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=587 * _sum_tolerance(587))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(
+        ("num_points", "radius"),
+        [
+            # one point is its own centroid: the exact order-0 series
+            (1, 0.0),
+            # order 12, F = 91 rows, too many for the dive's own series
+            # (F_p <= M) but within the 3 M rows of its dense sums
+            (60, 0.5),
+        ],
+        ids=["one_point", "short_wide_dive"],
+    )
+    def test_empty_model_takes_the_series(self, kind, num_points, radius, monkeypatch):
+        q = np.linspace(-1.0, 1.0, num_points)[:, None] * [0.6, 0.8] * radius * HP.lengthscale + [2e3, -4e3]
+        dense = dense_row_sums(kind, q)
+        monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
+        total, sums = own_sums(HP, kind, q)
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(num_points))
+        np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=num_points * _sum_tolerance(num_points))
 
     def test_nan_point_makes_every_sum_nan(self):
         # a NaN point makes r^2 NaN, which never meets the series' bound,
@@ -188,19 +222,24 @@ class TestBlockRowSums:
         # diagonal kernel's cross blocks are 0 whatever the lag
         q = np.cumsum(np.full((50, 2), 100.0), axis=0)
         q[17] = np.nan
-        assert np.isnan(block_row_sums(HP, KernelKind.INCOMPRESSIBLE, q)).all()
-        sums = block_row_sums(HP, KernelKind.STANDARD_DIAGONAL, q)
-        assert np.isnan(sums[:, [0, 1], [0, 1]]).all()
-        np.testing.assert_array_equal(sums[:, [0, 1], [1, 0]], 0.0)
+        for kind in KernelKind:
+            total, _, apply = cross_sums(HP, kind, q, np.empty((0, 2)))
+            assert np.isnan(np.diag(total)).all()
+            for v in np.eye(2):
+                assert np.isnan(apply(np.zeros(0), v)).all()
+            if kind is KernelKind.STANDARD_DIAGONAL:
+                assert total[0, 1] == total[1, 0] == 0.0
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("entries", [1, 5, 33, 60])
     def test_row_blocks_do_not_change_the_sums(self, kind, entries, monkeypatch):
         rng = np.random.default_rng(5)
         q = rng.uniform(-5e4, 5e4, size=(6, 2))
-        whole = block_row_sums(HP, kind, q)
+        whole_total, whole = own_sums(HP, kind, q)
         monkeypatch.setattr(kernels, "ROW_SUM_BLOCK_ENTRIES", entries)
-        np.testing.assert_allclose(block_row_sums(HP, kind, q), whole, rtol=1e-13, atol=1e-16)
+        total, sums = own_sums(HP, kind, q)
+        np.testing.assert_allclose(sums, whole, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(total, whole_total, rtol=1e-13, atol=1e-16)
 
     @pytest.mark.parametrize(
         ("kind", "lengthscale"),
@@ -212,8 +251,9 @@ class TestBlockRowSums:
         # 1.5e-154 m |p|^2 / 2 overflows to inf
         q = _points_apart(6)
         hp = HyperParams(lengthscale, 0.5, 3.0)
-        sums = block_row_sums(hp, kind, q)
+        total, sums = own_sums(hp, kind, q)
         np.testing.assert_array_equal(sums, np.broadcast_to(0.5 * np.eye(2), (300, 2, 2)))
+        np.testing.assert_array_equal(total, 150.0 * np.eye(2))
 
     @pytest.mark.parametrize("lengthscale", [1e-6, 1e-30])
     @pytest.mark.parametrize("kind", list(KernelKind))
@@ -222,8 +262,36 @@ class TestBlockRowSums:
         # e exactly 1, so every row is its own variance twice
         q = _points_apart(7)
         hp = HyperParams(lengthscale, 0.5, 3.0)
-        sums = block_row_sums(hp, kind, np.concatenate([q, q]))
+        total, sums = own_sums(hp, kind, np.concatenate([q, q]))
         np.testing.assert_array_equal(sums, np.broadcast_to(1.0 * np.eye(2), (600, 2, 2)))
+        np.testing.assert_array_equal(total, 600.0 * np.eye(2))
+
+
+def own_sums(hp, kind, q):
+    """
+    `cross_sums` of (M, 2) points with no targets: the total, and the
+    (M, 2, 2) block row sums sum_j K(p_i, p_j), whose column k is
+    apply(0, e_k).
+    """
+    total, ksum, apply = cross_sums(hp, kind, q, np.empty((0, 2)))
+    assert ksum.shape == (0, 2)
+    return total, np.stack([apply(np.zeros(0), e) for e in np.eye(2)], axis=-1)
+
+
+def no_dense_blocks(*args):
+    raise AssertionError("the dense kernel blocks were formed")
+
+
+def spy_on_kernel_blocks(monkeypatch):
+    """Record the sizes of the point sets each `_kernel_blocks` call pairs."""
+    calls, blocks = [], kernels._kernel_blocks
+
+    def recording(hp, kind, a, b):
+        calls.append((len(a), len(b)))
+        return blocks(hp, kind, a, b)
+
+    monkeypatch.setattr(kernels, "_kernel_blocks", recording)
+    return calls
 
 
 def dense_row_sums(kind, q):
@@ -267,8 +335,9 @@ def dive_problems(draw):
     """
     A kernel and an (M, 2) dive, M up to 600: a random walk or a straight
     leg at an offset, scaled so that its farthest point lies 0 to 2.5
-    lengthscales from its centroid. The series reaches 2 lengthscales only
-    at about 600 points, so wide or short dives sum `_kernel_blocks`.
+    lengthscales from its centroid. With no targets the series reaches 2
+    lengthscales only at about 200 points, so wide or short dives sum
+    `_kernel_blocks`.
     """
     kind = draw(st.sampled_from(list(KernelKind)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -290,17 +359,19 @@ class TestBlockRowSumsProperties:
     @settings(max_examples=100, deadline=None)
     def test_dives_match_dense_oracle(self, problem):
         kind, q = problem
-        sums = block_row_sums(HP, kind, q)
-        assert sums.shape == (len(q), 2, 2)
-        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(len(q)))
+        total, sums = own_sums(HP, kind, q)
+        dense = dense_row_sums(kind, q)
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(len(q)))
+        np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=len(q) * _sum_tolerance(len(q)))
 
     @given(row_sum_problems())
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_oracle(self, problem):
         kind, q = problem
-        sums = block_row_sums(HP, kind, q)
-        assert sums.shape == (len(q), 2, 2)
-        np.testing.assert_allclose(sums, dense_row_sums(kind, q), rtol=0, atol=_sum_tolerance(len(q)))
+        total, sums = own_sums(HP, kind, q)
+        dense = dense_row_sums(kind, q)
+        np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(len(q)))
+        np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=len(q) * _sum_tolerance(len(q)))
 
     @given(row_sum_problems())
     @settings(max_examples=100, deadline=None)
@@ -308,6 +379,7 @@ class TestBlockRowSumsProperties:
         # the kernel depends on the lag only
         kind, q = problem
         shift = np.array([1e6, -1e6])
-        sums = block_row_sums(HP, kind, q)
-        shifted = block_row_sums(HP, kind, q + shift)
+        total, sums = own_sums(HP, kind, q)
+        shifted_total, shifted = own_sums(HP, kind, q + shift)
         np.testing.assert_allclose(shifted, sums, rtol=0, atol=_sum_tolerance(len(q)))
+        np.testing.assert_allclose(shifted_total, total, rtol=0, atol=len(q) * _sum_tolerance(len(q)))
