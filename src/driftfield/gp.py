@@ -166,13 +166,12 @@ class GpModel:
             zk, g = _solve(blocks + [head], k2[:i])  # L11^-1 K12 and K11^-1 K12
             schur = k2[i:]
             schur -= zk.T @ zk
-            schur[np.diag_indices_from(schur)] += self.target_noise_var
+            schur.flat[:: len(schur) + 1] += self.target_noise_var
             # R11 and the kernels are finite; an overflowing product still makes
             # the Schur complement non-finite, which cholesky would not reject.
-            r22 = inv(cholesky(np.asarray_chkfinite(schur)))
-            # inv works through a pivoted LU, which leaves rounding above
-            # the diagonal of L22^-1.
-            r22[np.triu_indices_from(r22, 1)] = 0.0
+            # inv works through a pivoted LU, which leaves rounding above the
+            # diagonal of L22^-1; tril sets it to 0.
+            r22 = np.tril(inv(cholesky(np.asarray_chkfinite(schur))))
             # filled in place: np.block copies the new rows twice, which took
             # about as long as the solve the alpha update below saves
             block = np.empty((len(head) + j - i, j))

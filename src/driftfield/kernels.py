@@ -21,7 +21,6 @@ constraint) is provided for comparison runs.
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -50,9 +49,12 @@ ROW_SUM_BLOCK_ENTRIES = 8192
 # point's monomial row of the series, as `cross_sums` compares its paths.
 # A pair takes an exp and six passes over (N, M) arrays. Timed on both
 # paths (1 BLAS thread, 2-core Xeon) over 100 geometries per kernel, N 1
-# to 300, M 20 to 400 and F 21 to 595: at 3 the chosen path's total was
-# 2.5% (incompressible) and 1.0% (diagonal) above the faster path's, at 2
-# 3.5% and 4.8%, at 4 5.8% and 1.7%.
+# to 300, M 20 to 400 and F 21 to 595, with the rows built by in-place
+# row products: at 3 the chosen path's total was 1.1% (incompressible)
+# and 5.9% (diagonal) above the faster path's, at 2 3.3% and 9.4%, at 4
+# 0.6% and 1.3%, at 5 0.5% and 0.2%. On the M-steps of one pass of each
+# GP benchmark workload, every value from 3 to 5 chose within 0.7% of the
+# faster path's total.
 SERIES_COST_RATIO = 3.0
 
 
@@ -146,21 +148,6 @@ def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.nd
     return out
 
 
-@functools.cache
-def _monomials(order: int):
-    """
-    The exponents a and b of the F = (K+1)(K+2)/2 monomials x^a y^b with
-    a + b <= K = `order`, as two (F,) arrays, and the column (K, 1) of
-    sqrt(1), ..., sqrt(K). Each order's tables are built on its first use
-    and shared, read-only, by every later call.
-    """
-    a, b = np.array([(a, n - a) for n in range(order + 1) for a in range(n, -1, -1)]).T
-    tables = (a, b, np.sqrt(np.arange(1.0, order + 1))[:, None])
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _series_order(r2, budget):
     """
     The smallest order K whose remainder bound r2^(K+1) e^r2 / (K+1)! is
@@ -181,40 +168,51 @@ def _series_order(r2, budget):
     return None
 
 
-def _centred(p: np.ndarray, centre: np.ndarray, lengthscale: float):
-    """The x and y of (n, 2) points about `centre`, in lengthscale units."""
-    x, y = (p - centre).T / lengthscale
-    return x, y
-
-
 def _series_rows(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     """
     The (F, n) rows w x^a y^b / sqrt(a! b!), a + b <= K = `order`, at the
-    points (x, y), with w = e^(-(x^2 + y^2) / 2). The w is the y^0 row,
-    so every row of a point whose w underflows is exactly 0.
+    points (x, y), with w = e^(-(x^2 + y^2) / 2), in degree order: row
+    d (d + 1) / 2 + j is the one with a = d - j and b = j. The power
+    tables x^k / sqrt(k!) and w y^k / sqrt(k!), k = 0..K, fill one
+    preallocated (2, K + 1, n) array: row k starts as x / sqrt(k) (y /
+    sqrt(k)) and is multiplied in place by row k - 1, each as rounded as a
+    cumulative product's. The d + 1 rows of degree d are then one product
+    of the first table's rows d..0 with the second's rows 0..d, written
+    into the output. w is the y^0 row, so every row of a point whose w
+    underflows is exactly 0.
     """
-    a, b, scale = _monomials(order)
-    xs = np.cumprod(np.vstack([np.ones_like(x), x / scale]), axis=0)
-    ys = np.cumprod(np.vstack([np.exp(-0.5 * (x * x + y * y)), y / scale]), axis=0)
-    rows = xs[a]
-    rows *= ys[b]
+    scale = np.sqrt(np.arange(1.0, order + 1))[:, None]
+    t = np.empty((2, order + 1, x.shape[0]))
+    t[0, 0], t[1, 0] = 1.0, np.exp(-0.5 * (x * x + y * y))
+    np.divide(x, scale, out=t[0, 1:])
+    np.divide(y, scale, out=t[1, 1:])
+    rows = np.empty(((order + 1) * (order + 2) // 2, x.shape[0]))
+    rows[0] = t[1, 0]
+    for d in range(1, order + 1):
+        t[:, d] *= t[:, d - 1]
+        np.multiply(t[0, d::-1], t[1, : d + 1], out=rows[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2])
     return rows
 
 
-def _moments(kind: KernelKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The moments [1, x, y, x^2, y^2, xy] of the points, or [1] for the diagonal kernel."""
-    one = np.ones_like(x)
-    if kind is KernelKind.STANDARD_DIAGONAL:
-        return one[:, None]
-    return np.column_stack([one, x, y, x * x, y * y, x * y])
+def _columns(moments: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """
+    The (8, n) columns of the (2, n) weights w = (u, v) at n points (a, b)
+    with the (6, n) `moments` [1, a, b, a^2, b^2, ab], in pairs:
+    ((1 - b^2) u + ab v, (1 - a^2) v + ab u), (2bu - av, 2av - bu),
+    (bv, au) and (u, v). Each is linear in the moments, so the moments
+    summed over points against a constant w give the columns summed too.
+    """
+    w0, w_r, p_r = w * moments[0], w[::-1], moments[2:0:-1]
+    bu = w * p_r  # (bu, av)
+    return np.concatenate([w0 - w * moments[4:2:-1] + w_r * moments[5], 2.0 * bu - bu[::-1], w_r * p_r, w0])
 
 
 def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
     """
     The (2n, 2) block sums sum_j K(p_i, q_j) at the points p_i = (x_i,
     y_i), rows 2i and 2i + 1 for p_i, from the rows of `sums`, sum_j e_ij
-    times the `_moments` of q_j. Each incompressible block is a quadratic
-    in the lag times e_ij, so
+    times the moments [1, x, y, x^2, y^2, xy] of q_j. Each incompressible
+    block is a quadratic in the lag times e_ij, so
 
         sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i
 
@@ -230,22 +228,33 @@ def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
     return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2)
 
 
-def _series_sums(hp: HyperParams, kind: KernelKind, x, y, a, b, order: int):
+def _series_sums(hp: HyperParams, kind: KernelKind, q: np.ndarray, m: int, order: int):
     """
-    `cross_sums`' (total, ksum, apply) for the centred points (x, y) and
-    targets (a, b), by the series of order `order`. Nothing is formed per
-    pair: ksum comes from the points' moments (`_moment_blocks`), total
-    from their 6x6 moment Gram matrix, and apply from one product of the
-    points' rows with F rows of 8 columns. Those are the target rows times
-    the target-side columns (1 - b^2) u + ab v, ab u + (1 - a^2) v, u, au,
-    bu, v, av and bv of c = (u, v) at each target (a, b), plus the points'
-    moments times the same columns of the constant weight v, recombined
-    with the points' x and y.
+    `cross_sums`' (total, ksum, apply) for the centred coordinates q, a
+    (2, M + N) array whose first m columns are the points (x, y) and the
+    rest the targets, by the series of order `order`. One `_series_rows`
+    call builds the rows of both, and the points' and the targets' rows
+    are its first M and last N columns. Nothing is formed per pair: ksum
+    comes from the points' moments (`_moment_blocks`), total from their
+    6x6 moment Gram matrix, and apply from one product of the points' rows
+    with F rows of the 8 `_columns`: those of c at the targets times the
+    target rows, plus those of the constant weight v at the points, from
+    the points' moment sums. Expanding each incompressible block in the
+    point's x and y, with S_k the product for column k, a point's two
+    outputs are
+
+        S_0 + y S_2 - x S_4 - y^2 S_6 + xy S_7
+        S_1 + x S_3 - y S_5 - x^2 S_7 + xy S_6,
+
+    one (2, M) operation per pair of columns.
     """
     s = hp.current_variance
-    phi_p, phi_t = _series_rows(x, y, order), _series_rows(a, b, order)
-    inner = phi_p @ _moments(kind, x, y)
-    ksum = _moment_blocks(hp, kind, a, b, phi_t.T @ inner)
+    rows = _series_rows(*q, order)
+    phi_p, phi_t = rows[:, :m], rows[:, m:]
+    moments = np.concatenate([np.ones((1, q.shape[1])), q, q * q, q[:1] * q[1:]])
+    mp, mt = moments[:, :m], moments[:, m:]
+    inner = phi_p @ mp[: 1 if kind is KernelKind.STANDARD_DIAGONAL else 6].T
+    ksum = _moment_blocks(hp, kind, *q[:, m:], phi_t.T @ inner)
     g = inner.T @ inner  # sum_i of the moments of p_i times sum_j e_ij moments of p_j
     if kind is KernelKind.STANDARD_DIAGONAL:
 
@@ -260,24 +269,14 @@ def _series_sums(hp: HyperParams, kind: KernelKind, x, y, a, b, order: int):
                           [t12, g[0, 0] + 2.0 * (g[1, 1] - g[0, 3])]])
 
     def apply(c, v):
-        u, w = c[0::2], c[1::2]
-        cols = np.column_stack([(1.0 - b * b) * u + a * b * w, a * b * u + (1.0 - a * a) * w,
-                                u, a * u, b * u, w, a * w, b * w])
-        # The same eight columns of the constant weight v at every point,
-        # as combinations of the point's moments 1, x, y, x^2, y^2 and xy.
-        v0, v1 = v
-        moment_cols = np.array([
-            [v0, v1, v0, 0.0, 0.0, v1, 0.0, 0.0],
-            [0.0, 0.0, 0.0, v0, 0.0, 0.0, v1, 0.0],
-            [0.0, 0.0, 0.0, 0.0, v0, 0.0, 0.0, v1],
-            [0.0, -v1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [-v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [v1, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        ])
-        c0, c1, su, sau, sbu, sv, sav, sbv = s * (phi_p.T @ (phi_t @ cols + inner @ moment_cols)).T
-        out0 = c0 + y * (2.0 * sbu - sav - y * su) - x * (sbv - y * sv)
-        out1 = c1 - y * sau + x * (y * su - sbu + 2.0 * sav - x * sv)
-        return np.column_stack([out0, out1])
+        # one `_columns` call: v at the points' F moment sums, c at the targets
+        f = len(inner)
+        cols = _columns(np.concatenate([inner.T, mt], axis=1),
+                        np.concatenate([np.repeat(v[:, None], f, axis=1), c.reshape(-1, 2).T], axis=1))
+        sums = (s * (cols[:, :f].T + phi_t @ cols[:, f:].T)).T @ phi_p
+        out = mp[5] * sums[7:5:-1] - mp[4:2:-1] * sums[6:] + mp[2:0:-1] * sums[2:4] - mp[1:3] * sums[4:6]
+        out += sums[:2]
+        return out.T
 
     return total, ksum, apply
 
@@ -310,7 +309,10 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
     and F = 28, r = 1 needs K = 18 and F = 190, and r = 2 needs K = 33 and
     F = 595. Against the dense sums of 600 points with themselves, each
     error scaled by its row's absolute sum was 1.5e-15 to 6.0e-15 over
-    r = 0.01 to 2.
+    r = 0.01 to 2. The points' and the targets' coordinates are one
+    (2, M + N) array, and one `_series_rows` call builds the rows of both,
+    by in-place products of preallocated power tables; the points' and the
+    targets' rows are column slices of that one (F, M + N) array.
 
     The series' F rows over N + M points are priced against the dense
     fallback, whose N M pairs cost SERIES_COST_RATIO = 3 rows each and
@@ -335,19 +337,23 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
     """
     p, t = as_xy(pts), as_xy(targets)
     m, n = p.shape[0], t.shape[0]
-    centre = p.sum(axis=0) / max(m, 1)
-    x, y = _centred(p, centre, hp.lengthscale)
-    rp2 = (x * x + y * y).max(initial=0.0)
-    own = _series_order(rp2, m)
-    own_cost = SERIES_COST_RATIO * m * m if own is None else (own + 1) * (own + 2) // 2 * m
+    # the points' and then the targets' x and y about the points'
+    # centroid, in lengthscale units
+    q = np.concatenate([p.T, t.T], axis=1)
+    q -= q[:, :m].sum(axis=1, keepdims=True) / max(m, 1)
+    q /= hp.lengthscale
     # Clipped as `_kernel_blocks` clips lags: past 38.6 units w is exactly
     # 0, clipped or not, and clipped coordinates keep every monomial of the
     # target rows and columns finite.
-    a, b = np.clip(_centred(t, centre, hp.lengthscale), -40.0, 40.0)
-    order = _series_order(np.sqrt(rp2 * np.maximum(rp2, (a * a + b * b).max(initial=0.0))),
+    np.clip(q[:, m:], -40.0, 40.0, out=q[:, m:])
+    r2 = q[0] * q[0] + q[1] * q[1]
+    rp2 = r2[:m].max(initial=0.0)
+    own = _series_order(rp2, m)
+    own_cost = SERIES_COST_RATIO * m * m if own is None else (own + 1) * (own + 2) // 2 * m
+    order = _series_order(np.sqrt(rp2 * np.maximum(rp2, r2[m:].max(initial=0.0))),
                           (SERIES_COST_RATIO * n * m + own_cost) / max(n + m, 1))
     if order is not None:
-        return _series_sums(hp, kind, x, y, a, b, order)
+        return _series_sums(hp, kind, q, m, order)
     # The points' own sums first, before the (N, M) blocks exist: with both
     # alive the heap outgrew glibc's trim threshold, and at N = 13, M = 587
     # every later prior faulted 86 pages instead of none.
@@ -363,7 +369,7 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
         def own_apply(c, v):
             return np.column_stack([r11 * v[0] + r12 * v[1], r12 * v[0] + r22 * v[1]])
     else:
-        total, _, own_apply = _series_sums(hp, kind, x, y, a[:0], b[:0], own)
+        total, _, own_apply = _series_sums(hp, kind, q[:, :m], m, own)
 
     k11, k12, k22 = k = _kernel_blocks(hp, kind, t, p)  # each (N, M)
     s11, s12, s22 = k.sum(axis=2)

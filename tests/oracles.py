@@ -40,6 +40,45 @@ def divergence_fd(f, p: Vec2, h: float) -> float:
     return (fx_p - fx_m + fy_p - fy_m) / (2.0 * h)
 
 
+def monomial_exponents(order: int):
+    """
+    The exponents (a, b) of the F = (K+1)(K+2)/2 monomials x^a y^b, a + b
+    <= K = `order`, in the order of `kernels._series_rows`' rows: by
+    degree a + b, and within a degree by falling a.
+    """
+    return [(d - j, j) for d in range(order + 1) for j in range(d + 1)]
+
+
+def series_rows(x, y, order: int) -> np.ndarray:
+    """
+    `kernels._series_rows` from its defining formula: the (F, n) array
+    whose row k at point i is w_i x_i^a y_i^b / sqrt(a! b!) for the k-th
+    (a, b) of `monomial_exponents`, with w_i = e^(-(x_i^2 + y_i^2) / 2),
+    each entry computed with `math` on Python floats.
+    """
+    exponents = monomial_exponents(order)
+    rows = np.empty((len(exponents), len(x)))
+    for i, (xi, yi) in enumerate(zip(np.asarray(x).tolist(), np.asarray(y).tolist())):
+        w = math.exp(-0.5 * (xi * xi + yi * yi))
+        for k, (a, b) in enumerate(exponents):
+            rows[k, i] = w * xi**a * yi**b / math.sqrt(math.factorial(a) * math.factorial(b))
+    return rows
+
+
+def cumprod_series_rows(x, y, order: int) -> np.ndarray:
+    """
+    `kernels._series_rows` as an earlier version computed it: the power
+    tables x^k / sqrt(k!) and w y^k / sqrt(k!) as cumulative products down
+    a stacked array, then each row as one table row of each multiplied.
+    The package's in-place row products round exactly as these do.
+    """
+    a, b = np.array(monomial_exponents(order)).T
+    scale = np.sqrt(np.arange(1.0, order + 1))[:, None]
+    xs = np.cumprod(np.vstack([np.ones_like(x), x / scale]), axis=0)
+    ys = np.cumprod(np.vstack([np.exp(-0.5 * (x * x + y * y)), y / scale]), axis=0)
+    return xs[a] * ys[b]
+
+
 def dense_inverse_factor(model) -> np.ndarray:
     """
     A `GpModel`'s inverse factor R = L^-1 as one dense (2N, 2N) array,

@@ -13,7 +13,7 @@ from driftfield.kernels import (
     build_block_matrix,
     cross_sums,
 )
-from oracles import eval_scalar_kernel
+from oracles import cumprod_series_rows, eval_scalar_kernel, series_rows
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 
@@ -143,6 +143,51 @@ class TestBlockMatrix:
             m = build_block_matrix(hp, kind, [[0.0, 0.0], [1e200, -1e200]], [[0.0, 0.0]])
             np.testing.assert_array_equal(m[:2], near)
             np.testing.assert_array_equal(m[2:], np.zeros((2, 2)))
+
+
+class TestSeriesRows:
+    # `_series_rows` against the formula, entry by entry with `math`
+    @pytest.mark.parametrize(("order", "radius"), [(0, 0.3), (6, 0.3), (18, 1.0), (47, 3.0)])
+    def test_matches_formula(self, order, radius):
+        rng = np.random.default_rng(order)
+        x, y = rng.uniform(-radius, radius, size=(2, 40))
+        rows = kernels._series_rows(x, y, order)
+        assert rows.shape == ((order + 1) * (order + 2) // 2, 40)
+        np.testing.assert_allclose(rows, series_rows(x, y, order), rtol=1e-13, atol=0)
+
+    def test_clipped_coordinates_stay_finite_at_order_47(self):
+        # `cross_sums` clips target coordinates to +-40 lengthscales: every
+        # power of 40 up to the 47th over its factorial's root is finite, and
+        # w, e^-800 at most, is exactly 0, so such a point's rows are 0, never
+        # NaN; the points inside match the formula
+        rng = np.random.default_rng(47)
+        edge = rng.uniform(-40.0, 40.0, size=6)
+        x = np.concatenate([[40.0, -40.0, 40.0, -40.0], edge, rng.uniform(-2.0, 2.0, size=10)])
+        y = np.concatenate([[40.0, -40.0, -40.0, 40.0], np.sign(edge) * 40.0, rng.uniform(-2.0, 2.0, size=10)])
+        rows = kernels._series_rows(x, y, 47)
+        assert np.isfinite(rows).all()
+        assert not rows[:, :10].any()
+        np.testing.assert_allclose(rows[:, 10:], series_rows(x[10:], y[10:], 47), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("order", [0, 6, 18, 47])
+    def test_underflowing_weight_zeroes_every_row(self, order):
+        # w = e^-900 underflows to 0, and so does every row of that point
+        rows = kernels._series_rows(np.array([30.0, 0.1]), np.array([-30.0, 0.2]), order)
+        assert not rows[:, 0].any()
+        assert rows[0, 1] > 0.0
+
+    @pytest.mark.parametrize("order", [0, 6, 18, 47])
+    def test_empty_point_set(self, order):
+        rows = kernels._series_rows(np.empty(0), np.empty(0), order)
+        assert rows.shape == ((order + 1) * (order + 2) // 2, 0)
+
+    @pytest.mark.parametrize("order", [5, 6, 7, 8])
+    def test_bit_for_bit_the_cumulative_product_form(self, order):
+        # survey's dives take orders 5 to 8; each row is the same product of
+        # the same table rows as the cumulative-product form's
+        rng = np.random.default_rng(order)
+        x, y = rng.uniform(-0.4, 0.4, size=(2, 389))
+        np.testing.assert_array_equal(kernels._series_rows(x, y, order), cumprod_series_rows(x, y, order))
 
 
 class TestBlockRowSums:
