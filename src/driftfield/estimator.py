@@ -41,6 +41,7 @@ nearly coincident rows).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +153,8 @@ def m_step(model: GpModel, trajectory, drift: Vec2, dt: float):
     with np.errstate(over="ignore", invalid="ignore"):
         mean_sum, cov_sum, update = model.predict_sum(x[:-1])
         c_sigma_ct = dt * (dt * cov_sum)
-        s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T) + np.square(model.hp.gps_noise_std) * np.eye(2)
+        s_mat = 0.5 * (c_sigma_ct + c_sigma_ct.T)
+        s_mat.flat[::3] += np.square(model.hp.gps_noise_std)  # S's diagonal
     if not np.isfinite(s_mat).all():
         raise FloatingPointError(
             f"innovation covariance is not finite (dt = {dt} s, "
@@ -185,7 +187,10 @@ def run_em_cycle(model: GpModel, cycle: Cycle, cfg: EmConfig) -> EmState:
         # the loop; in the delta it only keeps the cycle iterating.
         with np.errstate(over="ignore", invalid="ignore"):
             x_new = e_step(dr, w, cycle.dt)
-            delta = float(np.linalg.norm(x_new - x, axis=1).max())
+            # the largest step length, as the root of the largest square
+            d = x_new - x
+            d *= d
+            delta = math.sqrt((d[:, 0] + d[:, 1]).max())
         x = x_new
         if delta < cfg.convergence_tol:
             converged = True

@@ -300,7 +300,9 @@ def downsample_targets(positions, currents, min_spacing: float):
         raise ValueError(f"positions {p.shape} vs currents {c.shape}")
     if min_spacing <= 0:
         return p, c
-    x, y = p.T
+    # x + iy, read in place: the modulus of a complex difference is the
+    # hypot of its parts
+    z = np.ascontiguousarray(p).view(complex)[:, 0]
     free = np.ones(len(p), dtype=bool)
     kept = []
     # an overflowing or infinite lag compares as a plain float would
@@ -308,5 +310,5 @@ def downsample_targets(positions, currents, min_spacing: float):
         while free.any():
             i = int(free.argmax())
             kept.append(i)
-            free &= np.hypot(x - x[i], y - y[i]) >= min_spacing
+            free &= abs(z - z[i]) >= min_spacing
     return p[kept], c[kept]

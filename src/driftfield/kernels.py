@@ -49,13 +49,15 @@ ROW_SUM_BLOCK_ENTRIES = 8192
 # point's monomial row of the series, as `cross_sums` compares its paths.
 # A pair takes an exp and six passes over (N, M) arrays. Timed on both
 # paths (1 BLAS thread, 2-core Xeon) over 100 geometries per kernel, N 1
-# to 300, M 20 to 400 and F 21 to 595, with the rows built by in-place
-# row products: at 3 the chosen path's total was 1.1% (incompressible)
-# and 5.9% (diagonal) above the faster path's, at 2 3.3% and 9.4%, at 4
-# 0.6% and 1.3%, at 5 0.5% and 0.2%. On the M-steps of one pass of each
-# GP benchmark workload, every value from 3 to 5 chose within 0.7% of the
-# faster path's total.
-SERIES_COST_RATIO = 3.0
+# to 300, M 20 to 400 and F 21 to 595, with each row product on
+# positive strides (see `_series_rows`), the chosen path's total was
+# above the faster path's by 2.9-3.0% (incompressible) and 8.6-8.9%
+# (diagonal) at 3, 0.6-0.8% and 2.8-3.0% at 4, and 0.2-0.3% and
+# 0.9-1.1% at 5 and at 6 (two runs). With the cumulative-product rows,
+# whose rows cost more, the best was 3-4 (0.9%) and 5-6 (0.2%). On the
+# M-steps of one pass of each GP benchmark workload, 5 chose within 0.1%
+# of the faster path's total and 3 within 1.1%.
+SERIES_COST_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -173,24 +175,27 @@ def _series_rows(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     The (F, n) rows w x^a y^b / sqrt(a! b!), a + b <= K = `order`, at the
     points (x, y), with w = e^(-(x^2 + y^2) / 2), in degree order: row
     d (d + 1) / 2 + j is the one with a = d - j and b = j. The power
-    tables x^k / sqrt(k!) and w y^k / sqrt(k!), k = 0..K, fill one
-    preallocated (2, K + 1, n) array: row k starts as x / sqrt(k) (y /
-    sqrt(k)) and is multiplied in place by row k - 1, each as rounded as a
+    tables fill one preallocated (2, K + 1, n) array: x^k / sqrt(k!) in
+    row K - k of the first, from the top down, and w y^k / sqrt(k!) in row
+    k of the second. Each power row starts as x / sqrt(k) (y / sqrt(k))
+    and is multiplied in place by the power k - 1 row, as rounded as a
     cumulative product's. The d + 1 rows of degree d are then one product
-    of the first table's rows d..0 with the second's rows 0..d, written
-    into the output. w is the y^0 row, so every row of a point whose w
-    underflows is exactly 0.
+    of the first table's last d + 1 rows with the second's first d + 1,
+    both with positive strides (a reversed slice took about 30% longer),
+    written into the output. w is the y^0 row, so every row of a point
+    whose w underflows is exactly 0.
     """
-    scale = np.sqrt(np.arange(1.0, order + 1))[:, None]
-    t = np.empty((2, order + 1, x.shape[0]))
-    t[0, 0], t[1, 0] = 1.0, np.exp(-0.5 * (x * x + y * y))
-    np.divide(x, scale, out=t[0, 1:])
-    np.divide(y, scale, out=t[1, 1:])
+    scale = np.sqrt(np.arange(1.0, order + 1))
+    tx, ty = np.empty((2, order + 1, x.shape[0]))
+    tx[order], ty[0] = 1.0, np.exp(-0.5 * (x * x + y * y))
+    np.divide(x, scale[::-1, None], out=tx[:order])
+    np.divide(y, scale[:, None], out=ty[1:])
     rows = np.empty(((order + 1) * (order + 2) // 2, x.shape[0]))
-    rows[0] = t[1, 0]
+    rows[0] = ty[0]
     for d in range(1, order + 1):
-        t[:, d] *= t[:, d - 1]
-        np.multiply(t[0, d::-1], t[1, : d + 1], out=rows[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2])
+        tx[order - d] *= tx[order - d + 1]
+        ty[d] *= ty[d - 1]
+        np.multiply(tx[order - d :], ty[: d + 1], out=rows[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2])
     return rows
 
 
@@ -207,12 +212,13 @@ def _columns(moments: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.concatenate([w0 - w * moments[4:2:-1] + w_r * moments[5], 2.0 * bu - bu[::-1], w_r * p_r, w0])
 
 
-def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
+def _moment_blocks(hp: HyperParams, kind: KernelKind, moments, sums) -> np.ndarray:
     """
     The (2n, 2) block sums sum_j K(p_i, q_j) at the points p_i = (x_i,
-    y_i), rows 2i and 2i + 1 for p_i, from the rows of `sums`, sum_j e_ij
-    times the moments [1, x, y, x^2, y^2, xy] of q_j. Each incompressible
-    block is a quadratic in the lag times e_ij, so
+    y_i), rows 2i and 2i + 1 for p_i, from their (6, n) `moments` [1, x,
+    y, x^2, y^2, xy] and the rows of `sums`, sum_j e_ij times the same
+    moments of q_j. Each incompressible block is a quadratic in the lag
+    times e_ij, so
 
         sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i
 
@@ -222,10 +228,11 @@ def _moment_blocks(hp: HyperParams, kind: KernelKind, x, y, sums) -> np.ndarray:
     if kind is KernelKind.STANDARD_DIAGONAL:
         return (s * sums[:, 0, None, None] * np.eye(2)).reshape(-1, 2)
     m0, mx, my, mxx, myy, mxy = sums.T
-    k11 = m0 - (y * y * m0 - 2.0 * y * my + myy)
-    k22 = m0 - (x * x * m0 - 2.0 * x * mx + mxx)
-    k12 = x * y * m0 - x * my - y * mx + mxy
-    return s * np.stack([k11, k12, k12, k22], axis=1).reshape(-1, 2)
+    _, x, y, xx, yy, xy = moments
+    k11 = m0 - (yy * m0 - 2.0 * y * my + myy)
+    k22 = m0 - (xx * m0 - 2.0 * x * mx + mxx)
+    k12 = xy * m0 - x * my - y * mx + mxy
+    return (s * np.array([k11, k12, k12, k22])).T.reshape(-1, 2)
 
 
 def _series_sums(hp: HyperParams, kind: KernelKind, q: np.ndarray, m: int, order: int):
@@ -254,7 +261,7 @@ def _series_sums(hp: HyperParams, kind: KernelKind, q: np.ndarray, m: int, order
     moments = np.concatenate([np.ones((1, q.shape[1])), q, q * q, q[:1] * q[1:]])
     mp, mt = moments[:, :m], moments[:, m:]
     inner = phi_p @ mp[: 1 if kind is KernelKind.STANDARD_DIAGONAL else 6].T
-    ksum = _moment_blocks(hp, kind, *q[:, m:], phi_t.T @ inner)
+    ksum = _moment_blocks(hp, kind, mt, phi_t.T @ inner)
     g = inner.T @ inner  # sum_i of the moments of p_i times sum_j e_ij moments of p_j
     if kind is KernelKind.STANDARD_DIAGONAL:
 
@@ -315,15 +322,15 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
     targets' rows are column slices of that one (F, M + N) array.
 
     The series' F rows over N + M points are priced against the dense
-    fallback, whose N M pairs cost SERIES_COST_RATIO = 3 rows each and
+    fallback, whose N M pairs cost SERIES_COST_RATIO = 5 rows each and
     whose sums of the points with themselves cost P = F_p M rows by the
     points' own series (order K_p from r_p alone, taken when F_p <= M),
-    or 3 M^2 without it. `_series_sums` runs iff
+    or 5 M^2 without it. `_series_sums` runs iff
 
-        F (N + M) <= 3 N M + P.
+        F (N + M) <= 5 N M + P.
 
     With no targets that is the points' own series whenever F_p <= M,
-    and the series of a wider set when F <= 3 M. A dive with targets takes
+    and the series of a wider set when F <= 5 M. A dive with targets takes
     the series unless they lie far enough out to raise F well above F_p.
 
     Otherwise, and for a non-finite point, ksum and apply's K(P, T) c come
@@ -380,4 +387,4 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
         out += own_apply(c[:0], v)  # K(P, P) (1 v), with no targets
         return out
 
-    return total, np.stack([s11, s12, s12, s22], axis=1).reshape(-1, 2), apply
+    return total, np.array([s11, s12, s12, s22]).T.reshape(-1, 2), apply

@@ -212,7 +212,7 @@ class TestPredictSumPaths:
     # A dive's query points lie well within a lengthscale of their
     # centroid, so its sums go through the dive-centred series whenever
     # its F monomial rows over N + M points cost no more than the dense
-    # fallback: SERIES_COST_RATIO = 3 rows per (target, point) pair, plus
+    # fallback: SERIES_COST_RATIO = 5 rows per (target, point) pair, plus
     # the F_p rows a point of the dive's own series, which the fallback
     # also forms (the dives below need F_p = 21). With no targets the
     # joint series is the dive's own, so an empty model takes it.
@@ -231,7 +231,7 @@ class TestPredictSumPaths:
             # rule that priced a monomial row as one pair would form the
             # dense blocks.
             (50, 0.54),
-            # F = 28 rows over 390 points against 3 x 2 x 388 pairs: only
+            # F = 28 rows over 390 points against 5 x 2 x 388 pairs: only
             # the dive's own 28 x 388 rows, which the dense path also
             # forms, tip it to the series.
             (2, 0.2),
@@ -260,11 +260,11 @@ class TestPredictSumPaths:
     @pytest.mark.parametrize(
         ("targets", "queries"),
         [
-            # 29 lengthscales away: 231 monomials over 360 points against
-            # 3 x 300 x 60 pairs and the dive's 21 x 60 rows
-            (np.random.default_rng(22).uniform(7e5, 7.3e5, size=(300, 2)), 60),
+            # 41 lengthscales away: 300 monomials over 360 points against
+            # 5 x 300 x 60 pairs and the dive's 21 x 60 rows
+            (np.random.default_rng(22).uniform(1e6, 1.03e6, size=(300, 2)), 60),
             # 5 targets over 3.4 lengthscales: 55 monomials over 155 points
-            # against 3 x 5 x 150 pairs and the dive's 21 x 150 rows
+            # against 5 x 5 x 150 pairs and the dive's 21 x 150 rows
             (np.random.default_rng(23).uniform(-6e4, 6e4, size=(5, 2)), 150),
         ],
         ids=["far_targets", "few_targets"],

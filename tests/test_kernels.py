@@ -214,7 +214,7 @@ class TestBlockRowSums:
     def test_dive_sized_prior_spans_several_row_blocks(self, kind, step, monkeypatch):
         # a 587-point dive, the longest in the acceptance study; with 8 km
         # steps the walk spans 5.4 lengthscales, too wide for any series
-        # within 3 M rows, and its sums come from row blocks of
+        # within 5 M rows, and its sums come from row blocks of
         # `_kernel_blocks`
         q = _walk(step)
         assert 587 * 587 > 2 * kernels.ROW_SUM_BLOCK_ENTRIES
@@ -248,7 +248,7 @@ class TestBlockRowSums:
             # one point is its own centroid: the exact order-0 series
             (1, 0.0),
             # order 12, F = 91 rows, too many for the dive's own series
-            # (F_p <= M) but within the 3 M rows of its dense sums
+            # (F_p <= M) but within the 5 M rows of its dense sums
             (60, 0.5),
         ],
         ids=["one_point", "short_wide_dive"],
