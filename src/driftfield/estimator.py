@@ -36,6 +36,20 @@ Cycles are processed in order and past cycles are never revisited: the
 converged currents of each cycle become fixed pseudo-targets in the GP
 (thinned to a minimum spacing first, or the Gram matrix would fill with
 nearly coincident rows).
+
+The mission's GP has two forms with one posterior (see `gp`). Before the
+first cycle, `iter_process_mission` derives a region from the log: the
+disc about the centre of the bounding box of every dead-reckoned point
+and fix that holds them all, its radius padded by the largest drift, so
+that converged trajectories stay inside it. The model runs exact until
+the cost rule in `gp` (F^2 <= 100 N for F features and N targets, set
+where the two forms' timed costs cross) prefers the weight space over
+that region, then converts once. Then a cycle costs O(F M + F^3)
+whatever N is: replayed on long_mission (F = 105), a cycle took
+0.80-0.87 ms from N = 100 to 560, where the exact form rose from 1.0 to
+2.6 ms. A trajectory point beyond the region widens it and re-forms the
+weights from the stored targets, so no cycle fails for it. The
+acceptance study's missions (N <= 37, F >= 66) stay exact throughout.
 """
 
 from __future__ import annotations
@@ -223,6 +237,23 @@ def _failed_state(cycle: Cycle, err: Exception) -> EmState:
     )
 
 
+def _mission_region(log: MissionLog):
+    """
+    The centre and radius, in metres, of a disc that holds every
+    dead-reckoned point and fix of the log, padded by the largest drift:
+    the centre of their bounding box, which a mirrored log mirrors exactly.
+    """
+    # x and y as the rows of one (2, n) array: numpy's min over the rows of
+    # an (n, 2) array took 0.2 ms for a survey log, against 10 us for this
+    fixes = [[c.gps_fix.x for c in log.cycles], [c.gps_fix.y for c in log.cycles]]
+    pts = np.concatenate([c.dead_reckoned.T for c in log.cycles] + [fixes], axis=1)
+    centre = 0.5 * pts.min(axis=1) + 0.5 * pts.max(axis=1)
+    drift = max(math.hypot(c.drift.x, c.drift.y) for c in log.cycles)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = pts - centre[:, None]
+        return centre, math.sqrt((x * x + y * y).max()) + drift
+
+
 def iter_process_mission(
     log: MissionLog,
     hp: HyperParams,
@@ -234,14 +265,18 @@ def iter_process_mission(
 
     The model grows by the cycle's converged currents, placed at the
     reconstructed trajectory points and thinned to the configured
-    spacing. A cycle that fails numerically (a `LinAlgError`, such as a
-    singular innovation or a Cholesky factor that will not grow, or a
-    `FloatingPointError`) yields an error state and leaves the model
-    unchanged; later cycles still run. Any other exception
-    propagates. A failed cycle, and one that reaches the iteration cap
-    without converging, each log a warning naming the cycle's index.
+    spacing. It takes the weight-space form over the log's region (see
+    the module docstring) once the cost rule prefers it. A cycle that
+    fails numerically (a `LinAlgError`, such as a singular innovation or
+    a Cholesky factor that will not grow, or a `FloatingPointError`)
+    yields an error state and leaves the model unchanged; later cycles
+    still run. Any other exception propagates. A failed cycle, and one
+    that reaches the iteration cap without converging, each log a
+    warning naming the cycle's index.
     """
     model = GpModel(hp, kind)
+    if log.cycles:
+        model = model._in_region(*_mission_region(log))
     spacing = cfg.spacing_for(hp)
     for index, cycle in enumerate(log.cycles):
         try:

@@ -38,12 +38,32 @@ tolerances the dense-factor tests set for triangular solves. An explicit
 K^-1 updated by Schur complements did not: it missed the mission
 oracle's tolerance (3e-7 against 100 cond(K) eps) and two estimator
 tests.
+
+A mission's model has a second form, the same GP in weight space
+(`_WeightSpace`): a Bayesian linear model on the F Taylor features of
+the Gaussian about one centre, exact to rounding within a radius. There
+an M-step costs O(F M) and an append O(n F^2 + F^3), whatever N is, where
+the exact form walks its (2N)^2 factor twice a cycle. The mission loop
+gives its model a region, the disc that holds the log's dead-reckoned
+tracks and fixes padded by the largest drift, about their bounding
+box's centre. The model keeps the exact form until the cost rule
+(FEATURES_PER_ROOT_TARGET: F^2 <= 100 N) prefers the weight space at its
+N and the region's F, then forms the weights once from the stored
+targets; timed on both paths, the weight space became the cheaper form
+at N = 60-100 for F = 91-105 and at N = 190-315 for F = 136-171. A
+target or query beyond the region widens it to cover them and forms the
+weights afresh, O(N F^2); if the rule finds the wider region too costly,
+the model goes back to a fresh exact factor. So every prediction is the
+exact posterior anywhere, and a model's form is a cache of it: a query
+may change the form in place, and the targets alone (`to_json`) rebuild
+the model.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 
 import numpy as np
 from numpy.linalg import cholesky, inv
@@ -53,6 +73,7 @@ from driftfield.kernels import (
     HyperParams,
     KernelKind,
     _kernel_blocks,
+    _series_rows,
     build_block_matrix,
     cross_sums,
 )
@@ -78,6 +99,27 @@ DEFAULT_TARGET_NOISE_VAR = 1e-4
 # all the time saved by not copying the factor.
 GROW_BLOCK_TARGETS = 32
 
+# The cost rule between a mission model's two forms: it takes the weight
+# space iff its F features number at most this many times the root of its
+# N targets, F^2 <= 100 N. Timed on both paths (1 BLAS thread, 2-core
+# Xeon) by a cycle of three M-steps on a 150- or 400-point dive and a
+# 6-target append, targets within 0.25-0.8 lengthscales, the weight space
+# first cost no more than the exact model at these N:
+#
+#     incompressible F    66   78   91  105  136  153  171
+#         measured N     <10   15   60  100  190  260  315
+#         F^2 / 100       44   61   83  110  185  234  292
+#     diagonal F          55   66   78   91  105  120  136
+#         measured N      10   40   70  105  145  185  230
+#         F^2 / 100       30   44   61   83  110  144  185
+#
+# The exact model's cost grows with N through its factor's walks, the
+# weight space's with F^3 through the refresh.
+# The acceptance study's missions (F >= 66, N <= 37) stay exact: the
+# weight space from the first cycle made each kernel's study 30-50%
+# slower.
+FEATURES_PER_ROOT_TARGET = 10.0
+
 
 def _solve(blocks, b: np.ndarray):
     """
@@ -96,6 +138,182 @@ def _solve(blocks, b: np.ndarray):
     return z, x
 
 
+def _feature_order(kind: KernelKind, r2: float, budget: float):
+    """
+    The smallest order K whose F = (K+1)(K+2)/2 features reproduce `kind`'s
+    kernel within 2^-53 sigma^2 between any two points within sqrt(r2)
+    lengthscales of the centre, or None if F exceeds `budget`. With
+    t = p . q and R_n(t) the remainder of exp(t) beyond degree n, at most
+    B_n = r2^(n+1) e^r2 / (n+1)!, the diagonal kernel is off by
+    w_p w_q R_K(t) <= B_K. The incompressible blocks are second derivatives
+    of w_p w_q R_K(t), and since R_n' = R_(n-1), for example
+
+        d2/dy_p dy_q = w_p w_q (y_p y_q R_K - (y_p^2 + y_q^2 - 1) R_(K-1) + y_p y_q R_(K-2)),
+
+    so every block is off by at most r2 B_K + (1 + 2 r2) B_(K-1) + r2 B_(K-2),
+    with B_n = e^r2 for n < 0. Python floats, which overflow to inf
+    silently; a non-finite r2 never meets the bound.
+    """
+    r2 = float(r2)
+    e = math.exp(r2) if r2 < 700.0 else math.inf
+    b = [e, e]  # B_(k-2) and B_(k-1)
+    k = 0
+    while (k + 1) * (k + 2) // 2 <= budget:
+        b.append(b[-1] * r2 / (k + 1) if k else r2 * e)  # B_k
+        if kind is KernelKind.STANDARD_DIAGONAL:
+            bound = b[-1]
+        else:
+            bound = r2 * (b[-1] + b[-3]) + (1.0 + 2.0 * r2) * b[-2]
+        if bound < 2.0**-53:
+            return k
+        k += 1
+    return None
+
+
+def _curl_maps(order: int, s: float) -> np.ndarray:
+    """
+    The (2, F, F1) maps from the F1 rows of `kernels._series_rows` at order
+    K + 1 to the incompressible features of order K: s d(psi_k)/dy and
+    -s d(psi_k)/dx for each of the F rows psi_k = psi_(a,b) of order K.
+    With psi_(a,b) = w x^a y^b / sqrt(a! b!) and w = e^(-(x^2 + y^2) / 2),
+
+        d(psi_(a,b))/dx = sqrt(a) psi_(a-1,b) - sqrt(a+1) psi_(a+1,b),
+
+    and likewise in y, so each feature is two rows of one degree more.
+    """
+    d = np.repeat(np.arange(order + 1), np.arange(1, order + 2))  # each row's degree
+    k = np.arange(len(d))
+    b = k - d * (d + 1) // 2
+    a = d - b
+    # the rows of psi_(a-1,b) and psi_(a+1,b); psi_(a,b-1) and psi_(a,b+1) are at down - 1 and up + 1
+    down, up = k - d, k + d + 1
+    maps = np.zeros((2, len(k), (order + 2) * (order + 3) // 2))
+    maps[0, k, up + 1] = -s * np.sqrt(b + 1)
+    maps[1, k, up] = s * np.sqrt(a + 1)
+    maps[0, k[b > 0], down[b > 0] - 1] = s * np.sqrt(b[b > 0])
+    maps[1, k[a > 0], down[a > 0]] = -s * np.sqrt(a[a > 0])
+    return maps
+
+
+def _inverse_factor(lam: np.ndarray) -> np.ndarray:
+    """
+    np.tril(inv(cholesky(lam))) by one block step of the module docstring's
+    identity, R21 = -R22 L21 R11: two half-size inverses and two products
+    took 0.20-0.24 ms against 0.37-0.39 ms for the whole at F = 91-105 (1
+    BLAS thread), with the same rounding. lam >= I here, so its Cholesky
+    factor exists for any finite rows.
+    """
+    l = cholesky(lam)
+    h = len(l) // 2
+    r = np.zeros_like(l)
+    r[:h, :h] = np.tril(inv(l[:h, :h]))
+    r[h:, h:] = np.tril(inv(l[h:, h:]))
+    r[h:, :h] = -r[h:, h:] @ (l[h:, :h] @ r[:h, :h])
+    return r
+
+
+def _centred(centre, lengthscale: float, pts: np.ndarray):
+    """
+    The (2, M) coordinates of the points about the centre in lengthscale
+    units, and the largest square of their distance from it (inf or NaN
+    if that overflows).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (pts - centre).T / lengthscale
+        return q, (q[0] * q[0] + q[1] * q[1]).max(initial=0.0)
+
+
+class _WeightSpace:
+    """
+    The GP as a Bayesian linear model on F Taylor features about a centre
+    (Rasmussen & Williams 2006, *GPML*, section 2.1). In lengthscale units
+    about the centre, exp(-|p - q|^2 / 2) = w_p w_q exp(p . q), and the
+    series of exp(p . q) to order K makes it sum_k psi_k(p) psi_k(q) with
+    the F rows psi_k of `kernels._series_rows` (Cotter, Keshet & Srebro
+    2011, "Explicit approximations of the Gaussian kernel"). So the
+    streamfunction s psi . z, z ~ N(0, I) and s^2 the current variance,
+    has the incompressible kernel as the covariance of its rotated
+    gradient: a current is A(q) z, with the two rows of A(q) the maps of
+    `_curl_maps` applied to q's rows of order K + 1. Every mean it gives
+    is divergence-free exactly. The diagonal kernel gives u and v
+    independent weights on the features s psi_k, which share one
+    precision matrix.
+
+    With A the feature rows at the targets, y their currents and tau^2 the
+    noise floor, the posterior of the weights has precision
+    Lambda = I + A^T A / tau^2 and mean mu = Lambda^-1 A^T y / tau^2. An
+    append adds its rows' share to Lambda and to b = A^T y / tau^2 and
+    refactors Lambda afresh, O(n F^2 + F^3) whatever N is. As in
+    `GpModel`, the inverse factor R = L^-1 of Lambda = L L^T is kept, so
+    the covariance a P a^T = (R a^T)^T (R a^T) is symmetric by
+    construction. `order` comes from `_feature_order` at the radius, so
+    within it the features' kernel is the exact one to rounding.
+    """
+
+    def __init__(self, hp: HyperParams, kind: KernelKind, centre, reach2, order: int):
+        self.hp, self.kind = hp, kind
+        self.centre, self.reach2, self.order = centre, reach2, order
+        f = (order + 1) * (order + 2) // 2
+        s = np.sqrt(hp.current_variance)
+        self.curl = kind is KernelKind.INCOMPRESSIBLE
+        # the diagonal kernel's features are s psi itself
+        self.maps = _curl_maps(order, s) if self.curl else s
+        self.prec = np.eye(f)
+        self.rhs = np.zeros(f if self.curl else (f, 2))
+        self.factor, self.mean = self.prec, self.rhs
+
+    def rows(self, pts: np.ndarray):
+        """The (F1, M) rows at the points, or None if any lies beyond the region."""
+        q, reach2 = _centred(self.centre, self.hp.lengthscale, pts)
+        if not reach2 <= self.reach2:
+            return None
+        return _series_rows(q[0], q[1], self.order + self.curl)
+
+    def features(self, rows: np.ndarray) -> np.ndarray:
+        """(2, F, M) for the incompressible kernel, the u and v rows; (F, M) for the diagonal one."""
+        return self.maps @ rows if self.curl else self.maps * rows
+
+    def add(self, rows: np.ndarray, currents: np.ndarray) -> "_WeightSpace":
+        """A new form conditioned also on targets with these rows and (n, 2) currents."""
+        a, y = self.features(rows), currents
+        if self.curl:  # the u rows, then the v rows, against the u and v currents
+            a, y = np.concatenate(a, axis=1), currents.T.reshape(-1)
+        tau2 = DEFAULT_TARGET_NOISE_VAR
+        child = copy.copy(self)
+        child.prec = self.prec + (a @ a.T) / tau2
+        child.rhs = self.rhs + (a @ y) / tau2
+        child.factor = _inverse_factor(child.prec)
+        child.mean = child.factor.T @ (child.factor @ child.rhs)
+        return child
+
+    def mean_at(self, rows: np.ndarray) -> np.ndarray:
+        """The (M, 2) posterior mean at the points with these rows."""
+        if self.curl:
+            return (self.mean @ self.maps @ rows).T
+        return self.maps * (rows.T @ self.mean)
+
+    def predict_sum(self, rows: np.ndarray):
+        """`GpModel.predict_sum` at the points with these rows."""
+        total = rows.sum(axis=1)
+        mean, r = self.mean, self.factor
+        if self.curl:
+            a = self.maps @ total  # (2, F): the summed u and v rows
+            ra = r @ a.T
+            cov = ra.T @ ra
+
+            def update(v):
+                return ((mean + r.T @ (ra @ v)) @ self.maps @ rows).T
+        else:
+            a = self.maps * total
+            ra = r @ a
+            cov = (ra @ ra) * np.eye(2)
+
+            def update(v):
+                return self.maps * (rows.T @ (mean + np.multiply.outer(r.T @ ra, v)))
+
+        return a @ mean, cov, update
+
+
 class GpModel:
     """
     Immutable GP over the 2D current field.
@@ -104,10 +322,16 @@ class GpModel:
     Construct empty via `GpModel(hp, kind)` and grow with
     `add_targets`, which returns a new model. A model built with targets
     grows the empty model's 0x0 factor by all of them, as one append,
-    so an empty model predicts the prior by the same formulas.
+    so an empty model predicts the prior by the same formulas. Only a
+    mission's model, given a region by `_in_region`, may take the
+    weight-space form (see the module docstring).
     """
 
     target_noise_var = DEFAULT_TARGET_NOISE_VAR
+    # The weight-space form, or None on the exact one, and the region it
+    # may take: the centre and the squared radius in lengthscales.
+    _space = None
+    _region = None
 
     def __init__(
         self,
@@ -130,6 +354,37 @@ class GpModel:
 
     def _grow(self, n_old: int):
         """
+        Condition the model's form on the targets from `n_old` on. The
+        weight space adds their rows if they lie in its region. Otherwise
+        a model with a region takes the weight space afresh if the cost
+        rule prefers it, and failing that the exact factor grows, from
+        scratch if the model leaves the weight space.
+        """
+        if self.positions.shape != self.currents.shape:
+            raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
+        # checked before any kernel is formed, where inf - inf would warn
+        if not np.isfinite(self.positions[n_old:]).all():
+            raise ValueError("positions must be finite")
+        # Only the currents can be non-finite here; scanning R too would
+        # cost as much as a solve.
+        np.asarray_chkfinite(self.currents[n_old:])
+        space = self._space
+        if space is not None:
+            rows = space.rows(self.positions[n_old:])
+            if rows is not None:
+                self._space = space.add(rows, self.currents[n_old:])
+                return
+        # the region's own order first: a cheap test at every exact append
+        if (self._region is not None and self._order(self._region[1]) is not None
+                and self._take_weights() is not None):
+            return
+        if space is not None:
+            self._exact()
+        else:
+            self._factor(n_old)
+
+    def _factor(self, n_old: int):
+        """
         Extend `_blocks`, the row blocks of the inverse lower factor of
         Gram + noise at the first `n_old` targets, by the rest, and
         `_z` = R y and `_alpha` = R^T R y by the new rows of R. Every
@@ -140,14 +395,7 @@ class GpModel:
         not raises `cholesky`'s `LinAlgError`, and the parent model is
         untouched.
         """
-        if self.positions.shape != self.currents.shape:
-            raise ValueError(f"positions {self.positions.shape} vs currents {self.currents.shape}")
-        # checked before any kernel is formed, where inf - inf would warn
-        if not np.isfinite(self.positions[n_old:]).all():
-            raise ValueError("positions must be finite")
-        # Only the currents can be non-finite here; scanning R too would
-        # cost as much as a solve.
-        y = np.asarray_chkfinite(self.currents.reshape(-1))
+        y = self.currents.reshape(-1)
         z = np.empty_like(y)
         z[: 2 * n_old] = self._z
         alpha = np.zeros_like(y)
@@ -189,9 +437,77 @@ class GpModel:
         self._blocks = tuple(blocks)
         self._z, self._alpha = z, alpha
 
+    def _in_region(self, centre, radius: float) -> "GpModel":
+        """
+        This model, free to take the weight-space form about the disc of
+        this centre and radius in metres once the cost rule prefers it.
+        """
+        child = copy.copy(self)
+        with np.errstate(over="ignore"):  # an infinite radius never meets the order's bound
+            child._region = (np.asarray(centre, dtype=float), np.square(radius / self.hp.lengthscale))
+        return child
+
+    def _order(self, reach2):
+        """
+        The weight space's order over a region of this squared radius if
+        the cost rule prefers it to the exact form at N targets (F at most
+        FEATURES_PER_ROOT_TARGET times the root of N), else None.
+        """
+        return _feature_order(self.kind, reach2, FEATURES_PER_ROOT_TARGET * math.sqrt(self.num_targets))
+
+    def _take_weights(self, *pts: np.ndarray):
+        """
+        Form the weight space afresh from every target, about the region
+        widened to cover them and the points `pts`, if the cost rule
+        prefers it at that radius. Returns the new form, or None if the
+        rule declined. O(N F^2 + F^3).
+        """
+        centre, reach2 = self._region
+        for p in (self.positions, *pts):
+            q2 = _centred(centre, self.hp.lengthscale, p)[1]
+            if not q2 <= reach2:  # NaN, from a NaN point, fails the order's bound
+                reach2 = q2
+        self._region = centre, reach2
+        order = self._order(reach2)
+        if order is None:
+            return None
+        space = _WeightSpace(self.hp, self.kind, centre, reach2, order)
+        self._space = space = space.add(space.rows(self.positions), self.currents)
+        self._blocks, self._z, self._alpha = (), np.zeros(0), np.zeros(0)  # no stale factor
+        return space
+
+    def _exact(self):
+        """Leave the weight-space form for a fresh factor of every target."""
+        exact = GpModel(self.hp, self.kind, self.positions, self.currents)
+        self._blocks, self._z, self._alpha = exact._blocks, exact._z, exact._alpha
+        self._space = None  # last, so that a model read meanwhile is whole
+
+    def _weights_at(self, q: np.ndarray):
+        """
+        The weight-space form and its rows at the query points, widening
+        its region to cover them, or (None, None) on the exact form. A
+        region the cost rule finds too wide for the weight space sends the
+        model back to the exact form. The form is read once, so a model
+        that another thread changes meanwhile still answers consistently.
+        """
+        space = self._space
+        rows = None if space is None else space.rows(q)
+        if space is not None and rows is None:
+            space = self._take_weights(q)
+            if space is None:
+                self._exact()
+                return None, None
+            rows = space.rows(q)
+        return space, rows
+
     def predict(self, query_points):
-        """Posterior (mean (M, 2), joint covariance (2M, 2M) over [u0, v0, u1, v1, ...])."""
+        """
+        Posterior (mean (M, 2), joint covariance (2M, 2M) over [u0, v0, u1,
+        v1, ...]). On the weight-space form it factors the targets afresh.
+        """
         q = as_xy(query_points)
+        if self._space is not None:
+            return GpModel(self.hp, self.kind, self.positions, self.currents).predict(q)
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha
@@ -224,9 +540,14 @@ class GpModel:
         of a lengthscale of their centroid, it sums them by a Taylor
         series about that centroid, with no (N, M) array, whenever its F
         monomial rows cost no more than the dense blocks by the measured
-        rule in `cross_sums`.
+        rule in `cross_sums`. On the weight-space form, with a the summed
+        feature rows of the queries, they are a mu, a P a^T and
+        A(q) (mu + P a^T v).
         """
         q = as_xy(query_points)
+        space, rows = self._weights_at(q)
+        if space is not None:
+            return space.predict_sum(rows)
         total, ksum, apply = cross_sums(self.hp, self.kind, q, self.positions)
         # R is finite by construction; a non-finite query point comes out
         # as NaN in cov_sum, as it does for an empty model.
@@ -235,8 +556,16 @@ class GpModel:
         return ksum.T @ alpha, total - ksum.T @ beta, lambda v: apply(alpha - beta @ v, v)
 
     def predict_mean(self, query_points) -> np.ndarray:
-        """Posterior mean only, skipping the query covariance. Shape (M, 2)."""
-        k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, as_xy(query_points))
+        """
+        Posterior mean only, skipping the query covariance. Shape (M, 2).
+        On the weight-space form it is the queries' feature rows times mu,
+        with no (N, M) array.
+        """
+        q = as_xy(query_points)
+        space, rows = self._weights_at(q)
+        if space is not None:
+            return space.mean_at(rows)
+        k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, q)
         a_u, a_v = self._alpha[0::2], self._alpha[1::2]
         return np.column_stack([k11.T @ a_u + k12.T @ a_v, k12.T @ a_u + k22.T @ a_v])
 

@@ -1,9 +1,10 @@
 import math
+import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftfield import kernels
@@ -272,6 +273,23 @@ class TestEmInvariants:
 
     @given(em_problems(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
+    # five targets within 3 m of each other and a 12-point dive 11 km away:
+    # reordering the dive changes the kernel sums by summation order alone,
+    # and the solve against the nearly singular Gram matrix amplifies that
+    # to 1.6e-12 in a current of 0.036 m/s
+    @example(problem=(GpModel(HP, KernelKind.STANDARD_DIAGONAL,
+                              [[-11528.9, -21641.7], [-11526.9, -21643.5], [-11527.0, -21644.1],
+                               [-11527.7, -21642.0], [-11529.2, -21642.4], [-22249.3, -10467.6],
+                               [25323.6, 33753.1], [36179.7, -25361.3], [-34394.2, -10170.3]],
+                              [[0.5, -0.5], [-0.5, -0.5], [0.25, 0.25], [0.5, 0.5], [0.0, -0.5],
+                               [0.25, 0.5], [-0.5, 0.0], [-0.5, -0.5], [0.5, -0.5]]),
+                      np.array([[-15220.0, -32005.0], [-15736.0, -31562.0], [-15867.0, -31845.0],
+                                [-15388.0, -31779.0], [-15853.0, -31869.0], [-15777.0, -31579.0],
+                                [-15318.0, -31396.0], [-15810.0, -31616.0], [-15630.0, -31651.0],
+                                [-15202.0, -31515.0], [-15597.0, -31541.0], [-15696.0, -32016.0],
+                                [-15534.0, -32410.0]]),
+                      Vec2(36.0, 0.0), 98.0),
+             rnd=random.Random(19))
     def test_m_step_is_permutation_equivariant(self, problem, rnd):
         # the drift sums the currents, so reordering the left endpoints
         # reorders the currents and changes nothing else
@@ -281,7 +299,12 @@ class TestEmInvariants:
         rnd.shuffle(perm)
         w, _ = m_step(model, traj, drift, dt)
         w_perm, _ = m_step(model, np.vstack([traj[perm], traj[-1:]]), drift, dt)
-        np.testing.assert_allclose(w_perm, w[perm], rtol=1e-9, atol=1e-12)
+        # Both orders round to about cond * eps relative to the currents'
+        # scale, as in the mission oracle, where the noisy Gram matrix has
+        # cond <= 1 + 2N var / noise: a current near 0 is not covered by rtol.
+        cond = 1.0 + 2 * model.num_targets * model.hp.current_variance / DEFAULT_TARGET_NOISE_VAR
+        tol = 100 * cond * np.finfo(float).eps
+        np.testing.assert_allclose(w_perm, w[perm], rtol=1e-9, atol=tol * np.abs(w).max())
 
     @given(em_problems())
     @settings(max_examples=100, deadline=None)

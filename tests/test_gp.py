@@ -539,6 +539,142 @@ class TestFactorGrowth:
             np.testing.assert_array_equal(got, want)
 
 
+def disc_points(rng, num_points, centre, radius):
+    """Points uniform over the disc of this centre and radius, metres."""
+    angle = rng.uniform(0.0, 2.0 * np.pi, num_points)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, num_points))
+    return centre + np.column_stack([r * np.cos(angle), r * np.sin(angle)])
+
+
+CENTRE = np.array([3e3, -2e3])
+
+
+def cond_eps(num_targets):
+    """cond * eps for the noisy Gram matrix, cond <= 1 + 2N var / noise, as in assert_matches_dense_factor."""
+    return (1.0 + 2 * num_targets * HP.current_variance / DEFAULT_TARGET_NOISE_VAR) * np.finfo(float).eps
+
+
+def weight_space_pair(kind, num_targets=120, radius=0.3, seed=21):
+    """
+    A mission's model in the weight-space form, over `num_targets` targets
+    within `radius` lengthscales of CENTRE, with the exact model on the
+    same targets and the tolerance cond * eps between them.
+    """
+    rng = np.random.default_rng(seed)
+    pts = disc_points(rng, num_targets, CENTRE, radius * HP.lengthscale)
+    ys = eval_field_many(random_gyre(3), pts)
+    model = GpModel(HP, kind)._in_region(CENTRE, radius * HP.lengthscale).add_targets(pts, ys)
+    assert model._space is not None
+    return model, GpModel(HP, kind, pts, ys), cond_eps(num_targets)
+
+
+class TestWeightSpace:
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("radius", [0.05, 0.3, 0.5, 1.0])
+    def test_features_reproduce_the_kernel(self, kind, radius):
+        # A A^T against the dense kernel inside the radius, points on its
+        # edge included: the truncation is below 2^-53 sigma^2, so only
+        # the rounding of either side is left
+        rng = np.random.default_rng(22)
+        reach = radius * HP.lengthscale
+        pts = np.vstack([disc_points(rng, 40, CENTRE, reach), CENTRE + reach * np.array(
+            [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.8, 0.6]])])
+        order = gp._feature_order(kind, radius * radius, np.inf)
+        space = gp._WeightSpace(HP, kind, CENTRE, radius * radius, order)
+        a = space.features(space.rows(pts))
+        if kind is KernelKind.INCOMPRESSIBLE:
+            a = a.transpose(2, 0, 1).reshape(-1, a.shape[1])  # rows u0, v0, u1, ...
+            gram = a @ a.T
+        else:
+            gram = np.kron(a.T @ a, np.eye(2))
+        want = build_block_matrix(HP, kind, pts, pts)
+        np.testing.assert_allclose(gram, want, rtol=0, atol=3e-15 * HP.current_variance)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_matches_the_exact_model(self, kind):
+        model, exact, tol = weight_space_pair(kind)
+        rng = np.random.default_rng(23)
+        query = disc_points(rng, 50, CENTRE, 0.3 * HP.lengthscale)
+        v = rng.normal(size=2)
+        scale, m = np.abs(exact.currents).max(), len(query)
+        got, want = model.predict_sum(query), exact.predict_sum(query)
+        np.testing.assert_allclose(got[0], want[0], rtol=tol, atol=tol * m * scale)
+        np.testing.assert_allclose(got[1], want[1], rtol=tol, atol=tol * m * m * HP.current_variance)
+        np.testing.assert_array_equal(got[1], got[1].T)
+        np.testing.assert_allclose(got[2](v), want[2](v), rtol=tol,
+                                   atol=tol * (scale + m * HP.current_variance * np.abs(v).sum()))
+        np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
+                                   atol=tol * scale)
+        assert model._space is not None
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_appends_match_the_exact_model(self, kind):
+        # appends inside the region add their rows' share to the precision
+        model, _, _ = weight_space_pair(kind)
+        rng = np.random.default_rng(24)
+        for size in (1, 6, 13):
+            pts = disc_points(rng, size, CENTRE, 0.3 * HP.lengthscale)
+            model = model.add_targets(pts, eval_field_many(random_gyre(3), pts))
+        assert model._space is not None and model.num_targets == 140
+        exact = GpModel(HP, kind, model.positions, model.currents)
+        query = disc_points(rng, 20, CENTRE, 0.3 * HP.lengthscale)
+        tol = cond_eps(140)
+        np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
+                                   atol=tol * np.abs(model.currents).max())
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("reach, widens", [(0.5, True), (3.0, False)])
+    def test_a_query_beyond_the_region_stays_exact(self, kind, reach, widens):
+        # a near query widens the region and re-forms the weight space from
+        # the stored targets; one too far for the cost rule sends the model
+        # back to the exact form
+        model, exact, tol = weight_space_pair(kind)
+        rng = np.random.default_rng(25)
+        query = disc_points(rng, 30, CENTRE, reach * HP.lengthscale)
+        query[0] = CENTRE + [0.0, reach * HP.lengthscale]
+        scale = np.abs(exact.currents).max()
+        np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
+                                   atol=tol * scale)
+        assert (model._space is not None) == widens
+        if widens:
+            assert model._space.reach2 == pytest.approx(reach * reach)
+        v = rng.normal(size=2)
+        got, want = model.predict_sum(query), exact.predict_sum(query)
+        np.testing.assert_allclose(got[2](v), want[2](v), rtol=tol,
+                                   atol=tol * (scale + len(query) * HP.current_variance * np.abs(v).sum()))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_a_target_beyond_the_region_widens_it(self, kind):
+        model, _, _ = weight_space_pair(kind)
+        far = CENTRE + np.array([[0.4 * HP.lengthscale, 0.0]])
+        child = model.add_targets(far, [[0.1, -0.2]])
+        assert child._space is not None and child._space.reach2 == pytest.approx(0.16)
+        assert model._space.reach2 == pytest.approx(0.09)
+        exact = GpModel(HP, kind, child.positions, child.currents)
+        query = far + [[0.0, 1e3]]
+        tol = cond_eps(121)
+        np.testing.assert_allclose(child.predict_mean(query), exact.predict_mean(query), rtol=tol,
+                                   atol=tol * np.abs(child.currents).max())
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_too_few_targets_stay_exact(self, kind):
+        # the cost rule takes the weight space only at F <= 10 sqrt(N)
+        rng = np.random.default_rng(26)
+        pts = disc_points(rng, 20, CENTRE, 0.3 * HP.lengthscale)
+        model = GpModel(HP, kind)._in_region(CENTRE, 0.3 * HP.lengthscale).add_targets(
+            pts, eval_field_many(random_gyre(3), pts))
+        assert model._space is None
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_round_trip_reproduces_the_mean(self, kind):
+        # model.json holds the targets alone, and reloads to the exact form
+        model, _, _ = weight_space_pair(kind)
+        clone = GpModel.from_json(model.to_json())
+        assert clone._space is None
+        query = disc_points(np.random.default_rng(27), 40, CENTRE, 0.3 * HP.lengthscale)
+        np.testing.assert_allclose(clone.predict_mean(query), model.predict_mean(query), rtol=0, atol=1e-9)
+
+
 class TestNumericalRobustness:
     def test_near_duplicate_points_still_factorise(self):
         # 60 points inside a 1 mm box: the noise floor carries the Cholesky

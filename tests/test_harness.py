@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from driftfield.flowfield import AnalyticField, Grid, Vec2, eval_field, eval_field_many, random_gyre
-from driftfield.kernels import HyperParams
-from driftfield.simulator import VehicleConfig
-from driftfield.estimator import EmConfig
+from driftfield.kernels import HyperParams, KernelKind
+from driftfield.simulator import MissionAborted, VehicleConfig, run_mission
+from driftfield.estimator import EmConfig, iter_process_mission
 from driftfield.harness import (
     ConvergenceReport,
     DegenerateTruth,
@@ -17,6 +17,7 @@ from driftfield.harness import (
     monte_carlo,
     normalized_error,
 )
+from test_acceptance import STUDY
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
 GRID = Grid(Vec2(-5000.0, -5000.0), 1000.0, 11, 11)
@@ -253,3 +254,17 @@ class TestReportEmission:
                 grid=GRID,
                 final_fields={"incompressible": [np.zeros((121, 2))]},
             )
+
+
+def test_acceptance_study_stays_exact():
+    # The acceptance study's missions hold at most 37 targets against F >= 66
+    # features, so the cost rule (F^2 <= 100 N) never takes the weight
+    # space, where each study would run 30-50% slower.
+    for t in range(STUDY.trials):
+        try:
+            log = run_mission(STUDY.vehicle, random_gyre(STUDY.base_seed + 2 * t), STUDY.base_seed + 2 * t + 1)
+        except MissionAborted:
+            continue
+        for kind in KernelKind:
+            for model, _ in iter_process_mission(log, STUDY.hp, kind, STUDY.em):
+                assert model._space is None, (t, kind, model.num_targets)

@@ -14,7 +14,7 @@ from driftfield.flowfield import Vec2
 from driftfield.gp import DEFAULT_TARGET_NOISE_VAR
 from driftfield.kernels import HyperParams, KernelKind, build_block_matrix
 from driftfield.simulator import Cycle, MissionLog
-from driftfield.estimator import EmConfig, process_mission
+from driftfield.estimator import EmConfig, iter_process_mission, process_mission
 from oracles import dense_process_mission
 
 HP = HyperParams(lengthscale=35000.0, current_variance=0.5, gps_noise_std=3.0)
@@ -64,6 +64,28 @@ def test_matches_dense_mission_in_small_blocks(kind, monkeypatch):
     log = chained_dives(np.random.default_rng(19), [12, 7, 12, 9])
     cfg = EmConfig(max_iters=3, convergence_tol=5e-324, pseudo_target_spacing=0.0)
     assert_matches_dense_mission(log, kind, cfg)
+
+
+# Eight dives of 12 steps, every step a target: with N at 12 after the
+# first cycle the model is exact, and by the second or third it passes the
+# cost rule's threshold (F^2 <= 100 N, F 36-66 here) and takes the weight
+# space, so one mission runs both forms.
+SWITCH_SEEDS = (20, 21, 22)
+SWITCH_CFG = EmConfig(max_iters=3, convergence_tol=5e-324, pseudo_target_spacing=0.0)
+
+
+def switching_mission(seed, kind):
+    """A mission from SWITCH_SEEDS, after checking that it switches form."""
+    log = chained_dives(np.random.default_rng(seed), [12] * 8)
+    exact = [model._space is None for model, _ in iter_process_mission(log, HP, kind, SWITCH_CFG)]
+    assert exact[0] and not exact[-1] and exact == sorted(exact, reverse=True)
+    return log
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("seed", SWITCH_SEEDS)
+def test_matches_dense_mission_across_the_switch(seed, kind):
+    assert_matches_dense_mission(switching_mission(seed, kind), kind, SWITCH_CFG)
 
 
 def assert_matches_dense_mission(log, kind, cfg):

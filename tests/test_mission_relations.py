@@ -6,6 +6,7 @@ estimate the same way and keep the same targets. These need no oracle.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from driftfield.flowfield import Vec2
 from driftfield.gp import DEFAULT_TARGET_NOISE_VAR
 from driftfield.kernels import KernelKind
 from driftfield.simulator import Cycle, MissionLog
-from test_mission_oracle import HP, missions
+from test_mission_oracle import HP, SWITCH_CFG, SWITCH_SEEDS, missions, switching_mission
 
 QUERY = np.array([[0.0, 0.0], [5e3, -2e3], [-8e3, 1.1e4]])
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -83,6 +84,27 @@ def test_mirror_in_x_is_exact(log, kind, spacing, max_iters):
     # Negating x negates the off-diagonal kernel blocks exactly, and a sign
     # change commutes with every rounding, so the runs agree bit for bit.
     assert_relation(log, kind, spacing, max_iters, lambda p: p @ MIRROR_X.T, MIRROR_X, exact=True)
+
+
+MOVES = {
+    "rotation_by_90_degrees": (lambda p: p @ ROT90.T, ROT90, False),
+    "mirror_in_x_is_exact": (lambda p: p @ MIRROR_X.T, MIRROR_X, True),
+    "translation": (lambda p: p + [3.1e5, -7.7e4], np.eye(2), False),
+}
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("seed", SWITCH_SEEDS)
+@pytest.mark.parametrize("relation", sorted(MOVES))
+def test_across_the_switch(relation, seed, kind):
+    # The moved mission switches form at the same cycle: its region is the
+    # moved one, and a mirror or a quarter turn moves the bounding box's
+    # centre exactly and keeps every distance from it. Mirrored rows psi_(a,b)
+    # only change sign, so the mirror still holds bit for bit.
+    move, turn, exact = MOVES[relation]
+    cfg = SWITCH_CFG
+    assert_relation(switching_mission(seed, kind), kind, cfg.pseudo_target_spacing, cfg.max_iters,
+                    move, turn, exact=exact)
 
 
 @given(*mission_args, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
