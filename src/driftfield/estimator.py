@@ -47,8 +47,9 @@ where the two forms' timed costs cross) prefers the weight space over
 that region, then converts once. Then a cycle costs O(F M + F^3)
 whatever N is: replayed on long_mission (F = 105), a cycle took
 0.80-0.87 ms from N = 100 to 560, where the exact form rose from 1.0 to
-2.6 ms. A trajectory point beyond the region widens it and re-forms the
-weights from the stored targets, so no cycle fails for it. The
+2.6 ms. A trajectory point beyond the region is answered by a wider
+weight space, or an exact factor, formed from the stored targets for
+that query alone, so no cycle fails for it and the model is unchanged. The
 acceptance study's missions (N <= 37, F >= 66) stay exact throughout.
 """
 

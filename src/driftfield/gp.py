@@ -51,12 +51,12 @@ box's centre. The model keeps the exact form until the cost rule
 N and the region's F, then forms the weights once from the stored
 targets; timed on both paths, the weight space became the cheaper form
 at N = 60-100 for F = 91-105 and at N = 190-315 for F = 136-171. A
-target or query beyond the region widens it to cover them and forms the
-weights afresh, O(N F^2); if the rule finds the wider region too costly,
-the model goes back to a fresh exact factor. So every prediction is the
-exact posterior anywhere, and a model's form is a cache of it: a query
-may change the form in place, and the targets alone (`to_json`) rebuild
-the model.
+target beyond the region widens it to cover them in the appended model,
+which forms the weights afresh, O(N F^2), or goes back to a fresh exact
+factor if the rule finds the wider region too costly. A query beyond the
+region is answered the same way by a form built for it alone, so a query
+never changes the model, every prediction is the exact posterior
+anywhere, and the targets alone (`to_json`) rebuild the model.
 """
 
 from __future__ import annotations
@@ -375,13 +375,16 @@ class GpModel:
                 self._space = space.add(rows, self.currents[n_old:])
                 return
         # the region's own order first: a cheap test at every exact append
-        if (self._region is not None and self._order(self._region[1]) is not None
-                and self._take_weights() is not None):
-            return
-        if space is not None:
-            self._exact()
-        else:
-            self._factor(n_old)
+        if self._region is not None and self._order(self._region[1]) is not None:
+            centre, reach2 = self._region
+            # widened to cover every target; they are finite, so its square is not NaN
+            self._region = centre, max(reach2, _centred(centre, self.hp.lengthscale, self.positions)[1])
+            self._space = self._weights(*self._region)
+            if self._space is not None:
+                self._blocks, self._z, self._alpha = (), np.zeros(0), np.zeros(0)  # no stale factor
+                return
+        # the weight space keeps no factor, so leaving it factors every target afresh
+        self._factor(0 if space is not None else n_old)
 
     def _factor(self, n_old: int):
         """
@@ -455,48 +458,36 @@ class GpModel:
         """
         return _feature_order(self.kind, reach2, FEATURES_PER_ROOT_TARGET * math.sqrt(self.num_targets))
 
-    def _take_weights(self, *pts: np.ndarray):
+    def _weights(self, centre, reach2):
         """
-        Form the weight space afresh from every target, about the region
-        widened to cover them and the points `pts`, if the cost rule
-        prefers it at that radius. Returns the new form, or None if the
-        rule declined. O(N F^2 + F^3).
+        The weight space formed afresh from every target about this region,
+        or None if the cost rule declines it there. O(N F^2 + F^3).
         """
-        centre, reach2 = self._region
-        for p in (self.positions, *pts):
-            q2 = _centred(centre, self.hp.lengthscale, p)[1]
-            if not q2 <= reach2:  # NaN, from a NaN point, fails the order's bound
-                reach2 = q2
-        self._region = centre, reach2
         order = self._order(reach2)
         if order is None:
             return None
         space = _WeightSpace(self.hp, self.kind, centre, reach2, order)
-        self._space = space = space.add(space.rows(self.positions), self.currents)
-        self._blocks, self._z, self._alpha = (), np.zeros(0), np.zeros(0)  # no stale factor
-        return space
+        return space.add(space.rows(self.positions), self.currents)
 
-    def _exact(self):
-        """Leave the weight-space form for a fresh factor of every target."""
-        exact = GpModel(self.hp, self.kind, self.positions, self.currents)
-        self._blocks, self._z, self._alpha = exact._blocks, exact._z, exact._alpha
-        self._space = None  # last, so that a model read meanwhile is whole
-
-    def _weights_at(self, q: np.ndarray):
+    def _form_at(self, q: np.ndarray):
         """
-        The weight-space form and its rows at the query points, widening
-        its region to cover them, or (None, None) on the exact form. A
-        region the cost rule finds too wide for the weight space sends the
-        model back to the exact form. The form is read once, so a model
-        that another thread changes meanwhile still answers consistently.
+        The form that answers a query at these points, with its rows there:
+        (weight space, rows), or (exact model, None), whose factor and
+        weights serve this model's targets. Beyond the region a
+        wider weight space formed from the stored targets answers, or, if
+        the cost rule declines it, a fresh exact factor of them; either is
+        dropped after the query, so a query never changes the model.
         """
         space = self._space
-        rows = None if space is None else space.rows(q)
-        if space is not None and rows is None:
-            space = self._take_weights(q)
+        if space is None:
+            return self, None
+        rows = space.rows(q)
+        if rows is None:
+            # the targets lie within the region, so only the queries widen it;
+            # a non-finite point gives a NaN or infinite radius, which the rule declines
+            space = self._weights(space.centre, _centred(space.centre, self.hp.lengthscale, q)[1])
             if space is None:
-                self._exact()
-                return None, None
+                return GpModel(self.hp, self.kind, self.positions, self.currents), None
             rows = space.rows(q)
         return space, rows
 
@@ -545,14 +536,14 @@ class GpModel:
         A(q) (mu + P a^T v).
         """
         q = as_xy(query_points)
-        space, rows = self._weights_at(q)
-        if space is not None:
-            return space.predict_sum(rows)
+        form, rows = self._form_at(q)
+        if rows is not None:
+            return form.predict_sum(rows)
         total, ksum, apply = cross_sums(self.hp, self.kind, q, self.positions)
         # R is finite by construction; a non-finite query point comes out
         # as NaN in cov_sum, as it does for an empty model.
-        beta = _solve(self._blocks, ksum)[1]
-        alpha = self._alpha
+        beta = _solve(form._blocks, ksum)[1]
+        alpha = form._alpha
         return ksum.T @ alpha, total - ksum.T @ beta, lambda v: apply(alpha - beta @ v, v)
 
     def predict_mean(self, query_points) -> np.ndarray:
@@ -562,11 +553,11 @@ class GpModel:
         with no (N, M) array.
         """
         q = as_xy(query_points)
-        space, rows = self._weights_at(q)
-        if space is not None:
-            return space.mean_at(rows)
+        form, rows = self._form_at(q)
+        if rows is not None:
+            return form.mean_at(rows)
         k11, k12, k22 = _kernel_blocks(self.hp, self.kind, self.positions, q)
-        a_u, a_v = self._alpha[0::2], self._alpha[1::2]
+        a_u, a_v = form._alpha[0::2], form._alpha[1::2]
         return np.column_stack([k11.T @ a_u + k12.T @ a_v, k12.T @ a_u + k22.T @ a_v])
 
     def add_targets(self, positions, currents) -> "GpModel":

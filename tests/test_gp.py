@@ -625,23 +625,40 @@ class TestWeightSpace:
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("reach, widens", [(0.5, True), (3.0, False)])
     def test_a_query_beyond_the_region_stays_exact(self, kind, reach, widens):
-        # a near query widens the region and re-forms the weight space from
-        # the stored targets; one too far for the cost rule sends the model
-        # back to the exact form
+        # a near query is answered by a wider weight space formed from the
+        # stored targets; one too far for the cost rule by a fresh exact
+        # factor. Neither changes the model.
         model, exact, tol = weight_space_pair(kind)
+        state = (model._space, model._region, model._blocks, model._alpha)
         rng = np.random.default_rng(25)
         query = disc_points(rng, 30, CENTRE, reach * HP.lengthscale)
         query[0] = CENTRE + [0.0, reach * HP.lengthscale]
+        form, rows = model._form_at(query)
+        assert (rows is not None) == widens
+        if widens:
+            assert form.reach2 == pytest.approx(reach * reach)
         scale = np.abs(exact.currents).max()
         np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
                                    atol=tol * scale)
-        assert (model._space is not None) == widens
-        if widens:
-            assert model._space.reach2 == pytest.approx(reach * reach)
         v = rng.normal(size=2)
         got, want = model.predict_sum(query), exact.predict_sum(query)
         np.testing.assert_allclose(got[2](v), want[2](v), rtol=tol,
                                    atol=tol * (scale + len(query) * HP.current_variance * np.abs(v).sum()))
+        assert all(a is b for a, b in zip((model._space, model._region, model._blocks, model._alpha), state))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_query_leaves_the_model_alone(self, kind, bad):
+        # as on the exact form, the covariance comes out non-finite, which
+        # m_step reports; the model keeps its form and region
+        model, exact, _ = weight_space_pair(kind)
+        state = (model._space, model._region, model._blocks, model._alpha)
+        query = np.array([[CENTRE[0], CENTRE[1]], [bad, CENTRE[1]]])
+        with np.errstate(all="ignore"):
+            got, want = model.predict_sum(query)[1], exact.predict_sum(query)[1]
+        assert not np.isfinite(got).all() and not np.isfinite(want).all()
+        assert all(a is b for a, b in zip((model._space, model._region, model._blocks, model._alpha), state))
+        assert model._space is not None
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_a_target_beyond_the_region_widens_it(self, kind):
