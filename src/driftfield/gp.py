@@ -41,7 +41,9 @@ tests.
 
 A mission's model has a second form, the same GP in weight space
 (`_WeightSpace`): a Bayesian linear model on the F Taylor features of
-the Gaussian about one centre, exact to rounding within a radius. There
+the Gaussian about one centre, exact to rounding within a radius; the
+features, their order rule and their derivative maps are those
+`kernels.cross_sums` sums a dive's kernel on, about the dive. There
 an M-step costs O(F M) and an append O(n F^2 + F^3), whatever N is, where
 the exact form walks its (2N)^2 factor twice a cycle. The mission loop
 gives its model a region, the disc that holds the log's dead-reckoned
@@ -72,6 +74,8 @@ from driftfield.flowfield import as_xy, json_floats
 from driftfield.kernels import (
     HyperParams,
     KernelKind,
+    _curl_maps,
+    _feature_order,
     _kernel_blocks,
     _series_rows,
     build_block_matrix,
@@ -138,63 +142,6 @@ def _solve(blocks, b: np.ndarray):
     return z, x
 
 
-def _feature_order(kind: KernelKind, r2: float, budget: float):
-    """
-    The smallest order K whose F = (K+1)(K+2)/2 features reproduce `kind`'s
-    kernel within 2^-53 sigma^2 between any two points within sqrt(r2)
-    lengthscales of the centre, or None if F exceeds `budget`. With
-    t = p . q and R_n(t) the remainder of exp(t) beyond degree n, at most
-    B_n = r2^(n+1) e^r2 / (n+1)!, the diagonal kernel is off by
-    w_p w_q R_K(t) <= B_K. The incompressible blocks are second derivatives
-    of w_p w_q R_K(t), and since R_n' = R_(n-1), for example
-
-        d2/dy_p dy_q = w_p w_q (y_p y_q R_K - (y_p^2 + y_q^2 - 1) R_(K-1) + y_p y_q R_(K-2)),
-
-    so every block is off by at most r2 B_K + (1 + 2 r2) B_(K-1) + r2 B_(K-2),
-    with B_n = e^r2 for n < 0. Python floats, which overflow to inf
-    silently; a non-finite r2 never meets the bound.
-    """
-    r2 = float(r2)
-    e = math.exp(r2) if r2 < 700.0 else math.inf
-    b = [e, e]  # B_(k-2) and B_(k-1)
-    k = 0
-    while (k + 1) * (k + 2) // 2 <= budget:
-        b.append(b[-1] * r2 / (k + 1) if k else r2 * e)  # B_k
-        if kind is KernelKind.STANDARD_DIAGONAL:
-            bound = b[-1]
-        else:
-            bound = r2 * (b[-1] + b[-3]) + (1.0 + 2.0 * r2) * b[-2]
-        if bound < 2.0**-53:
-            return k
-        k += 1
-    return None
-
-
-def _curl_maps(order: int, s: float) -> np.ndarray:
-    """
-    The (2, F, F1) maps from the F1 rows of `kernels._series_rows` at order
-    K + 1 to the incompressible features of order K: s d(psi_k)/dy and
-    -s d(psi_k)/dx for each of the F rows psi_k = psi_(a,b) of order K.
-    With psi_(a,b) = w x^a y^b / sqrt(a! b!) and w = e^(-(x^2 + y^2) / 2),
-
-        d(psi_(a,b))/dx = sqrt(a) psi_(a-1,b) - sqrt(a+1) psi_(a+1,b),
-
-    and likewise in y, so each feature is two rows of one degree more.
-    """
-    d = np.repeat(np.arange(order + 1), np.arange(1, order + 2))  # each row's degree
-    k = np.arange(len(d))
-    b = k - d * (d + 1) // 2
-    a = d - b
-    # the rows of psi_(a-1,b) and psi_(a+1,b); psi_(a,b-1) and psi_(a,b+1) are at down - 1 and up + 1
-    down, up = k - d, k + d + 1
-    maps = np.zeros((2, len(k), (order + 2) * (order + 3) // 2))
-    maps[0, k, up + 1] = -s * np.sqrt(b + 1)
-    maps[1, k, up] = s * np.sqrt(a + 1)
-    maps[0, k[b > 0], down[b > 0] - 1] = s * np.sqrt(b[b > 0])
-    maps[1, k[a > 0], down[a > 0]] = -s * np.sqrt(a[a > 0])
-    return maps
-
-
 def _inverse_factor(lam: np.ndarray) -> np.ndarray:
     """
     np.tril(inv(cholesky(lam))) by one block step of the module docstring's
@@ -233,11 +180,11 @@ class _WeightSpace:
     2011, "Explicit approximations of the Gaussian kernel"). So the
     streamfunction s psi . z, z ~ N(0, I) and s^2 the current variance,
     has the incompressible kernel as the covariance of its rotated
-    gradient: a current is A(q) z, with the two rows of A(q) the maps of
-    `_curl_maps` applied to q's rows of order K + 1. Every mean it gives
-    is divergence-free exactly. The diagonal kernel gives u and v
-    independent weights on the features s psi_k, which share one
-    precision matrix.
+    gradient: a current is A(q) z, with the two rows of A(q) s times the
+    unit maps of `kernels._curl_maps` applied to q's rows of order K + 1.
+    Every mean it gives is divergence-free exactly. The diagonal kernel
+    gives u and v independent weights on the features s psi_k, which
+    share one precision matrix.
 
     With A the feature rows at the targets, y their currents and tau^2 the
     noise floor, the posterior of the weights has precision
@@ -246,8 +193,8 @@ class _WeightSpace:
     refactors Lambda afresh, O(n F^2 + F^3) whatever N is. As in
     `GpModel`, the inverse factor R = L^-1 of Lambda = L L^T is kept, so
     the covariance a P a^T = (R a^T)^T (R a^T) is symmetric by
-    construction. `order` comes from `_feature_order` at the radius, so
-    within it the features' kernel is the exact one to rounding.
+    construction. `order` comes from `kernels._feature_order` at the
+    radius, so within it the features' kernel is the exact one to rounding.
     """
 
     def __init__(self, hp: HyperParams, kind: KernelKind, centre, reach2, order: int):
@@ -257,7 +204,7 @@ class _WeightSpace:
         s = np.sqrt(hp.current_variance)
         self.curl = kind is KernelKind.INCOMPRESSIBLE
         # the diagonal kernel's features are s psi itself
-        self.maps = _curl_maps(order, s) if self.curl else s
+        self.maps = s * _curl_maps(order) if self.curl else s
         self.prec = np.eye(f)
         self.rhs = np.zeros(f if self.curl else (f, 2))
         self.factor, self.mean = self.prec, self.rhs

@@ -17,10 +17,20 @@ lengthscales, the unit the code computes in. The zero-lag covariance is
 exactly sigma_w^2 * I. A standard diagonal kernel (independent
 squared-exponential on each velocity component, no divergence
 constraint) is provided for comparison runs.
+
+Both kernels are also covariances of explicit features: about a centre,
+the Taylor series of the Gaussian makes g a sum of products of the rows
+w x^a y^b / sqrt(a! b!) (`_series_rows`), and the incompressible
+features are their rotated gradients (`_curl_maps`), to the order that
+`_feature_order` sets for a radius. A dive's kernel sums (`cross_sums`)
+and the GP's weight-space form (`gp._WeightSpace`) use these same
+features.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -46,17 +56,17 @@ __all__ = [
 ROW_SUM_BLOCK_ENTRIES = 8192
 
 # The cost of one (target, point) pair of the dense blocks in units of one
-# point's monomial row of the series, as `cross_sums` compares its paths.
-# A pair takes an exp and six passes over (N, M) arrays. Timed on both
-# paths (1 BLAS thread, 2-core Xeon) over 100 geometries per kernel, N 1
-# to 300, M 20 to 400 and F 21 to 595, with each row product on
-# positive strides (see `_series_rows`), the chosen path's total was
-# above the faster path's by 2.9-3.0% (incompressible) and 8.6-8.9%
-# (diagonal) at 3, 0.6-0.8% and 2.8-3.0% at 4, and 0.2-0.3% and
-# 0.9-1.1% at 5 and at 6 (two runs). With the cumulative-product rows,
-# whose rows cost more, the best was 3-4 (0.9%) and 5-6 (0.2%). On the
-# M-steps of one pass of each GP benchmark workload, 5 chose within 0.1%
-# of the faster path's total and 3 within 1.1%.
+# point's row of the series, as `cross_sums` compares its paths. A pair
+# takes an exp and six passes over (N, M) arrays. Timed on both paths (1
+# BLAS thread, 2-core Xeon) over 100 geometries per kernel, N 1 to 300, M
+# 20 to 400 and F 21 to 595 rows, the chosen path's total was above the
+# faster path's by 1.5-3.0% (incompressible) and 2.2-12% (diagonal) at 4,
+# 1.5-4.4% and 1.5-2.7% at 5, and 1.3-7.1% and 0.2-2.3% at 6 (four runs).
+# The incompressible kernel alone would take 4: its series also applies
+# the (2, F, F1) `_curl_maps`, F F1 work per product that the rule leaves
+# out and that tells from a few hundred rows on. The 259 M-steps of one
+# pass of each GP benchmark workload all take the series at 5 (orders 4
+# to 10), within 0.1% of the faster path's total, and 3 chose within 0.8%.
 SERIES_COST_RATIO = 5.0
 
 
@@ -150,23 +160,43 @@ def build_block_matrix(hp: HyperParams, kind: KernelKind, pts_a, pts_b) -> np.nd
     return out
 
 
-def _series_order(r2, budget):
+def _feature_order(kind: KernelKind, r2: float, budget: float):
     """
-    The smallest order K whose remainder bound r2^(K+1) e^r2 / (K+1)! is
-    below 2^-53, or None if its F = (K+1)(K+2)/2 monomials exceed
-    `budget`. The caller sets the budget by cost: the series forms F rows
-    per point where the dense blocks form one entry per pair. `cross_sums`
-    asks twice: for a dive's own series, with budget M, and for the joint
-    series of the dive and the targets, with F (N + M) at most what the
-    dense fallback costs in the same units (see there). A non-finite r2,
-    or one whose e^r2 overflows, never meets the bound.
+    The smallest order K whose F = (K+1)(K+2)/2 features reproduce `kind`'s
+    kernel within 2^-53 sigma^2 between points p and q within r_p and r_q
+    lengthscales of the centre, r_p <= r_q, with r2 = r_p r_q (r_p^2 for
+    a disc, where r_p = r_q), or None if F exceeds `budget`. With
+    t = p . q, |t| <= r2, and R_n(t) the remainder of exp(t) beyond degree
+    n, at most B_n = r2^(n+1) e^r2 / (n+1)!, the diagonal kernel is off by
+    w_p w_q R_K(t) <= B_K. The incompressible blocks are second derivatives
+    of w_p w_q R_K(t), and since R_n' = R_(n-1),
+
+        d2/dy_p dy_q = w_p w_q (y_p y_q R_K - (y_p^2 + y_q^2 - 1) R_(K-1) + y_p y_q R_(K-2)),
+        d2/dx_p dy_q = w_p w_q (x_p y_q R_K - (x_p y_p + x_q y_q) R_(K-1) + y_p x_q R_(K-2)),
+
+    and likewise for the rest. A product of a p and a q coordinate is at
+    most r2. The factors of R_(K-1) hold q's own squares, which may reach
+    r_q^2 > r2, but w_q y_q^2 <= 2/e, w_q |x_q y_q| <= 1/e and
+    r_p^2 <= r2, so |y_p^2 + y_q^2 - 1| w_q <= 1 + r2 and
+    |x_p y_p + x_q y_q| w_q <= r2 / 2 + 1/e. Every block is then off by at
+    most r2 B_K + (1 + 2 r2) B_(K-1) + r2 B_(K-2), with B_n = e^r2 for
+    n < 0: the bound a disc gives too, where |y_p^2 + y_q^2 - 1| <= 1 + 2 r2
+    without w_q. Python floats, which overflow to inf silently; a
+    non-finite r2 never meets the bound.
     """
-    k, bound = 0, r2 * np.exp(r2)
+    r2 = float(r2)
+    e = math.exp(r2) if r2 < 700.0 else math.inf
+    b = [e, e]  # B_(k-2) and B_(k-1)
+    k = 0
     while (k + 1) * (k + 2) // 2 <= budget:
+        b.append(b[-1] * r2 / (k + 1) if k else r2 * e)  # B_k
+        if kind is KernelKind.STANDARD_DIAGONAL:
+            bound = b[-1]
+        else:
+            bound = r2 * (b[-1] + b[-3]) + (1.0 + 2.0 * r2) * b[-2]
         if bound < 2.0**-53:
             return k
         k += 1
-        bound *= r2 / (k + 1)
     return None
 
 
@@ -199,93 +229,84 @@ def _series_rows(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     return rows
 
 
-def _columns(moments: np.ndarray, w: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _curl_maps(order: int) -> np.ndarray:
     """
-    The (8, n) columns of the (2, n) weights w = (u, v) at n points (a, b)
-    with the (6, n) `moments` [1, a, b, a^2, b^2, ab], in pairs:
-    ((1 - b^2) u + ab v, (1 - a^2) v + ab u), (2bu - av, 2av - bu),
-    (bv, au) and (u, v). Each is linear in the moments, so the moments
-    summed over points against a constant w give the columns summed too.
+    The (2, F, F1) maps from the F1 rows of `_series_rows` at order K + 1
+    to the unit incompressible features of order K: d(psi_k)/dy and
+    -d(psi_k)/dx for each of the F rows psi_k = psi_(a,b) of order K.
+    With psi_(a,b) = w x^a y^b / sqrt(a! b!) and w = e^(-(x^2 + y^2) / 2),
+
+        d(psi_(a,b))/dx = sqrt(a) psi_(a-1,b) - sqrt(a+1) psi_(a+1,b),
+
+    and likewise in y, so each feature is two rows of one degree more.
+    Each order's maps are built once and kept, 16 F F1 bytes (58 KB at
+    order 9, 8.3 MB at order 36), read-only since every caller shares
+    them: building them takes about 27 us at order 8, and building them
+    afresh at every call made survey's and long_mission's `cross_sums`
+    calls 20-35% slower (1 BLAS thread).
     """
-    w0, w_r, p_r = w * moments[0], w[::-1], moments[2:0:-1]
-    bu = w * p_r  # (bu, av)
-    return np.concatenate([w0 - w * moments[4:2:-1] + w_r * moments[5], 2.0 * bu - bu[::-1], w_r * p_r, w0])
-
-
-def _moment_blocks(hp: HyperParams, kind: KernelKind, moments, sums) -> np.ndarray:
-    """
-    The (2n, 2) block sums sum_j K(p_i, q_j) at the points p_i = (x_i,
-    y_i), rows 2i and 2i + 1 for p_i, from their (6, n) `moments` [1, x,
-    y, x^2, y^2, xy] and the rows of `sums`, sum_j e_ij times the same
-    moments of q_j. Each incompressible block is a quadratic in the lag
-    times e_ij, so
-
-        sum_j e_ij (y_i - y_j)^2 = y_i^2 m0_i - 2 y_i my_i + myy_i
-
-    and likewise for the other blocks.
-    """
-    s = hp.current_variance
-    if kind is KernelKind.STANDARD_DIAGONAL:
-        return (s * sums[:, 0, None, None] * np.eye(2)).reshape(-1, 2)
-    m0, mx, my, mxx, myy, mxy = sums.T
-    _, x, y, xx, yy, xy = moments
-    k11 = m0 - (yy * m0 - 2.0 * y * my + myy)
-    k22 = m0 - (xx * m0 - 2.0 * x * mx + mxx)
-    k12 = xy * m0 - x * my - y * mx + mxy
-    return (s * np.array([k11, k12, k12, k22])).T.reshape(-1, 2)
+    d = np.repeat(np.arange(order + 1), np.arange(1, order + 2))  # each row's degree
+    k = np.arange(len(d))
+    b = k - d * (d + 1) // 2
+    a = d - b
+    # the rows of psi_(a-1,b) and psi_(a+1,b); psi_(a,b-1) and psi_(a,b+1) are at down - 1 and up + 1
+    down, up = k - d, k + d + 1
+    maps = np.zeros((2, len(k), (order + 2) * (order + 3) // 2))
+    maps[0, k, up + 1] = -np.sqrt(b + 1)
+    maps[1, k, up] = np.sqrt(a + 1)
+    maps[0, k[b > 0], down[b > 0] - 1] = np.sqrt(b[b > 0])
+    maps[1, k[a > 0], down[a > 0]] = -np.sqrt(a[a > 0])
+    maps.flags.writeable = False
+    return maps
 
 
 def _series_sums(hp: HyperParams, kind: KernelKind, q: np.ndarray, m: int, order: int):
     """
     `cross_sums`' (total, ksum, apply) for the centred coordinates q, a
     (2, M + N) array whose first m columns are the points (x, y) and the
-    rest the targets, by the series of order `order`. One `_series_rows`
-    call builds the rows of both, and the points' and the targets' rows
-    are its first M and last N columns. Nothing is formed per pair: ksum
-    comes from the points' moments (`_moment_blocks`), total from their
-    6x6 moment Gram matrix, and apply from one product of the points' rows
-    with F rows of the 8 `_columns`: those of c at the targets times the
-    target rows, plus those of the constant weight v at the points, from
-    the points' moment sums. Expanding each incompressible block in the
-    point's x and y, with S_k the product for column k, a point's two
-    outputs are
+    rest the targets, on the kernel's features of order `order` about the
+    centre, those of `gp._WeightSpace`. One `_series_rows` call builds the
+    rows of both, and the points' and the targets' rows phi_p and phi_t
+    are its first M and last N columns. The incompressible kernel's
+    features are D phi, with phi the rows of order K + 1 and D the two
+    unit `_curl_maps` D_u and D_v. With a_u and a_v the points' summed
+    features D_u phi_p 1 and D_v phi_p 1, and s the current variance,
+    nothing is formed per pair or per point:
 
-        S_0 + y S_2 - x S_4 - y^2 S_6 + xy S_7
-        S_1 + x S_3 - y S_5 - x^2 S_7 + xy S_6,
+        total = s [a_u, a_v]^T [a_u, a_v],
+        ksum's rows at a target: s phi_t^T [D_u^T a_u, D_u^T a_v; D_v^T a_u, D_v^T a_v],
+        apply(c, v) = s phi_p^T [D_u^T z, D_v^T z],
+        z = D_u phi_t c_u + D_v phi_t c_v + a_u v_u + a_v v_v,
 
-    one (2, M) operation per pair of columns.
+    so K(P, T) c + K(P, P) (1 v) is applied through one F-vector z of
+    streamfunction weights. The diagonal kernel's features are the rows
+    of order K themselves, for u and for v, so its sums are the same
+    products with the identity for D and separate u and v weights.
     """
     s = hp.current_variance
-    rows = _series_rows(*q, order)
+    curl = kind is KernelKind.INCOMPRESSIBLE
+    rows = _series_rows(q[0], q[1], order + curl)
     phi_p, phi_t = rows[:, :m], rows[:, m:]
-    moments = np.concatenate([np.ones((1, q.shape[1])), q, q * q, q[:1] * q[1:]])
-    mp, mt = moments[:, :m], moments[:, m:]
-    inner = phi_p @ mp[: 1 if kind is KernelKind.STANDARD_DIAGONAL else 6].T
-    ksum = _moment_blocks(hp, kind, mt, phi_t.T @ inner)
-    g = inner.T @ inner  # sum_i of the moments of p_i times sum_j e_ij moments of p_j
-    if kind is KernelKind.STANDARD_DIAGONAL:
+    a = phi_p.sum(axis=1)
+    if not curl:
 
         def apply(c, v):
-            return s * (phi_p.T @ (phi_t @ c.reshape(-1, 2) + inner @ v[None]))
+            return s * (phi_p.T @ (phi_t @ c.reshape(-1, 2) + np.multiply.outer(a, v)))
 
-        return s * g[0, 0] * np.eye(2), ksum, apply
-    # `_moment_blocks` summed over the points: with the moments indexed
-    # 1, x, y, x^2, y^2, xy as 0-5, sum_i y_i^2 m0_i is g[4, 0], and so on
-    t12 = 2.0 * (g[0, 5] - g[1, 2])
-    total = s * np.array([[g[0, 0] + 2.0 * (g[2, 2] - g[0, 4]), t12],
-                          [t12, g[0, 0] + 2.0 * (g[1, 1] - g[0, 3])]])
+        ksum = s * (phi_t.T @ a)[:, None, None] * np.eye(2)
+        return s * (a @ a) * np.eye(2), ksum.reshape(-1, 2), apply
+    maps = _curl_maps(order)
+    a = maps @ a  # (2, F): a_u and a_v
+    ta = a @ maps  # (2, 2, F1): D_c^T a_d in [c, d]
+    ksum = s * (phi_t.T @ ta.reshape(4, -1).T).reshape(-1, 2)
 
     def apply(c, v):
-        # one `_columns` call: v at the points' F moment sums, c at the targets
-        f = len(inner)
-        cols = _columns(np.concatenate([inner.T, mt], axis=1),
-                        np.concatenate([np.repeat(v[:, None], f, axis=1), c.reshape(-1, 2).T], axis=1))
-        sums = (s * (cols[:, :f].T + phi_t @ cols[:, f:].T)).T @ phi_p
-        out = mp[5] * sums[7:5:-1] - mp[4:2:-1] * sums[6:] + mp[2:0:-1] * sums[2:4] - mp[1:3] * sums[4:6]
-        out += sums[:2]
-        return out.T
+        w = phi_t @ c.reshape(-1, 2)
+        z = maps[0] @ w[:, 0] + maps[1] @ w[:, 1] + v @ a
+        return s * (phi_p.T @ (z @ maps).T)
 
-    return total, ksum, apply
+    return s * (a @ a.T), ksum, apply
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -306,19 +327,25 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
 
         e_ij = w_i w_j exp(q_i . p_j),   w = exp(-|q|^2 / 2),
 
-    for q_i a point or a target. With r_p and r_t the largest |p| and |t|
-    and r^2 = r_p max(r_p, r_t), the series of exp(q_i . p_j) to order K is
-    sum_{a+b<=K} x_i^a y_i^b x_j^a y_j^b / (a! b!), and its remainder is at
-    most r^(2(K+1)) e^(r^2) / (K+1)!, times w_i w_j <= 1 (the Taylor
-    expansion behind the fast Gauss transform, Greengard & Strain 1991).
-    K is the smallest order whose bound is below 2^-53, over F =
-    (K+1)(K+2)/2 rows phi_k = w x^a y^b / sqrt(a! b!): r = 0.1 needs K = 6
-    and F = 28, r = 1 needs K = 18 and F = 190, and r = 2 needs K = 33 and
-    F = 595. Against the dense sums of 600 points with themselves, each
-    error scaled by its row's absolute sum was 1.5e-15 to 6.0e-15 over
-    r = 0.01 to 2. The points' and the targets' coordinates are one
-    (2, M + N) array, and one `_series_rows` call builds the rows of both,
-    by in-place products of preallocated power tables; the points' and the
+    for q_i a point or a target. The series of exp(q_i . p_j) to order K
+    makes e_ij the sum over the (K+1)(K+2)/2 rows psi_(a,b) = w x^a y^b /
+    sqrt(a! b!), a + b <= K, of psi(q_i) psi(p_j) (the Taylor expansion
+    behind the fast Gauss transform, Greengard & Strain 1991, taken as
+    explicit features by Cotter, Keshet & Srebro 2011). So each kernel is
+    a covariance of features, those of `gp._WeightSpace`: the rows
+    themselves for the diagonal kernel, and their rotated gradients for
+    the incompressible one, each two rows of order K + 1 (`_curl_maps`).
+    With r_p and r_t the largest |p| and |t|, K is `_feature_order` at
+    r^2 = r_p max(r_p, r_t), the smallest order whose bound on the error
+    is below 2^-53 sigma^2. F counts the rows built, (K+1)(K+2)/2 for the
+    diagonal kernel and (K+2)(K+3)/2 for the incompressible one: r = 0.1
+    needs F = 28 and 45 (K = 6 and 7), r = 1 needs 190 and 253 (K = 18
+    and 20), and r = 2 needs 595 and 741 (K = 33 and 36). Against the
+    dense sums of 600 points with themselves, each error scaled by its
+    row's absolute sum was 8e-16 to 3.5e-15 over r = 0.01 to 2, for both
+    kernels. The points' and the targets' coordinates are one (2, M + N)
+    array, and one `_series_rows` call builds the rows of both, by
+    in-place products of preallocated power tables; the points' and the
     targets' rows are column slices of that one (F, M + N) array.
 
     The series' F rows over N + M points are priced against the dense
@@ -332,6 +359,10 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
     With no targets that is the points' own series whenever F_p <= M,
     and the series of a wider set when F <= 5 M. A dive with targets takes
     the series unless they lie far enough out to raise F well above F_p.
+    A single point is its own centroid, but the incompressible features
+    exact there are of order 1, six rows against its one pair's 5, so it
+    takes the dense path, where the diagonal kernel's one row of order 0
+    takes the series.
 
     Otherwise, and for a non-finite point, ksum and apply's K(P, T) c come
     from the (N, M) `_kernel_blocks`, and the points' own sums from
@@ -355,10 +386,19 @@ def cross_sums(hp: HyperParams, kind: KernelKind, pts, targets):
     np.clip(q[:, m:], -40.0, 40.0, out=q[:, m:])
     r2 = q[0] * q[0] + q[1] * q[1]
     rp2 = r2[:m].max(initial=0.0)
-    own = _series_order(rp2, m)
-    own_cost = SERIES_COST_RATIO * m * m if own is None else (own + 1) * (own + 2) // 2 * m
-    order = _series_order(np.sqrt(rp2 * np.maximum(rp2, r2[m:].max(initial=0.0))),
-                          (SERIES_COST_RATIO * n * m + own_cost) / max(n + m, 1))
+    curl = kind is KernelKind.INCOMPRESSIBLE
+
+    def series(r2, budget):
+        # the features' order at r2 and the rows it builds per point; the
+        # order is None if those exceed the budget
+        k = _feature_order(kind, r2, budget)
+        f = math.inf if k is None else (k + 1 + curl) * (k + 2 + curl) // 2
+        return (k, f) if f <= budget else (None, f)
+
+    own, f_p = series(rp2, m)
+    own_cost = SERIES_COST_RATIO * m * m if own is None else f_p * m
+    order, _ = series(np.sqrt(rp2 * np.maximum(rp2, r2[m:].max(initial=0.0))),
+                      (SERIES_COST_RATIO * n * m + own_cost) / max(n + m, 1))
     if order is not None:
         return _series_sums(hp, kind, q, m, order)
     # The points' own sums first, before the (N, M) blocks exist: with both

@@ -211,11 +211,13 @@ def assert_takes_the_series(model: GpModel, query: np.ndarray, monkeypatch):
 class TestPredictSumPaths:
     # A dive's query points lie well within a lengthscale of their
     # centroid, so its sums go through the dive-centred series whenever
-    # its F monomial rows over N + M points cost no more than the dense
+    # the F rows it builds over N + M points cost no more than the dense
     # fallback: SERIES_COST_RATIO = 5 rows per (target, point) pair, plus
     # the F_p rows a point of the dive's own series, which the fallback
-    # also forms (the dives below need F_p = 21). With no targets the
-    # joint series is the dive's own, so an empty model takes it.
+    # also forms (the 150-point dives below need F_p = 36 rows for the
+    # incompressible kernel's features, 21 for the diagonal one's). With
+    # no targets the joint series is the dive's own, so an empty model
+    # takes it.
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_dive_takes_the_series(self, kind, monkeypatch):
         # a 150-point, 3 km leg against 300 targets over 30 km
@@ -227,13 +229,13 @@ class TestPredictSumPaths:
     @pytest.mark.parametrize(
         ("num_targets", "spread"),
         [
-            # The order is 8 and F = 45, above N M / (N + M) = 44.3, so a
-            # rule that priced a monomial row as one pair would form the
-            # dense blocks.
+            # The orders are 9 and 8, F = 66 and 45 rows (incompressible,
+            # diagonal), above N M / (N + M) = 44.3, so a rule that priced
+            # a row as one pair would form the dense blocks.
             (50, 0.54),
-            # F = 28 rows over 390 points against 5 x 2 x 388 pairs: only
-            # the dive's own 28 x 388 rows, which the dense path also
-            # forms, tip it to the series.
+            # F = 55 and 28 rows over 390 points against 5 x 2 x 388
+            # pairs: only the dive's own 55 x 388 and 28 x 388 rows, which
+            # the dense path also forms, tip it to the series.
             (2, 0.2),
         ],
         ids=["fifty_targets", "two_targets"],
@@ -248,23 +250,38 @@ class TestPredictSumPaths:
         query += [2e3, -4e3] - query.mean(axis=0)
         assert_takes_the_series(model, query, monkeypatch)
 
-    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("kind", [KernelKind.STANDARD_DIAGONAL])
     def test_one_query_takes_order_zero(self, kind, monkeypatch):
-        # a single point is its own centroid, so the series is exact at
-        # order 0, whose one monomial costs less than the N pairs
+        # a single point is its own centroid, so the diagonal kernel's
+        # series is exact at order 0, whose one row per point costs less
+        # than the N pairs
         rng = np.random.default_rng(24)
         model = model_with_targets(kind, rng.uniform(-1.5e4, 1.5e4, size=(300, 2)))
         assert_takes_the_series(model, dive_leg(1), monkeypatch)
+
+    def test_one_incompressible_query_forms_the_dense_blocks(self, monkeypatch):
+        # the incompressible features exact at a single point are of order
+        # 1, whose six rows per point over N + 1 points cost more than the
+        # N + 1 pairs at 5 rows each, whatever N is
+        rng = np.random.default_rng(24)
+        model = model_with_targets(KernelKind.INCOMPRESSIBLE, rng.uniform(-1.5e4, 1.5e4, size=(300, 2)))
+        v = np.random.default_rng(0).normal(size=2)
+        want = predict_sum_oracle(model, dive_leg(1), v)
+        calls = spy_on_kernel_blocks(monkeypatch)
+        assert_matches_oracle(model, model.predict_sum(dive_leg(1)), want, v)
+        assert (300, 1) in calls
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize(
         ("targets", "queries"),
         [
-            # 41 lengthscales away: 300 monomials over 360 points against
-            # 5 x 300 x 60 pairs and the dive's 21 x 60 rows
+            # 41 lengthscales away: 378 and 300 rows over 360 points
+            # against 5 x 300 x 60 pairs and the dive's 36 x 60 and 21 x 60
+            # rows
             (np.random.default_rng(22).uniform(1e6, 1.03e6, size=(300, 2)), 60),
-            # 5 targets over 3.4 lengthscales: 55 monomials over 155 points
-            # against 5 x 5 x 150 pairs and the dive's 21 x 150 rows
+            # 5 targets over 3.4 lengthscales: 78 and 55 rows over 155
+            # points against 5 x 5 x 150 pairs and the dive's 36 x 150 and
+            # 21 x 150 rows
             (np.random.default_rng(23).uniform(-6e4, 6e4, size=(5, 2)), 150),
         ],
         ids=["far_targets", "few_targets"],
@@ -303,8 +320,8 @@ def dives_and_targets(draw):
     A kernel, a dive of 1-150 points whose farthest point lies 0 to 0.15
     lengthscales from its centroid (a straight leg or a random walk), and
     0-150 targets spread over 0 to 1.5 lengthscales about a point within
-    0.5 lengthscales of the dive, all at an offset. About a third of such
-    draws take the series (96 of 300 when counted).
+    0.5 lengthscales of the dive, all at an offset. Most such draws take
+    the series (273 of 300 in a derandomized count).
     """
     kind = draw(st.sampled_from(list(KernelKind)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -579,7 +596,7 @@ class TestWeightSpace:
         reach = radius * HP.lengthscale
         pts = np.vstack([disc_points(rng, 40, CENTRE, reach), CENTRE + reach * np.array(
             [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.8, 0.6]])])
-        order = gp._feature_order(kind, radius * radius, np.inf)
+        order = kernels._feature_order(kind, radius * radius, np.inf)
         space = gp._WeightSpace(HP, kind, CENTRE, radius * radius, order)
         a = space.features(space.rows(pts))
         if kind is KernelKind.INCOMPRESSIBLE:

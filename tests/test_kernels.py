@@ -241,17 +241,18 @@ class TestBlockRowSums:
         np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(587))
         np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=587 * _sum_tolerance(587))
 
-    @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize(
-        ("num_points", "radius"),
+        ("num_points", "radius", "kind"),
         [
-            # one point is its own centroid: the exact order-0 series
-            (1, 0.0),
-            # order 12, F = 91 rows, too many for the dive's own series
-            # (F_p <= M) but within the 5 M rows of its dense sums
-            (60, 0.5),
+            # one point is its own centroid: the diagonal kernel's exact
+            # order-0 series, one row against the 5 of its one pair
+            # (the incompressible kernel's takes its dense block, below)
+            pytest.param(1, 0.0, KernelKind.STANDARD_DIAGONAL, id=f"one_point-{KernelKind.STANDARD_DIAGONAL}"),
+            # orders 13 and 12, F = 120 and 91 rows (incompressible,
+            # diagonal), too many for the dive's own series (F_p <= M) but
+            # within the 5 M rows of its dense sums
+            *[pytest.param(60, 0.5, kind, id=f"short_wide_dive-{kind}") for kind in KernelKind],
         ],
-        ids=["one_point", "short_wide_dive"],
     )
     def test_empty_model_takes_the_series(self, kind, num_points, radius, monkeypatch):
         q = np.linspace(-1.0, 1.0, num_points)[:, None] * [0.6, 0.8] * radius * HP.lengthscale + [2e3, -4e3]
@@ -260,6 +261,16 @@ class TestBlockRowSums:
         total, sums = own_sums(HP, kind, q)
         np.testing.assert_allclose(sums, dense, rtol=0, atol=_sum_tolerance(num_points))
         np.testing.assert_allclose(total, dense.sum(axis=0), rtol=0, atol=num_points * _sum_tolerance(num_points))
+
+    def test_one_incompressible_point_forms_its_own_block(self, monkeypatch):
+        # the incompressible features exact at one point are of order 1, six
+        # rows against the 5 of its one pair with itself, so the dense block
+        # gives its own variance, exactly
+        calls = spy_on_kernel_blocks(monkeypatch)
+        total, sums = own_sums(HP, KernelKind.INCOMPRESSIBLE, np.array([[2e3, -4e3]]))
+        assert calls == [(1, 1), (0, 1)]
+        np.testing.assert_array_equal(sums, [HP.current_variance * np.eye(2)])
+        np.testing.assert_array_equal(total, HP.current_variance * np.eye(2))
 
     def test_nan_point_makes_every_sum_nan(self):
         # a NaN point makes r^2 NaN, which never meets the series' bound,
@@ -310,6 +321,100 @@ class TestBlockRowSums:
         total, sums = own_sums(hp, kind, np.concatenate([q, q]))
         np.testing.assert_array_equal(sums, np.broadcast_to(1.0 * np.eye(2), (600, 2, 2)))
         np.testing.assert_array_equal(total, 600.0 * np.eye(2))
+
+
+# (r_p, r_t) in lengthscales: the benchmark's smallest and widest dive
+# against its targets, a wider dive, and a far target set that still
+# takes the series
+RADIUS_PAIRS = [(0.05, 0.16), (0.12, 0.55), (0.18, 0.55), (0.05, 3.0)]
+
+
+class TestFeatureSums:
+    # the series' sums about the dive's centroid when the targets reach
+    # farther than the dive, r_t > r_p, where the order comes from
+    # r^2 = r_p r_t
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(("r_p", "r_t"), RADIUS_PAIRS)
+    def test_matches_dense_sums(self, kind, r_p, r_t, monkeypatch):
+        rng = np.random.default_rng(31)
+        p = disc_and_circle(rng, 120, r_p)
+        t = disc_and_circle(rng, 80, r_t)
+        offset = np.array([2e4, -3e4])
+        p, t = p - p.mean(axis=0) + offset, t + offset
+        c, v = rng.normal(size=160), rng.normal(size=2)
+        k_pp, k_pt = build_block_matrix(HP, kind, p, p), build_block_matrix(HP, kind, p, t)
+        ones = np.tile(np.eye(2), (len(p), 1))
+        monkeypatch.setattr(kernels, "_kernel_blocks", no_dense_blocks)
+        total, ksum, apply = cross_sums(HP, kind, p, t)
+        # each error against a few eps of the absolute sum of its row's terms
+        eps = 3e-15
+        assert_within(total, ones.T @ k_pp @ ones, eps * np.abs(ones.T) @ np.abs(k_pp) @ np.abs(ones))
+        assert_within(ksum, k_pt.T @ ones, eps * np.abs(k_pt.T).sum(axis=1, keepdims=True))
+        assert_within(apply(c, v).reshape(-1), k_pt @ c + k_pp @ ones @ v,
+                      eps * (np.abs(k_pt) @ np.abs(c) + np.abs(k_pp) @ np.abs(ones @ v)))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize(("r_p", "r_t"), RADIUS_PAIRS)
+    def test_remainder_stays_below_the_bound(self, kind, r_p, r_t):
+        # `_feature_order`'s bound at each order K up to the chosen one,
+        # against the features' kernel of order K on the two circles and
+        # within them, by brute force over angles
+        angles = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        p = np.vstack([r_p * ring, 0.5 * r_p * ring])
+        q = np.vstack([r_t * ring, 0.5 * r_t * ring])
+        want = build_block_matrix(HP, kind, p * HP.lengthscale, q * HP.lengthscale)
+        r2 = r_p * r_t
+        chosen = kernels._feature_order(kind, r2, np.inf)
+        for order in range(chosen + 1):
+            got = feature_kernel(kind, p, q, order)
+            error = np.abs(got - want).max() / HP.current_variance
+            # plus a few eps of rounding on either side
+            assert error <= remainder_bound(kind, r2, order) + 2e-15
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_order_is_the_first_to_meet_the_bound(self, kind):
+        for r2 in np.geomspace(1e-4, 10.0, 400):
+            order = kernels._feature_order(kind, r2, np.inf)
+            assert remainder_bound(kind, r2, order) < 2.0**-53 <= remainder_bound(kind, r2, order - 1)
+
+
+def assert_within(got, want, tolerance):
+    error = np.abs(got - want)
+    worst = error.argmax()
+    assert (error <= tolerance).all(), f"error {error.flat[worst]:.3g} against {tolerance.flat[worst]:.3g}"
+
+
+def disc_and_circle(rng, num_points: int, radius: float) -> np.ndarray:
+    """Points in metres: a quarter on the circle of `radius` lengthscales about 0, the rest within it."""
+    edge = num_points // 4
+    angles = rng.uniform(0.0, 2.0 * np.pi, num_points)
+    radii = radius * np.concatenate([np.ones(edge), np.sqrt(rng.uniform(0.0, 1.0, num_points - edge))])
+    return HP.lengthscale * radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def feature_kernel(kind, p, q, order: int) -> np.ndarray:
+    """The (2P, 2Q) kernel of the order-K features between points in lengthscales about the centre."""
+    if kind is KernelKind.STANDARD_DIAGONAL:
+        phi_p, phi_q = kernels._series_rows(*p.T, order), kernels._series_rows(*q.T, order)
+        return HP.current_variance * np.kron(phi_p.T @ phi_q, np.eye(2))
+    maps = kernels._curl_maps(order)
+    a_p, a_q = maps @ kernels._series_rows(*p.T, order + 1), maps @ kernels._series_rows(*q.T, order + 1)
+    # rows u0, v0, u1, ... of each point's features
+    a_p = a_p.transpose(2, 0, 1).reshape(-1, a_p.shape[1])
+    a_q = a_q.transpose(2, 0, 1).reshape(-1, a_q.shape[1])
+    return HP.current_variance * a_p @ a_q.T
+
+
+def remainder_bound(kind, r2: float, order: int) -> float:
+    """`_feature_order`'s documented bound on the order-K error, in units of sigma^2."""
+
+    def b(n):  # B_n, the bound on the remainder of exp(t), |t| <= r2, beyond degree n
+        return math.exp(r2) * (r2 ** (n + 1) / math.factorial(n + 1) if n >= 0 else 1.0)
+
+    if kind is KernelKind.STANDARD_DIAGONAL:
+        return b(order)
+    return r2 * (b(order) + b(order - 2)) + (1.0 + 2.0 * r2) * b(order - 1)
 
 
 def own_sums(hp, kind, q):
