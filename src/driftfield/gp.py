@@ -68,7 +68,7 @@ import json
 import math
 
 import numpy as np
-from numpy.linalg import cholesky, inv
+from numpy.linalg import cholesky, inv, solve
 
 from driftfield.flowfield import as_xy, json_floats
 from driftfield.kernels import (
@@ -205,9 +205,8 @@ class _WeightSpace:
         self.curl = kind is KernelKind.INCOMPRESSIBLE
         # the diagonal kernel's features are s psi itself
         self.maps = s * _curl_maps(order) if self.curl else s
-        self.prec = np.eye(f)
         self.rhs = np.zeros(f if self.curl else (f, 2))
-        self.factor, self.mean = self.prec, self.rhs
+        self.factor = self.mean = None  # the prior's; the first add forms them
 
     def rows(self, pts: np.ndarray):
         """The (F1, M) rows at the points, or None if any lies beyond the region."""
@@ -227,9 +226,15 @@ class _WeightSpace:
             a, y = np.concatenate(a, axis=1), currents.T.reshape(-1)
         tau2 = DEFAULT_TARGET_NOISE_VAR
         child = copy.copy(self)
-        child.prec = self.prec + (a @ a.T) / tau2
         child.rhs = self.rhs + (a @ y) / tau2
-        child.factor = _inverse_factor(child.prec)
+        r = self.factor
+        if r is None:  # forming: the prior's Lambda = I plus the targets' share
+            child.factor = _inverse_factor(np.eye(len(a)) + (a @ a.T) / tau2)
+        else:  # Andrews's square-root update, with (L + M)^-1 = (I + L^T)^-1 L^-1
+            c = r @ a / math.sqrt(tau2)
+            m = c.T @ c
+            m.flat[:: len(m) + 1] += 1.0
+            child.factor = r - c @ solve(cholesky(m) + m, c.T @ r)
         child.mean = child.factor.T @ (child.factor @ child.rhs)
         return child
 

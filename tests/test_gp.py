@@ -585,6 +585,28 @@ def weight_space_pair(kind, num_targets=120, radius=0.3, seed=21):
     return model, GpModel(HP, kind, pts, ys), cond_eps(num_targets)
 
 
+def assert_matches_the_exact_model(model, exact, tol, query, v):
+    """
+    A weight-space model's predict_sum (its mean, covariance and update at
+    v) and predict_mean at the query against the exact model's, to tol =
+    cond * eps relative to each one's scale.
+    """
+    scale, m = np.abs(exact.currents).max(), len(query)
+    got, want = model.predict_sum(query), exact.predict_sum(query)
+    np.testing.assert_allclose(got[0], want[0], rtol=tol, atol=tol * m * scale)
+    np.testing.assert_allclose(got[1], want[1], rtol=tol, atol=tol * m * m * HP.current_variance)
+    np.testing.assert_array_equal(got[1], got[1].T)
+    np.testing.assert_allclose(got[2](v), want[2](v), rtol=tol,
+                               atol=tol * (scale + m * HP.current_variance * np.abs(v).sum()))
+    np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
+                               atol=tol * scale)
+    assert model._space is not None
+
+
+def no_refactor(lam):
+    raise AssertionError("an append refactored the precision")
+
+
 class TestWeightSpace:
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("radius", [0.05, 0.3, 0.5, 1.0])
@@ -611,22 +633,12 @@ class TestWeightSpace:
     def test_matches_the_exact_model(self, kind):
         model, exact, tol = weight_space_pair(kind)
         rng = np.random.default_rng(23)
-        query = disc_points(rng, 50, CENTRE, 0.3 * HP.lengthscale)
-        v = rng.normal(size=2)
-        scale, m = np.abs(exact.currents).max(), len(query)
-        got, want = model.predict_sum(query), exact.predict_sum(query)
-        np.testing.assert_allclose(got[0], want[0], rtol=tol, atol=tol * m * scale)
-        np.testing.assert_allclose(got[1], want[1], rtol=tol, atol=tol * m * m * HP.current_variance)
-        np.testing.assert_array_equal(got[1], got[1].T)
-        np.testing.assert_allclose(got[2](v), want[2](v), rtol=tol,
-                                   atol=tol * (scale + m * HP.current_variance * np.abs(v).sum()))
-        np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
-                                   atol=tol * scale)
-        assert model._space is not None
+        assert_matches_the_exact_model(model, exact, tol, disc_points(rng, 50, CENTRE, 0.3 * HP.lengthscale),
+                                       rng.normal(size=2))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_appends_match_the_exact_model(self, kind):
-        # appends inside the region add their rows' share to the precision
+        # appends inside the region update the formed factor by their rows
         model, _, _ = weight_space_pair(kind)
         rng = np.random.default_rng(24)
         for size in (1, 6, 13):
@@ -638,6 +650,55 @@ class TestWeightSpace:
         tol = cond_eps(140)
         np.testing.assert_allclose(model.predict_mean(query), exact.predict_mean(query), rtol=tol,
                                    atol=tol * np.abs(model.currents).max())
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_a_long_append_chain_matches_the_exact_model(self, kind, monkeypatch):
+        # 200 appends of 1-13 targets after the 120-target formation, as a
+        # long mission makes: each updates the factor without refactoring
+        # the precision, and the updates' rounding stays within cond * eps
+        model, _, _ = weight_space_pair(kind)
+        monkeypatch.setattr(gp, "_inverse_factor", no_refactor)
+        rng = np.random.default_rng(28)
+        field = random_gyre(3)
+        for size in rng.integers(1, 14, 200):
+            pts = disc_points(rng, size, CENTRE, 0.3 * HP.lengthscale)
+            model = model.add_targets(pts, eval_field_many(field, pts))
+        exact = GpModel(HP, kind, model.positions, model.currents)
+        assert_matches_the_exact_model(model, exact, cond_eps(model.num_targets),
+                                       disc_points(rng, 30, CENTRE, 0.3 * HP.lengthscale), rng.normal(size=2))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_the_factor_matches_the_dense_precision(self, kind):
+        # R^T R against the inverse of Lambda = I + A A^T / tau^2 formed
+        # densely from every target's feature columns, after each of 12
+        # appends, to cond(Lambda) * eps: P <= I, so that is P's scale
+        model, _, _ = weight_space_pair(kind)
+        rng = np.random.default_rng(29)
+        for size in rng.integers(1, 14, 12):
+            pts = disc_points(rng, size, CENTRE, 0.3 * HP.lengthscale)
+            model = model.add_targets(pts, eval_field_many(random_gyre(3), pts))
+            space = model._space
+            a = space.features(space.rows(model.positions))
+            if kind is KernelKind.INCOMPRESSIBLE:
+                a = np.concatenate(a, axis=1)
+            lam = np.eye(len(a)) + a @ a.T / DEFAULT_TARGET_NOISE_VAR
+            tol = np.linalg.cond(lam) * np.finfo(float).eps
+            np.testing.assert_allclose(space.factor.T @ space.factor, np.linalg.inv(lam), rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_an_append_of_more_targets_than_features(self, kind, monkeypatch):
+        # 120 targets give 240 incompressible or 120 diagonal columns
+        # against F = 105 or 91 features at 0.5 lengthscales: the append
+        # takes the update all the same
+        model, _, _ = weight_space_pair(kind, radius=0.5)
+        monkeypatch.setattr(gp, "_inverse_factor", no_refactor)
+        rng = np.random.default_rng(30)
+        pts = disc_points(rng, 120, CENTRE, 0.5 * HP.lengthscale)
+        model = model.add_targets(pts, eval_field_many(random_gyre(3), pts))
+        assert len(model._space.factor) < 120
+        exact = GpModel(HP, kind, model.positions, model.currents)
+        assert_matches_the_exact_model(model, exact, cond_eps(240),
+                                       disc_points(rng, 30, CENTRE, 0.5 * HP.lengthscale), rng.normal(size=2))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("reach, widens", [(0.5, True), (3.0, False)])
