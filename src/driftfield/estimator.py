@@ -44,10 +44,10 @@ and fix that holds them all, its radius padded by the largest drift, so
 that converged trajectories stay inside it. The model runs exact until
 the cost rule in `gp` (F^2 <= 100 N for F features and N targets, set
 where the two forms' timed costs cross) prefers the weight space over
-that region, then converts once. Then a cycle costs O(F M + F^3)
-whatever N is: replayed on long_mission (F = 105), a cycle took
-0.80-0.87 ms from N = 100 to 560, where the exact form rose from 1.0 to
-2.6 ms. A trajectory point beyond the region is answered by a wider
+that region, then converts once. Then a cycle costs O(F M + n F^2) for
+its n new targets, whatever N is: replayed on long_mission (F = 105, 1
+BLAS thread), a cycle took 0.65-0.68 ms from N = 100 to 560, where the
+exact form rose from 1.2 to 3.2 ms. A trajectory point beyond the region is answered by a wider
 weight space, or an exact factor, formed from the stored targets for
 that query alone, so no cycle fails for it and the model is unchanged. The
 acceptance study's missions (N <= 37, F >= 66) stay exact throughout.

@@ -44,15 +44,17 @@ A mission's model has a second form, the same GP in weight space
 the Gaussian about one centre, exact to rounding within a radius; the
 features, their order rule and their derivative maps are those
 `kernels.cross_sums` sums a dive's kernel on, about the dive. There
-an M-step costs O(F M) and an append O(n F^2 + F^3), whatever N is, where
-the exact form walks its (2N)^2 factor twice a cycle. The mission loop
+an M-step costs O(F M) and an append O(n F^2), a square-root update of
+the weights' factor by the new targets' rows, whatever N is, where the
+exact form walks its (2N)^2 factor twice a cycle. The mission loop
 gives its model a region, the disc that holds the log's dead-reckoned
 tracks and fixes padded by the largest drift, about their bounding
 box's centre. The model keeps the exact form until the cost rule
 (FEATURES_PER_ROOT_TARGET: F^2 <= 100 N) prefers the weight space at its
 N and the region's F, then forms the weights once from the stored
-targets; timed on both paths, the weight space became the cheaper form
-at N = 60-100 for F = 91-105 and at N = 190-315 for F = 136-171. A
+targets; timed on both paths with a 400-point dive, the weight space
+became the cheaper form at N = 60-100 for F = 91-105 and at N = 115-190
+for F = 136-171 (see FEATURES_PER_ROOT_TARGET). A
 target beyond the region widens it to cover them in the appended model,
 which forms the weights afresh, O(N F^2), or goes back to a fresh exact
 factor if the rule finds the wider region too costly. A query beyond the
@@ -108,18 +110,21 @@ GROW_BLOCK_TARGETS = 32
 # N targets, F^2 <= 100 N. Timed on both paths (1 BLAS thread, 2-core
 # Xeon) by a cycle of three M-steps on a 150- or 400-point dive and a
 # 6-target append, targets within 0.25-0.8 lengthscales, the weight space
-# first cost no more than the exact model at these N:
+# first cost no more than the exact model at these N (N of 5 is the least
+# timed):
 #
-#     incompressible F    66   78   91  105  136  153  171
-#         measured N     <10   15   60  100  190  260  315
-#         F^2 / 100       44   61   83  110  185  234  292
-#     diagonal F          55   66   78   91  105  120  136
-#         measured N      10   40   70  105  145  185  230
-#         F^2 / 100       30   44   61   83  110  144  185
+#     incompressible F     66   78   91  105  120  136  153  171
+#         150-point dive    5    5   20   25   30   80  100  130
+#         400-point dive    5   10   60  100  115  115  175  190
+#         F^2 / 100        44   61   83  110  144  185  234  292
+#     diagonal F           55   66   78   91  105  120  136
+#         150-point dive    5    5    5    5   20   30   25
+#         400-point dive    5    5    5   25   80   30   90
+#         F^2 / 100        30   44   61   83  110  144  185
 #
 # The exact model's cost grows with N through its factor's walks, the
-# weight space's with F^3 through the refresh.
-# The acceptance study's missions (F >= 66, N <= 37) stay exact: the
+# weight space's with F through the dive's rows and the append's F^2 k
+# update. The acceptance study's missions (F >= 66, N <= 37) stay exact: the
 # weight space from the first cycle made each kernel's study 30-50%
 # slower.
 FEATURES_PER_ROOT_TARGET = 10.0
@@ -184,17 +189,34 @@ class _WeightSpace:
     unit maps of `kernels._curl_maps` applied to q's rows of order K + 1.
     Every mean it gives is divergence-free exactly. The diagonal kernel
     gives u and v independent weights on the features s psi_k, which
-    share one precision matrix.
+    share one factor.
 
     With A the feature rows at the targets, y their currents and tau^2 the
     noise floor, the posterior of the weights has precision
-    Lambda = I + A^T A / tau^2 and mean mu = Lambda^-1 A^T y / tau^2. An
-    append adds its rows' share to Lambda and to b = A^T y / tau^2 and
-    refactors Lambda afresh, O(n F^2 + F^3) whatever N is. As in
-    `GpModel`, the inverse factor R = L^-1 of Lambda = L L^T is kept, so
-    the covariance a P a^T = (R a^T)^T (R a^T) is symmetric by
-    construction. `order` comes from `kernels._feature_order` at the
-    radius, so within it the features' kernel is the exact one to rounding.
+    Lambda = I + A^T A / tau^2 and mean mu = Lambda^-1 b, b = A^T y / tau^2.
+    As in `GpModel`, a factor R of P = Lambda^-1 = R^T R is kept rather
+    than Lambda, so the covariance a P a^T = (R a^T)^T (R a^T) is
+    symmetric by construction. The prior's first `add` forms R by
+    `_inverse_factor` of Lambda, O(N F^2 + F^3). A later append of n
+    targets, whose (F, k) feature columns B are the u and v rows for the
+    incompressible kernel (k = 2n) or the rows for the diagonal one
+    (k = n), updates R in O(k F^2) whatever N is, by Andrews's square-root
+    covariance update (A. Andrews 1968, "A square root formulation of the
+    Kalman covariance equations", *AIAA J.* 6(6)):
+
+        C = R B / tau,   M = I + C^T C = L L^T,
+        R' = R - C (L + M)^-1 C^T R,   (L + M)^-1 = (I + L^T)^-1 L^-1,
+
+    so R'^T R' = R^T (I + C C^T)^-1 R = (Lambda + B B^T / tau^2)^-1.
+    M >= I, so L and the solve exist for any finite rows, and k may exceed
+    F. R' is not triangular, which nothing needs. mu = R'^T (R' b) comes
+    from the accumulated b, so the updates' rounding does not build up in
+    the mean. Forming from the prior by the update instead moved the
+    final grids of survey and long_mission by up to 3.3e-10 of max |mean|,
+    against 5e-13 by `_inverse_factor`: in well-determined directions the
+    update's rows come out as 1 minus nearly 1. `order` comes from
+    `kernels._feature_order` at the radius, so within it the features'
+    kernel is the exact one to rounding.
     """
 
     def __init__(self, hp: HyperParams, kind: KernelKind, centre, reach2, order: int):
@@ -230,7 +252,7 @@ class _WeightSpace:
         r = self.factor
         if r is None:  # forming: the prior's Lambda = I plus the targets' share
             child.factor = _inverse_factor(np.eye(len(a)) + (a @ a.T) / tau2)
-        else:  # Andrews's square-root update, with (L + M)^-1 = (I + L^T)^-1 L^-1
+        else:  # the square-root update of the class docstring
             c = r @ a / math.sqrt(tau2)
             m = c.T @ c
             m.flat[:: len(m) + 1] += 1.0
