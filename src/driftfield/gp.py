@@ -26,11 +26,10 @@ targets; an append extends it into a new array with the new rows and
 leaves the parent's block as it was, so a parent may be appended to any
 number of times and no append copies the whole factor.
 
-The weights alpha = K^-1 y = R^T z, z = R y, grow with R. The old rows
-of R never change, so neither does the old part of z, and the new rows
-R2 = R[2N_old:, :] extend both: z2 = R2 y, and alpha, padded with
-zeros, gains R2^T z2. An append then reads only its new rows of R,
-O(N n) work, where a fresh solve reads all of them.
+The weights alpha = K^-1 y = R^T (R y) grow with R. The old rows of R
+never change, so alpha, padded with zeros, gains R2^T (R2 y) by the new
+rows R2 = R[2N_old:, :] alone. An append then reads only its new rows
+of R, O(N n) work, where a fresh solve reads all of them.
 
 R is stored rather than K^-1 = R^T R. R's condition number is the
 square root of K's, and products with it stay within the cond(K) * eps
@@ -124,9 +123,10 @@ GROW_BLOCK_TARGETS = 32
 #
 # The exact model's cost grows with N through its factor's walks, the
 # weight space's with F through the dive's rows and the append's F^2 k
-# update. The acceptance study's missions (F >= 66, N <= 37) stay exact: the
-# weight space from the first cycle made each kernel's study 30-50%
-# slower.
+# update. The acceptance study's missions (F >= 66, N <= 37) stay exact:
+# with the weight space from the first cycle, each cycle's grid query
+# beyond the region forms a wider one, and the study's cycles took 60%
+# longer (perfbench p50 and p90), though survey's took 20% less.
 FEATURES_PER_ROOT_TARGET = 10.0
 
 
@@ -147,21 +147,15 @@ def _solve(blocks, b: np.ndarray):
     return z, x
 
 
-def _inverse_factor(lam: np.ndarray) -> np.ndarray:
+def _inverse_factor(a: np.ndarray) -> np.ndarray:
     """
-    np.tril(inv(cholesky(lam))) by one block step of the module docstring's
-    identity, R21 = -R22 L21 R11: two half-size inverses and two products
-    took 0.20-0.24 ms against 0.37-0.39 ms for the whole at F = 91-105 (1
-    BLAS thread), with the same rounding. lam >= I here, so its Cholesky
-    factor exists for any finite rows.
+    R = L^-1 for the lower Cholesky factor L of the symmetric positive
+    definite a: an exact model's Schur complement, or a weight space's
+    Lambda. One that is not raises `cholesky`'s `LinAlgError`. inv works
+    through a pivoted LU, which leaves rounding above the diagonal of
+    L^-1; tril sets it to 0.
     """
-    l = cholesky(lam)
-    h = len(l) // 2
-    r = np.zeros_like(l)
-    r[:h, :h] = np.tril(inv(l[:h, :h]))
-    r[h:, h:] = np.tril(inv(l[h:, h:]))
-    r[h:, :h] = -r[h:, h:] @ (l[h:, :h] @ r[:h, :h])
-    return r
+    return np.tril(inv(cholesky(a)))
 
 
 def _centred(centre, lengthscale: float, pts: np.ndarray):
@@ -192,7 +186,7 @@ class _WeightSpace:
     share one factor.
 
     With A the feature rows at the targets, y their currents and tau^2 the
-    noise floor, the posterior of the weights has precision
+    model's noise floor, the posterior of the weights has precision
     Lambda = I + A^T A / tau^2 and mean mu = Lambda^-1 b, b = A^T y / tau^2.
     As in `GpModel`, a factor R of P = Lambda^-1 = R^T R is kept rather
     than Lambda, so the covariance a P a^T = (R a^T)^T (R a^T) is
@@ -219,8 +213,8 @@ class _WeightSpace:
     kernel is the exact one to rounding.
     """
 
-    def __init__(self, hp: HyperParams, kind: KernelKind, centre, reach2, order: int):
-        self.hp, self.kind = hp, kind
+    def __init__(self, hp: HyperParams, kind: KernelKind, tau2: float, centre, reach2, order: int):
+        self.hp, self.kind, self.tau2 = hp, kind, tau2
         self.centre, self.reach2, self.order = centre, reach2, order
         f = (order + 1) * (order + 2) // 2
         s = np.sqrt(hp.current_variance)
@@ -246,14 +240,13 @@ class _WeightSpace:
         a, y = self.features(rows), currents
         if self.curl:  # the u rows, then the v rows, against the u and v currents
             a, y = np.concatenate(a, axis=1), currents.T.reshape(-1)
-        tau2 = DEFAULT_TARGET_NOISE_VAR
         child = copy.copy(self)
-        child.rhs = self.rhs + (a @ y) / tau2
+        child.rhs = self.rhs + (a @ y) / self.tau2
         r = self.factor
         if r is None:  # forming: the prior's Lambda = I plus the targets' share
-            child.factor = _inverse_factor(np.eye(len(a)) + (a @ a.T) / tau2)
+            child.factor = _inverse_factor(np.eye(len(a)) + (a @ a.T) / self.tau2)
         else:  # the square-root update of the class docstring
-            c = r @ a / math.sqrt(tau2)
+            c = r @ a / math.sqrt(self.tau2)
             m = c.T @ c
             m.flat[:: len(m) + 1] += 1.0
             child.factor = r - c @ solve(cholesky(m) + m, c.T @ r)
@@ -319,7 +312,7 @@ class GpModel:
         self.positions = as_xy(positions if positions is not None else [])
         self.currents = as_xy(currents if currents is not None else [])
         self._blocks = ()
-        self._z = self._alpha = np.zeros(0)
+        self._alpha = np.zeros(0)
         self._grow(0)
 
     @property
@@ -355,7 +348,7 @@ class GpModel:
             self._region = centre, max(reach2, _centred(centre, self.hp.lengthscale, self.positions)[1])
             self._space = self._weights(*self._region)
             if self._space is not None:
-                self._blocks, self._z, self._alpha = (), np.zeros(0), np.zeros(0)  # no stale factor
+                self._blocks, self._alpha = (), np.zeros(0)  # no stale factor
                 return
         # the weight space keeps no factor, so leaving it factors every target afresh
         self._factor(0 if space is not None else n_old)
@@ -364,8 +357,8 @@ class GpModel:
         """
         Extend `_blocks`, the row blocks of the inverse lower factor of
         Gram + noise at the first `n_old` targets, by the rest, and
-        `_z` = R y and `_alpha` = R^T R y by the new rows of R. Every
-        full block is shared with the parent; a last block of fewer than
+        `_alpha` = R^T R y by the new rows of R. Every full block is
+        shared with the parent; a last block of fewer than
         GROW_BLOCK_TARGETS targets is extended into a new array. The
         noise floor keeps each Schur complement positive definite
         (Rasmussen & Williams 2006, *GPML*, Algorithm 2.1); one that is
@@ -373,8 +366,6 @@ class GpModel:
         untouched.
         """
         y = self.currents.reshape(-1)
-        z = np.empty_like(y)
-        z[: 2 * n_old] = self._z
         alpha = np.zeros_like(y)
         alpha[: 2 * n_old] = self._alpha
         blocks = list(self._blocks)
@@ -394,9 +385,7 @@ class GpModel:
             schur.flat[:: len(schur) + 1] += self.target_noise_var
             # R11 and the kernels are finite; an overflowing product still makes
             # the Schur complement non-finite, which cholesky would not reject.
-            # inv works through a pivoted LU, which leaves rounding above the
-            # diagonal of L22^-1; tril sets it to 0.
-            r22 = np.tril(inv(cholesky(np.asarray_chkfinite(schur))))
+            r22 = _inverse_factor(np.asarray_chkfinite(schur))
             # filled in place: np.block copies the new rows twice, which took
             # about as long as the solve the alpha update below saves
             block = np.empty((len(head) + j - i, j))
@@ -406,13 +395,11 @@ class GpModel:
             np.matmul(r22, -g.T, out=new[:, :i])
             new[:, i:] = r22
             block.flags.writeable = False
-            # the old rows of R are unchanged, so their share of R^T z is too
-            z[i:j] = new @ y[:j]
-            alpha[:j] += new.T @ z[i:j]
+            # the old rows of R are unchanged, so their share of R^T R y is too
+            alpha[:j] += new.T @ (new @ y[:j])
             blocks.append(block)
             start = stop
-        self._blocks = tuple(blocks)
-        self._z, self._alpha = z, alpha
+        self._blocks, self._alpha = tuple(blocks), alpha
 
     def _in_region(self, centre, radius: float) -> "GpModel":
         """
@@ -440,7 +427,7 @@ class GpModel:
         order = self._order(reach2)
         if order is None:
             return None
-        space = _WeightSpace(self.hp, self.kind, centre, reach2, order)
+        space = _WeightSpace(self.hp, self.kind, self.target_noise_var, centre, reach2, order)
         return space.add(space.rows(self.positions), self.currents)
 
     def _form_at(self, q: np.ndarray):
@@ -461,7 +448,7 @@ class GpModel:
             # a non-finite point gives a NaN or infinite radius, which the rule declines
             space = self._weights(space.centre, _centred(space.centre, self.hp.lengthscale, q)[1])
             if space is None:
-                return GpModel(self.hp, self.kind, self.positions, self.currents), None
+                return type(self)(self.hp, self.kind, self.positions, self.currents), None
             rows = space.rows(q)
         return space, rows
 
@@ -472,7 +459,7 @@ class GpModel:
         """
         q = as_xy(query_points)
         if self._space is not None:
-            return GpModel(self.hp, self.kind, self.positions, self.currents).predict(q)
+            return type(self)(self.hp, self.kind, self.positions, self.currents).predict(q)
         k_qq = build_block_matrix(self.hp, self.kind, q, q)
         k_dq = build_block_matrix(self.hp, self.kind, self.positions, q)
         mean = k_dq.T @ self._alpha

@@ -477,19 +477,17 @@ class TestFactorGrowth:
     def test_alpha_extends_by_the_new_rows(self, kind, grow, monkeypatch):
         # each append adds R_new^T (R_new y) to the parent's alpha instead of
         # solving again; it agrees with a full solve to about cond * eps, and
-        # the parent's z and alpha stay as they were
+        # the parent's alpha stays as it was
         monkeypatch.setattr(gp, "GROW_BLOCK_TARGETS", grow)
         rng = np.random.default_rng(19)
         model = GpModel(HP, kind)
         for size in (3, 5, 4, 1, 7):
-            parent, before = model, (model._z.copy(), model._alpha.copy())
+            parent, before = model, model._alpha.copy()
             model = model.add_targets(rng.uniform(-4e4, 4e4, size=(size, 2)),
                                       rng.normal(0.0, 0.3, size=(size, 2)))
-            z, alpha = gp._solve(model._blocks, model.currents.reshape(-1))
-            for got, want in [(model._z, z), (model._alpha, alpha)]:
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
-            np.testing.assert_array_equal(parent._z, before[0])
-            np.testing.assert_array_equal(parent._alpha, before[1])
+            alpha = gp._solve(model._blocks, model.currents.reshape(-1))[1]
+            np.testing.assert_allclose(model._alpha, alpha, rtol=1e-9, atol=1e-9 * np.abs(alpha).max())
+            np.testing.assert_array_equal(parent._alpha, before)
 
     def test_two_children_of_one_parent(self):
         rng = np.random.default_rng(16)
@@ -566,9 +564,9 @@ def disc_points(rng, num_points, centre, radius):
 CENTRE = np.array([3e3, -2e3])
 
 
-def cond_eps(num_targets):
+def cond_eps(num_targets, noise_var=DEFAULT_TARGET_NOISE_VAR):
     """cond * eps for the noisy Gram matrix, cond <= 1 + 2N var / noise, as in assert_matches_dense_factor."""
-    return (1.0 + 2 * num_targets * HP.current_variance / DEFAULT_TARGET_NOISE_VAR) * np.finfo(float).eps
+    return (1.0 + 2 * num_targets * HP.current_variance / noise_var) * np.finfo(float).eps
 
 
 def weight_space_pair(kind, num_targets=120, radius=0.3, seed=21):
@@ -619,7 +617,7 @@ class TestWeightSpace:
         pts = np.vstack([disc_points(rng, 40, CENTRE, reach), CENTRE + reach * np.array(
             [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.8, 0.6]])])
         order = kernels._feature_order(kind, radius * radius, np.inf)
-        space = gp._WeightSpace(HP, kind, CENTRE, radius * radius, order)
+        space = gp._WeightSpace(HP, kind, DEFAULT_TARGET_NOISE_VAR, CENTRE, radius * radius, order)
         a = space.features(space.rows(pts))
         if kind is KernelKind.INCOMPRESSIBLE:
             a = a.transpose(2, 0, 1).reshape(-1, a.shape[1])  # rows u0, v0, u1, ...
@@ -635,6 +633,36 @@ class TestWeightSpace:
         rng = np.random.default_rng(23)
         assert_matches_the_exact_model(model, exact, tol, disc_points(rng, 50, CENTRE, 0.3 * HP.lengthscale),
                                        rng.normal(size=2))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_predict_refactors_the_targets(self, kind):
+        # the joint covariance comes from a fresh exact factor of the stored
+        # targets, which the model neither keeps nor lets replace its form
+        model, _, tol = weight_space_pair(kind)
+        state = (model._space, model._region, model._blocks, model._alpha)
+        query = disc_points(np.random.default_rng(31), 12, CENTRE, 0.3 * HP.lengthscale)
+        (mean, cov), (want_mean, want_cov) = model.predict(query), dense_posterior(model, query)
+        np.testing.assert_allclose(mean, want_mean, rtol=tol, atol=tol * np.abs(model.currents).max())
+        np.testing.assert_allclose(cov, want_cov, rtol=tol, atol=tol * HP.current_variance)
+        assert all(a is b for a, b in zip((model._space, model._region, model._blocks, model._alpha), state))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_both_forms_take_the_model_noise_floor(self, kind):
+        # a model with another floor conditions its weight space on that
+        # floor too, so both forms give one posterior
+        class FloorModel(GpModel):
+            target_noise_var = 4e-4
+
+        rng = np.random.default_rng(32)
+        pts = disc_points(rng, 120, CENTRE, 0.3 * HP.lengthscale)
+        ys = eval_field_many(random_gyre(3), pts)
+        model = FloorModel(HP, kind)._in_region(CENTRE, 0.3 * HP.lengthscale).add_targets(pts, ys)
+        exact = FloorModel(HP, kind, pts, ys)
+        assert model._space is not None
+        query = disc_points(rng, 30, CENTRE, 0.3 * HP.lengthscale)
+        assert_matches_the_exact_model(model, exact, cond_eps(120, 4e-4), query, rng.normal(size=2))
+        # predict re-factors the targets as the model's own class
+        np.testing.assert_array_equal(model.predict(query)[1], exact.predict(query)[1])
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_appends_match_the_exact_model(self, kind):
@@ -663,6 +691,7 @@ class TestWeightSpace:
         for size in rng.integers(1, 14, 200):
             pts = disc_points(rng, size, CENTRE, 0.3 * HP.lengthscale)
             model = model.add_targets(pts, eval_field_many(field, pts))
+        monkeypatch.undo()  # the exact factor's Schur blocks take _inverse_factor
         exact = GpModel(HP, kind, model.positions, model.currents)
         assert_matches_the_exact_model(model, exact, cond_eps(model.num_targets),
                                        disc_points(rng, 30, CENTRE, 0.3 * HP.lengthscale), rng.normal(size=2))
@@ -696,6 +725,7 @@ class TestWeightSpace:
         pts = disc_points(rng, 120, CENTRE, 0.5 * HP.lengthscale)
         model = model.add_targets(pts, eval_field_many(random_gyre(3), pts))
         assert len(model._space.factor) < 120
+        monkeypatch.undo()  # the exact factor's Schur blocks take _inverse_factor
         exact = GpModel(HP, kind, model.positions, model.currents)
         assert_matches_the_exact_model(model, exact, cond_eps(240),
                                        disc_points(rng, 30, CENTRE, 0.5 * HP.lengthscale), rng.normal(size=2))
